@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -8,6 +9,19 @@ import pytest
 import twistlab as tl
 from twistlab.cli import main
 from twistlab.construction import state_to_json
+
+# sha256 of (state.json, levels.csv) from ``construct --depth 6 --seed 0``:
+# a refactor that changes a single output byte fails here
+GOLDEN = {
+    "a": (
+        "f4044983ec9d8138e10d4b3d0aedb8e848223003fb2f98f27240e4eec4536f4d",
+        "8b12113c13f6f778f491dab84e91280234f75b796795cfe44f25e9b8c842af75",
+    ),
+    "c": (
+        "7ac89aa3a61b18ae5298e95b571cd4ad7d990a1cbb0ac515944b4f3a619e493c",
+        "a352f1357be39088e5c9b903574b6860a0e1a3d9c711ddbf16f1b58117eb7830",
+    ),
+}
 
 
 def run_cli(args):
@@ -34,6 +48,13 @@ class TestConstruct:
         assert run_cli(["construct", "--case", "a", "--depth", "3", "--seed", "7", "--out", str(a)]) == 0
         assert run_cli(["construct", "--case", "a", "--depth", "3", "--seed", "7", "--out", str(b)]) == 0
         assert (a / "state.json").read_bytes() == (b / "state.json").read_bytes()
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_golden_bytes(self, tmp_path, case):
+        out = tmp_path / case
+        assert run_cli(["construct", "--case", case, "--depth", "6", "--seed", "0", "--out", str(out)]) == 0
+        digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("state.json", "levels.csv"))
+        assert digests == GOLDEN[case]
 
     def test_depth_zero_usage_error(self, tmp_path):
         assert run_cli(["construct", "--depth", "0", "--out", str(tmp_path)]) == 64
