@@ -5,18 +5,14 @@ adversarial verifiers that replay every inequality the construction rests on.
 """
 
 from .seqspace import (
-    BasisWindow,
     FinSeq,
     MixedSeq,
     MixedSpace,
     SeqSpace,
     disjoint_supports,
     in_hyperplane_H,
-    is_right_of,
     james_norm,
-    norm_l1,
     norm_mixed,
-    restrict,
 )
 from .quasilinear import (
     Ribe,
@@ -44,7 +40,6 @@ from .twisted import (
     quotient,
 )
 from .sumsets import (
-    FnDescriptor,
     SumCertificate,
     SumFamily,
     base_axioms_check,

@@ -14,9 +14,9 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -57,22 +57,6 @@ EXIT_OK = 0
 EXIT_CONSTRUCTION = 2
 EXIT_VIOLATION = 3
 EXIT_USAGE = 64
-
-
-@dataclass
-class RunConfig:
-    """The knobs a construction run is keyed on; embedded in state.json so a
-    fixed seed reproduces byte-identical artifacts."""
-
-    case: str
-    depth: int
-    generators: int
-    seed: int
-    tolerance: float = 1e-9
-    out: str = "out"
-
-    def meta(self) -> dict:
-        return {"case": self.case, "depth": self.depth, "generators": self.generators, "seed": self.seed}
 
 
 class Parser(argparse.ArgumentParser):
@@ -123,9 +107,10 @@ def cmd_construct(args) -> int:
         return _usage_fail("--depth must be at least 1")
     if args.generators < 1:
         return _usage_fail("--generators must be at least 1")
-    config = RunConfig(args.case, args.depth, args.generators, args.seed, out=args.out)
-    out = Path(config.out)
-    meta = config.meta()
+    out = Path(args.out)
+    # the flags a run is keyed on, embedded in state.json so a fixed seed
+    # reproduces byte-identical artifacts
+    meta = {"case": args.case, "depth": args.depth, "generators": args.generators, "seed": args.seed}
     split_map = None
     if args.case == "a":
         F = normalize_constant(Ribe())
@@ -177,7 +162,7 @@ def cmd_construct(args) -> int:
 def _load_state(path):
     try:
         return state_from_json(json.loads(Path(path).read_text()))
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise SystemExit(_usage_fail("cannot load state %s: %s" % (path, exc)))
 
 
@@ -273,6 +258,8 @@ def cmd_eval(args) -> int:
 
 def cmd_oracle(args) -> int:
     out = Path(args.out) if args.out else Path(".")
+    if not (math.isfinite(args.trials) and math.isfinite(args.budget)):
+        return _usage_fail("--trials and --budget must be finite numbers")
     if args.target == "quasi-constant":
         try:
             F = functional_from_json(_load_json_arg(args.functional)) if args.functional else Ribe()

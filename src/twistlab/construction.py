@@ -39,7 +39,6 @@ from .seqspace import (
     as_fraction,
     disjoint_supports,
     space_from_json,
-    vector_from_json,
 )
 from .sumsets import (
     SumCertificate,
@@ -105,14 +104,14 @@ def normalize_generators(F: QuasiFunctional, ds: list) -> list:
     return out
 
 
-def tail_index(k_generators: list, bound: int, e_n, eps) -> int:
+def tail_index(k_generators: list, e_n) -> int:
     """Index past which perturbations cannot shrink norms over the compact
     hull of the generators stretched by the e-direction interval.
 
     With finitely supported vectors and a monotone coordinate basis this is
     exact: anything to the right of the maximal support is disjoint from the
-    set, and disjoint tails can only add norm, so the eps slack is pure
-    margin.  ``bound`` (the e-interval half-width) cannot move the support.
+    set, and disjoint tails can only add norm.  The index depends on the
+    supports alone, so neither the e-interval's width nor a slack enters.
     """
     s = e_n.max_support()
     for g in k_generators:
@@ -134,7 +133,7 @@ def basis_constant(ys: list, space=None) -> Fraction:
     if rank(ys) != len(ys):
         raise ValueError("basis constant needs linearly independent vectors")
     space = space or SeqSpace()
-    if isinstance(space, SeqSpace) and all(isinstance(y, FinSeq) for y in ys):
+    if isinstance(space, SeqSpace):
         if all(disjoint_supports(a, b) for i, a in enumerate(ys) for b in ys[i + 1 :]):
             return 1 / min(y.norm() for y in ys)
     from .oracles import min_crosspolytope_norm
@@ -180,11 +179,6 @@ class ConstructionState:
     def e_vector(self, n: int):
         return self.d_generators[self.e_idx[n - 1] - 1]
 
-    def fn_descriptor(self, level: int):
-        from .sumsets import FnDescriptor
-
-        return FnDescriptor(fn_family(self), level)
-
     def level_x(self, n: int) -> list:
         return [self.xs[i - 1] for i in self.ell[n]]
 
@@ -218,7 +212,7 @@ def build_level(
     c_n = state.c[n]
     e_n = state.e_vector(n)
     prior = [w for i in range(1, n) for w in state.G[i]]
-    s_n = tail_index(prior, 2 ** n, e_n, c_n)
+    s_n = tail_index(prior, e_n)
     chosen: list[int] = []
     cursor = state.x_cursor
     while len(chosen) < k:
@@ -703,18 +697,23 @@ def static_state_checks(state: ConstructionState, F: QuasiFunctional) -> list[Ch
         ok_rule = 0 < c_n <= Fraction(1, 2 ** (n + 3))
         checks.append(_step("c_rule", n, 0 if ok_rule else 1, F1))
         gens = state.G[n]
-        checks.append(_step("g_size", n, 0 if len(gens) == 2 ** n + 1 else 1, F1))
+        size_ok = len(gens) == 2 ** n + 1
+        checks.append(_step("g_size", n, 0 if size_ok else 1, F1))
         e_n = state.e_vector(n)
         xs_n = state.level_x(n)
         m_n = state.m[n]
-        shape_ok = all(gens[i] - e_n == xs_n[i] * m_n for i in range(2 ** n))
-        balance = space.zero()
-        for xv in xs_n:
-            balance = balance + xv
-        shape_ok = shape_ok and (gens[2 ** n] - e_n == balance * (-m_n))
+        # a wrong count fails g_size above; the shape is only compared
+        # generator by generator once the counts match
+        shape_ok = size_ok and len(xs_n) == 2 ** n
+        if shape_ok:
+            shape_ok = all(gens[i] - e_n == xs_n[i] * m_n for i in range(2 ** n))
+            balance = space.zero()
+            for xv in xs_n:
+                balance = balance + xv
+            shape_ok = shape_ok and (gens[2 ** n] - e_n == balance * (-m_n))
         checks.append(_step("g_shape", n, 0 if shape_ok else 1, F1))
         prior = [w for i in range(1, n) for w in state.G[i]]
-        checks.append(_step("tail_index", n, 0 if state.s[n] == tail_index(prior, 2 ** n, e_n, c_n) else 1, F1))
+        checks.append(_step("tail_index", n, 0 if state.s[n] == tail_index(prior, e_n) else 1, F1))
         mono = all(a < b for a, b in zip(state.ell[n], state.ell[n][1:]))
         right = all(x.is_right_of(state.s[n]) for x in xs_n)
         checks.append(_step("enumeration", n, 0 if (mono and right) else 1, F1))
@@ -753,20 +752,23 @@ def state_to_json(state: ConstructionState) -> dict:
 
 
 def state_from_json(obj: dict) -> ConstructionState:
+    """Parse a state; its vectors load through its space, so the zero vector
+    ``{}`` (G[0], for one) gets the space's vector type."""
     space = space_from_json(obj["space"])
+    vec = space.vector.from_json
     return ConstructionState(
         depth=obj["depth"],
         space=space,
         functional=obj["functional"],
         c={int(n): Fraction(v) for n, v in obj["c"].items()},
-        d_generators=[vector_from_json(d) for d in obj["d_generators"]],
+        d_generators=[vec(d) for d in obj["d_generators"]],
         e_idx=list(obj["e_idx"]),
         s={int(n): int(v) for n, v in obj["s"].items()},
         ell={int(n): list(map(int, v)) for n, v in obj["ell"].items()},
         m={int(n): int(v) for n, v in obj["m"].items()},
         M={int(n): Fraction(v) for n, v in obj["M"].items()},
-        G={int(n): [vector_from_json(g) for g in gens] for n, gens in obj["G"].items()},
-        xs=[vector_from_json(x) for x in obj["xs"]],
+        G={int(n): [vec(g) for g in gens] for n, gens in obj["G"].items()},
+        xs=[vec(x) for x in obj["xs"]],
         x_cursor=obj.get("x_cursor", 0),
         meta=obj.get("meta", {}),
     )

@@ -24,7 +24,7 @@ from .construction import (
 )
 from .exact_lp import solve_lp_ineq
 from .quasilinear import QuasiFunctional, evaluate, quasi_defect, space_of
-from .seqspace import FinSeq, MixedSeq, MixedSpace, SeqSpace, as_fraction
+from .seqspace import FinSeq, MixedSeq, MixedSpace, SeqSpace, as_fraction, block_entries, block_of
 from .sumsets import (
     SumCertificate,
     CertTerm,
@@ -84,7 +84,7 @@ class CrossPolytopeResult:
 def _supports_disjoint(vectors) -> bool:
     seen: set[int] = set()
     for v in vectors:
-        pos = v.support if isinstance(v, FinSeq) else v.support_positions()
+        pos = v.support
         for p in pos:
             if p in seen:
                 return False
@@ -126,30 +126,11 @@ def _orthant_lp_min(ys: list[FinSeq]):
 
 
 def _float_coords(ys, space):
-    """Dense float coordinate rows plus block labels for the mixed norm."""
-    if isinstance(space, MixedSpace):
-        positions = sorted(set().union(*(set(y.support_positions()) for y in ys)) or {1})
-        labels = []
-        for p in positions:
-            n = 1
-            q = p
-            while q > n:
-                q -= n
-                n += 1
-            labels.append(n)
-
-        def coord(y, p):
-            n = 1
-            q = p
-            while q > n:
-                q -= n
-                n += 1
-            return float(y.block(n)[q - 1])
-
-        rows = [[coord(y, p) for y in ys] for p in positions]
-        return rows, labels, float(space.p)
-    positions = sorted(set().union(*(set(y.support) for y in ys)) or {1})
+    """Dense float coordinate rows, plus block labels for the mixed norm."""
+    positions = sorted(set().union(*(y.support for y in ys)) or {1})
     rows = [[float(y[p]) for y in ys] for p in positions]
+    if isinstance(space, MixedSpace):
+        return rows, [block_of(p)[0] for p in positions], float(space.p)
     return rows, None, None
 
 
@@ -235,9 +216,9 @@ def min_crosspolytope_norm(ys: list, *, space=None, seed=0) -> CrossPolytopeResu
     if any(not y for y in ys):
         raise ValueError("zero vectors are not allowed here")
     if space is None:
-        space = SeqSpace() if isinstance(ys[0], FinSeq) else None
-    if space is None:
-        raise ValueError("mixed vectors need an explicit space (for the norm's p)")
+        if isinstance(ys[0], MixedSeq):
+            raise ValueError("mixed vectors need an explicit space (for the norm's p)")
+        space = SeqSpace()
     k = len(ys)
     if isinstance(space, SeqSpace):
         if _supports_disjoint(ys):
@@ -251,7 +232,7 @@ def min_crosspolytope_norm(ys: list, *, space=None, seed=0) -> CrossPolytopeResu
             return CrossPolytopeResult(val, alpha, "exact")
         val, alpha = _subgradient_min(ys, space, seed=seed)
         return CrossPolytopeResult(val, alpha, "heuristic")
-    if _supports_disjoint(ys) and _blocks_disjoint(ys):
+    if _blocks_disjoint(ys):
         q = float(space.p) / (float(space.p) - 1.0)
         norms = [space.norm(y) for y in ys]
         s = math.fsum(a ** (-q) for a in norms)
@@ -265,7 +246,7 @@ def min_crosspolytope_norm(ys: list, *, space=None, seed=0) -> CrossPolytopeResu
 def _blocks_disjoint(ys: list[MixedSeq]) -> bool:
     seen: set[int] = set()
     for y in ys:
-        for n in y.blocks:
+        for n in block_entries(y):
             if n in seen:
                 return False
             seen.add(n)
@@ -345,7 +326,7 @@ def lemma5_adversary(
     maximal patterns are enumerated; each pattern reduces to a cross-polytope
     minimum via mass = cap / min."""
     eta = as_fraction(eta)
-    space = space or (SeqSpace() if zs and isinstance(zs[0], FinSeq) else None)
+    space = space or (SeqSpace() if zs and not isinstance(zs[0], MixedSeq) else None)
     if space is None:
         raise ValueError("mixed vectors need an explicit space")
     N = len(zs)
@@ -357,7 +338,8 @@ def lemma5_adversary(
         )
     shape_kind, negsum_d = _analyze_negsum(zs, space)
     norms = [space.norm(z) for z in zs]
-    l1_norms = None  # coordinate-l1 gauges, filled lazily for mixed families
+    # coordinate-l1 gauges and block sets, filled lazily for mixed families
+    l1_norms = z_blocks = None
     exact_space = isinstance(space, SeqSpace)
 
     n_patterns = math.comb(N, k)
@@ -394,11 +376,12 @@ def lemma5_adversary(
             # form, so the mass estimate is a sound upper bound (never an
             # undershoot); the stored witness is feasible but may not attain it
             if l1_norms is None:
-                l1_norms = [z.block_l1_sum() for z in zs]
+                l1_norms = [z.norm() for z in zs]
+                z_blocks = [set(block_entries(z)) for z in zs]
             others_in = [j for j in pattern if j != negsum_d]
             omitted = sum((l1_norms[j] for j in range(N) if j != negsum_d and j not in pattern), F0)
             mn_l1, shape = _seq_negsum_min(l1_norms, others_in, omitted)
-            blocks = set().union(*(set(zs[j].blocks) for j in pattern))
+            blocks = set().union(*(z_blocks[j] for j in pattern))
             q = float(space.p) / (float(space.p) - 1.0)
             mn = float(mn_l1) * (len(blocks) or 1) ** (-1.0 / q)
             alpha = _negsum_witness_alpha(l1_norms, pattern, negsum_d, shape, N)
@@ -473,7 +456,7 @@ def lemma5_adversary(
 
 def replay_lemma5(zs: list, witness: dict, space=None) -> tuple[float, float]:
     """Recompute (mass, combined norm) from a stored witness."""
-    space = space or (SeqSpace() if zs and isinstance(zs[0], FinSeq) else None)
+    space = space or (SeqSpace() if zs and not isinstance(zs[0], MixedSeq) else None)
     coeffs = [Fraction(c) if "/" in c or c.lstrip("-").isdigit() else Fraction(float(c)) for c in witness["coefficients"]]
     total = space.zero()
     for c, z in zip(coeffs, zs):
@@ -561,7 +544,7 @@ def quasi_constant_adversary(F: QuasiFunctional, sampler=None, trials: int = 200
         x = sampler(rng)
         y = sampler(rng)
         pairs = [(x, y)]
-        if isinstance(x, FinSeq) and not span_only:
+        if not isinstance(x, MixedSeq) and not span_only:
             pairs.append((x, _shift_right(y, x.max_support())))
             half = FinSeq({i: v for i, v in x.items() if i <= (x.max_support() + 1) // 2})
             pairs.append((x, half))

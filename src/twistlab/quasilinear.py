@@ -6,9 +6,9 @@ are implemented: the Ribe log functional on sparse l1 vectors, its weighted
 block variant on the mixed space, exact linear maps given by values on a
 basis, and rational rescalings of any of these.
 
-``evaluate`` factors every vector as sign * scale * ray, with the scale taken
-in the exact block-l1 gauge and the ray canonically signed, and computes the
-transcendental part on the ray alone.  Homogeneity over rational scalars then
+``evaluate`` factors every vector as sign * scale * ray, with the scale
+taken in the exact coordinate-l1 gauge and the ray canonically signed, and
+computes the transcendental part on the ray alone.  Homogeneity over rational scalars then
 holds to a couple of ulps by construction instead of by cancellation luck.
 """
 
@@ -25,6 +25,7 @@ from .seqspace import (
     MixedSpace,
     SeqSpace,
     as_fraction,
+    block_entries,
     in_hyperplane_H,
 )
 
@@ -128,16 +129,14 @@ def space_of(F: QuasiFunctional):
 
 
 def _ribe_terms(vals) -> float:
-    """Core formula on a list of nonzero rationals; the two branches agree
-    with sum v ln|v| - S ln|S| by the 0 ln 0 convention."""
-    vals = [v for v in vals if v]
-    if not vals:
-        return 0.0
+    """Core formula on a collection of nonzero rationals (sparse storage holds
+    no zeros), 0.0 for none; the two branches agree with
+    sum v ln|v| - S ln|S| by the 0 ln 0 convention."""
     total = sum(vals, F0)
     if total:
         tf = float(total)
-        return math.fsum(float(v) * math.log(abs(float(v) / tf)) for v in vals)
-    return math.fsum(float(v) * math.log(abs(float(v))) for v in vals)
+        return math.fsum(v * math.log(abs(v / tf)) for v in map(float, vals))
+    return math.fsum(v * math.log(abs(v)) for v in map(float, vals))
 
 
 def ribe_eval(x: FinSeq) -> float:
@@ -145,37 +144,23 @@ def ribe_eval(x: FinSeq) -> float:
     return _ribe_terms([v for _, v in x.items()])
 
 
-def weighted_ribe_eval(x: MixedSeq, weights, p=None) -> float:
+def weighted_ribe_eval(x: FinSeq, weights, p=None) -> float:
     """sum_n c_n * (blockwise Ribe value); every nonzero block needs a weight."""
     parts = []
-    for n, vec in x.blocks.items():
+    for n, blk in block_entries(x).items():
         if n not in weights:
             raise ValueError("missing weight for nonzero block %d" % n)
-        parts.append(float(weights[n]) * _ribe_terms(vec))
+        parts.append(float(weights[n]) * _ribe_terms(blk.values()))
     return math.fsum(parts)
 
 
 def _ray_decompose(x):
-    """x = sign * scale * ray with rational scale (block-l1 gauge) and the
-    ray's first nonzero coordinate positive.  None for the zero vector."""
-    if isinstance(x, FinSeq):
-        scale = x.norm()
-        if not scale:
-            return None
-        lead = x[x.support[0]]
-    else:
-        scale = x.block_l1_sum()
-        if not scale:
-            return None
-        lead = None
-        for n in sorted(x.blocks):
-            for v in x.blocks[n]:
-                if v:
-                    lead = v
-                    break
-            if lead is not None:
-                break
-    sign = 1 if lead > 0 else -1
+    """x = sign * scale * ray with rational scale (coordinate-l1 gauge) and
+    the ray's first nonzero coordinate positive.  None for the zero vector."""
+    scale = x.norm()
+    if not scale:
+        return None
+    sign = 1 if x[x.support[0]] > 0 else -1
     return sign, scale, x * (Fraction(sign) / scale)
 
 
@@ -236,18 +221,6 @@ def normalize_constant(F: QuasiFunctional) -> Scaled:
 # --- exact linear algebra on the span ---------------------------------------
 
 
-def _coord_dict(v) -> dict[int, Fraction]:
-    if isinstance(v, FinSeq):
-        return dict(v.items())
-    out = {}
-    for n, vec in v.blocks.items():
-        base = n * (n - 1) // 2
-        for i, c in enumerate(vec):
-            if c:
-                out[base + i + 1] = c
-    return out
-
-
 def _eliminate(cols, tgt):
     positions = sorted(set().union(*cols, tgt) if cols else set(tgt))
     k = len(cols)
@@ -272,7 +245,7 @@ def _eliminate(cols, tgt):
 
 def solve_in_span(basis, target) -> list[Fraction]:
     """Exact coordinates of target in the span of basis, or ValueError."""
-    rows, pivots, k = _eliminate([_coord_dict(b) for b in basis], _coord_dict(target))
+    rows, pivots, k = _eliminate([dict(b.items()) for b in basis], dict(target.items()))
     for i in range(len(pivots), len(rows)):
         if rows[i][k]:
             raise ValueError("vector is not in the span of the basis")
@@ -283,7 +256,7 @@ def solve_in_span(basis, target) -> list[Fraction]:
 
 
 def rank(vectors) -> int:
-    _, pivots, _ = _eliminate([_coord_dict(v) for v in vectors], {})
+    _, pivots, _ = _eliminate([dict(v.items()) for v in vectors], {})
     return len(pivots)
 
 
@@ -428,13 +401,14 @@ def functional_from_json(obj: dict) -> QuasiFunctional:
             p=Fraction(obj["p"]),
         )
     if kind == "user_linear":
-        from .seqspace import space_from_json, vector_from_json
+        from .seqspace import space_from_json
 
+        space = space_from_json(obj.get("space", {"kind": "seq"}))
         return UserLinear(
-            basis=[vector_from_json(b) for b in obj["basis"]],
+            basis=[space.vector.from_json(b) for b in obj["basis"]],
             values=[Fraction(v) for v in obj["values"]],
             assumed_constant=obj.get("assumed_constant", 0.0),
-            space=space_from_json(obj.get("space", {"kind": "seq"})),
+            space=space,
         )
     if kind == "scaled":
         return Scaled(functional_from_json(obj["inner"]), Fraction(obj["factor"]))

@@ -54,10 +54,9 @@ class SumCertificate:
 
 @dataclass
 class SumFamily:
-    """Finite generator lists per block, plus an optional ambient budget."""
+    """Finite generator lists per block."""
 
     generators: dict[int, list]
-    counts: Callable[[int], int] | None = None
 
     def gen(self, block: int, index: int):
         try:
@@ -77,17 +76,6 @@ def level_counts(level: int) -> Callable[[int], int]:
         return 2 ** (i - level) if i >= level else 0
 
     return counts
-
-
-@dataclass(frozen=True)
-class FnDescriptor:
-    """A family viewed at a fixed level with the halving budget rule."""
-
-    base: SumFamily
-    level: int
-
-    def counts(self, i: int) -> int:
-        return level_counts(self.level)(i)
 
 
 def family_zero(fam: SumFamily):
@@ -319,14 +307,12 @@ def hull_membership(point, points: list) -> HullCertificate:
     shifted = point - points[0]
     if rank(diffs + [shifted]) != rank(diffs):
         return HullCertificate([], False, "point lies outside the affine hull (exact rank check)")
-    from .quasilinear import _coord_dict
-
-    coords = sorted(set().union(*(_coord_dict(p) for p in points + [point])) or {1})
+    coords = sorted(set().union(*(p.support for p in points + [point])) or {1})
     A = [[F1] * len(points)]
     b = [F1]
     for c in coords:
-        A.append([_coord_dict(p).get(c, F0) for p in points])
-        b.append(_coord_dict(point).get(c, F0))
+        A.append([p[c] for p in points])
+        b.append(point[c])
     res = solve_lp([F0] * len(points), A, b)
     if res.status != "optimal":
         return HullCertificate([], False, "no nonnegative convex weights exist (exact phase-1 simplex)")
@@ -337,7 +323,6 @@ __all__ = [
     "CertTerm",
     "SumCertificate",
     "SumFamily",
-    "FnDescriptor",
     "level_counts",
     "family_zero",
     "certificate_value",

@@ -92,8 +92,3 @@ def ball_radius(level: int) -> Fraction:
     if level < 1:
         raise ValueError("levels start at 1")
     return Fraction(4) ** (1 - level)
-
-
-def quasi_ball_contains(F: QuasiFunctional, w: TwistedVec, radius) -> bool:
-    """Strict quasi-norm ball membership."""
-    return quasi_norm(F, w) < float(radius)

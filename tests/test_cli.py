@@ -185,6 +185,22 @@ class TestVerify:
         report = json.loads((tmp_path / "verify-report.json").read_text())
         assert any("level_mass" in v for v in report["violations"])
 
+    def test_truncated_generator_list_exits_three(self, tmp_path):
+        out = tmp_path / "run"
+        run_cli(["construct", "--case", "a", "--depth", "3", "--out", str(out)])
+        state = json.loads((out / "state.json").read_text())
+        state["G"]["2"] = state["G"]["2"][:-1]
+        p = tmp_path / "state.json"
+        p.write_text(json.dumps(state))
+        assert run_cli(["verify", "--state", str(p), "--trials", "5", "--out", str(tmp_path)]) == 3
+        report = json.loads((tmp_path / "verify-report.json").read_text())
+        assert "static:g_size level 2" in report["violations"]
+
+    def test_non_object_state_is_usage(self, tmp_path):
+        p = tmp_path / "state.json"
+        p.write_text("[1, 2]")
+        assert run_cli(["verify", "--state", str(p), "--out", str(tmp_path)]) == 64
+
 
 class TestEval:
     def test_ribe(self, capsys):
@@ -239,6 +255,9 @@ class TestOracle:
         assert code == 0
         rep = json.loads((tmp_path / "oracle-report.json").read_text())
         assert rep["best_value"] <= 4.0
+
+    def test_quasi_constant_nan_trials_is_usage(self, tmp_path):
+        assert run_cli(["oracle", "quasi-constant", "--trials", "nan", "--out", str(tmp_path)]) == 64
 
     def test_chain_zero_budget(self, tmp_path):
         out = tmp_path / "run"

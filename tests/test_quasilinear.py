@@ -147,7 +147,7 @@ class TestWeightedRibe:
                 - tl.weighted_ribe_eval(bx, self.W)
                 - tl.weighted_ribe_eval(by, self.W)
             )
-            assert gap <= c * float(bx.block_l1(n) + by.block_l1(n)) + 1e-9
+            assert gap <= c * float(bx.norm() + by.norm()) + 1e-9
 
 
 class TestNonsplitWitness:

@@ -6,18 +6,14 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from twistlab import (
-    BasisWindow,
     FinSeq,
     MixedSeq,
     disjoint_supports,
     in_hyperplane_H,
-    is_right_of,
     james_norm,
-    norm_l1,
     norm_mixed,
-    restrict,
 )
-from twistlab.seqspace import MixedSpace, SeqSpace, block_position
+from twistlab.seqspace import MixedSpace, SeqSpace, block_of, block_position
 
 from .strategies import finseqs, small_scalar
 
@@ -50,56 +46,20 @@ class TestFinSeqBasics:
 
 class TestNormL1:
     def test_empty(self):
-        assert norm_l1(FinSeq()) == 0
+        assert FinSeq().norm() == 0
 
     def test_direct_sum(self):
-        assert norm_l1(FinSeq({1: 1, 3: -2})) == 3
+        assert FinSeq({1: 1, 3: -2}).norm() == 3
 
     def test_single(self):
-        assert norm_l1(FinSeq({5: Fraction(1, 2)})) == Fraction(1, 2)
-
-
-class TestRestrict:
-    def test_initial(self):
-        x = FinSeq({1: 1, 5: 2})
-        assert restrict(x, BasisWindow.initial(3)) == FinSeq({1: 1})
-
-    def test_tail(self):
-        x = FinSeq({1: 1, 5: 2})
-        assert restrict(x, BasisWindow.tail_after(3)) == FinSeq({5: 2})
-
-    def test_identity_window(self):
-        x = FinSeq({1: 1, 5: 2, 9: -3})
-        assert restrict(x, BasisWindow(1, None)) == x
-
-    def test_bad_window(self):
-        with pytest.raises(ValueError):
-            BasisWindow(5, 3)
-
-    @given(finseqs(), st.integers(1, 12))
-    @settings(max_examples=60, deadline=None)
-    def test_split_recomposes(self, x, n):
-        head = restrict(x, BasisWindow.initial(n))
-        tail = restrict(x, BasisWindow.tail_after(n))
-        assert head + tail == x
-
-    @given(finseqs(), st.integers(1, 12), st.integers(1, 12))
-    @settings(max_examples=60, deadline=None)
-    def test_projection(self, x, a, b):
-        w = BasisWindow(min(a, b), max(a, b))
-        assert restrict(restrict(x, w), w) == restrict(x, w)
-
-    @given(finseqs(), st.integers(1, 12))
-    @settings(max_examples=60, deadline=None)
-    def test_monotone_basis(self, x, n):
-        assert norm_l1(restrict(x, BasisWindow.initial(n))) <= norm_l1(x)
+        assert FinSeq({5: Fraction(1, 2)}).norm() == Fraction(1, 2)
 
 
 class TestPredicates:
     def test_right_of(self):
-        assert is_right_of(FinSeq({5: 1}), 4)
-        assert not is_right_of(FinSeq({5: 1}), 5)
-        assert is_right_of(FinSeq(), 100)
+        assert FinSeq({5: 1}).is_right_of(4)
+        assert not FinSeq({5: 1}).is_right_of(5)
+        assert FinSeq().is_right_of(100)
 
     def test_hyperplane(self):
         assert in_hyperplane_H(FinSeq({1: 1, 2: -1}))
@@ -115,7 +75,7 @@ class TestPredicates:
     @settings(max_examples=80, deadline=None)
     def test_disjoint_additivity(self, x, y):
         if disjoint_supports(x, y):
-            assert norm_l1(x + y) == norm_l1(x) + norm_l1(y)
+            assert (x + y).norm() == x.norm() + y.norm()
 
 
 class TestJamesNorm:
@@ -176,8 +136,9 @@ class TestMixed:
         assert block_position(1, 1) == 1
         assert block_position(2, 1) == 2
         assert block_position(3, 3) == 6
+        assert all(block_of(block_position(n, i)) == (n, i) for n in range(1, 60) for i in range(1, n + 1))
         x = MixedSeq({2: [0, 1], 3: [1, 0, 0]})
-        assert x.support_positions() == (3, 4)
+        assert x.support == (3, 4)
         assert x.is_right_of(2)
         assert not x.is_right_of(3)
 
@@ -191,7 +152,21 @@ class TestMixed:
     def test_arithmetic_cancels_blocks(self):
         x = MixedSeq({2: [1, -1]})
         assert x - x == MixedSeq()
-        assert (x * 2).block_l1_sum() == 4
+        assert (x * 2).norm() == 4
+
+    def test_block_view_over_sparse_storage(self):
+        x = MixedSeq({3: [0, Fraction(1, 2), 0], 1: [-1]})
+        assert isinstance(x, FinSeq) and x != FinSeq(x.items())
+        assert dict(x.items()) == {1: -1, 5: Fraction(1, 2)}
+        assert x.blocks == {1: (-1,), 3: (0, Fraction(1, 2), 0)}
+        assert x.block(2) == (0, 0)
+        assert type(x + x) is MixedSeq and type(-x * 3) is MixedSeq
+
+    def test_zero_finseq_operand(self):
+        # the JSON zero vector {} loads as FinSeq(); block norms read any FinSeq
+        y = FinSeq() + MixedSeq.unit(2, 1)
+        assert dict(y.items()) == {2: 1}
+        assert norm_mixed(y + MixedSeq.unit(3, 1), 2) == pytest.approx(math.sqrt(2), abs=1e-15)
 
 
 class TestSerialization:

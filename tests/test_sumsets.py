@@ -221,11 +221,6 @@ class TestHelpers:
         assert SumCertificate.from_json(c.to_json()) == c
         assert c.to_json()[0] == {"i": 1, "j": 0, "r": "-3/7"}
 
-    def test_fn_descriptor(self, fam):
-        fd = tl.FnDescriptor(fam, 2)
-        assert fd.counts(3) == 2
-        assert fd.counts(1) == 0
-
     def test_rescale_unrestricted(self, fam):
         c = SumCertificate.of([(1, 0, Fraction(1, 2))])
         big = rescale_certificate(c, 10)
