@@ -196,9 +196,10 @@ class TestVerify:
         report = json.loads((tmp_path / "verify-report.json").read_text())
         assert "static:g_size level 2" in report["violations"]
 
-    def test_non_object_state_is_usage(self, tmp_path):
+    @pytest.mark.parametrize("text", ["[1, 2]", '{"space": {"kind": "seq"}, "depth": 1, "functional": {}, "c": []}'])
+    def test_malformed_state_is_usage(self, tmp_path, text):
         p = tmp_path / "state.json"
-        p.write_text("[1, 2]")
+        p.write_text(text)
         assert run_cli(["verify", "--state", str(p), "--out", str(tmp_path)]) == 64
 
 
