@@ -17,7 +17,6 @@ from .seqspace import (
 from .quasilinear import (
     Ribe,
     Scaled,
-    SplitMap,
     UserLinear,
     WeightedRibe,
     evaluate,

@@ -21,6 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .construction import (
+    MAX_DEPTH,
     ConstructionError,
     fn_family,
     functional_of_state,
@@ -29,6 +30,7 @@ from .construction import (
     make_case_c_inputs,
     run_construction,
     state_from_json,
+    state_shape_problem,
     state_to_json,
     static_state_checks,
     verify_chain,
@@ -41,7 +43,7 @@ from .oracles import (
 )
 from .quasilinear import (
     Ribe,
-    SplitMap,
+    UserLinear,
     WeightedRibe,
     functional_from_json,
     normalize_constant,
@@ -66,13 +68,6 @@ class Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write("error: %s\n" % message)
         sys.exit(EXIT_USAGE)
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("TWISTLAB_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -103,8 +98,8 @@ def _usage_fail(message: str) -> int:
 
 
 def cmd_construct(args) -> int:
-    if args.depth < 1:
-        return _usage_fail("--depth must be at least 1")
+    if not 1 <= args.depth <= MAX_DEPTH:
+        return _usage_fail("--depth must be between 1 and %d" % MAX_DEPTH)
     if args.generators < 1:
         return _usage_fail("--generators must be at least 1")
     out = Path(args.out)
@@ -131,12 +126,9 @@ def cmd_construct(args) -> int:
             xs = [vector_from_json(v) for v in _load_json_arg(args.xs)]
             ds = [vector_from_json(v) for v in _load_json_arg(args.ds)]
             if args.split_map:
+                # a "defect_bound" key, written by older versions, is ignored
                 sm = _load_json_arg(args.split_map)
-                split_map = SplitMap(
-                    [vector_from_json(v) for v in sm["basis"]],
-                    [Fraction(v) for v in sm["values"]],
-                    sm.get("defect_bound", 0.0),
-                )
+                split_map = UserLinear([vector_from_json(v) for v in sm["basis"]], [Fraction(v) for v in sm["values"]])
         except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
             return _usage_fail("cannot parse custom inputs: %s" % exc)
     try:
@@ -160,10 +152,17 @@ def cmd_construct(args) -> int:
 
 
 def _load_state(path):
+    """The parsed state; exits 64 when it does not parse and 3 when an
+    index in it points outside its own tables."""
     try:
-        return state_from_json(json.loads(Path(path).read_text()))
+        state = state_from_json(json.loads(Path(path).read_text()))
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise SystemExit(_usage_fail("cannot load state %s: %s" % (path, exc)))
+    problem = state_shape_problem(state)
+    if problem:
+        print("VIOLATION static:state_shape %s" % problem)
+        raise SystemExit(EXIT_VIOLATION)
+    return state
 
 
 def cmd_verify(args) -> int:
@@ -212,7 +211,6 @@ def cmd_verify(args) -> int:
         "state": str(args.state),
         "trials": args.trials,
         "seed": args.seed,
-        "threads": _threads(),
         "tolerance": args.tolerance,
         "violations": violations,
         "min_chain_margin": min_margin,
@@ -244,7 +242,7 @@ def cmd_eval(args) -> int:
             value = quasi_norm(F, TwistedVec(float(args.r), vector_from_json(_load_json_arg(args.x))))
         elif args.what == "weighted-ribe":
             weights = {int(n): Fraction(c) for n, c in _load_json_arg(args.weights).items()}
-            value = weighted_ribe_eval(vector_from_json(_load_json_arg(args.x)), weights, Fraction(args.p))
+            value = weighted_ribe_eval(vector_from_json(_load_json_arg(args.x)), weights)
         else:  # nonsplit
             vec, value = nonsplit_witness(args.n, Fraction(args.cn))
     except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
@@ -342,7 +340,7 @@ def build_parser() -> Parser:
     e.add_argument("--r", type=float, default=0.0)
     e.add_argument("--functional")
     e.add_argument("--weights")
-    e.add_argument("--p", default="2")
+    e.add_argument("--p", type=Fraction, default=Fraction(2), help="p of the mixed space; parsed, but the weighted Ribe value does not depend on it")
     e.add_argument("--n", type=int, default=1)
     e.add_argument("--cn", default="1")
     e.set_defaults(func=cmd_eval)

@@ -54,6 +54,11 @@ F1 = Fraction(1)
 
 STRICT_MARGIN = 1e-9  # interior margin for strict inequalities on float values
 
+# largest depth ``construct`` accepts: the case inputs are built eagerly,
+# 2^(depth + 2) kernel vectors and, for case c, as many weights 2^(1-n); they
+# take about 40 MB at depth 12 and 320 MB at depth 14
+MAX_DEPTH = 12
+
 
 class ConstructionError(RuntimeError):
     """Raised when a level cannot be built or fails its certification."""
@@ -127,15 +132,17 @@ def basis_constant(ys: list, space=None) -> Fraction:
     Disjointly supported l1 vectors give the exact optimum 1/min ||y_i||;
     anything else takes the cross-polytope minimizer's value rounded up with
     a 10% safety margin.  Dependent input is rejected: no finite M exists.
+    Nonzero vectors with disjoint supports are independent, so only the other
+    families pay for the dense rank.
     """
     if not ys:
         raise ValueError("empty family")
-    if rank(ys) != len(ys):
+    disjoint = all(ys) and disjoint_supports(*ys)
+    if not disjoint and rank(ys) != len(ys):
         raise ValueError("basis constant needs linearly independent vectors")
     space = space or SeqSpace()
-    if isinstance(space, SeqSpace):
-        if all(disjoint_supports(a, b) for i, a in enumerate(ys) for b in ys[i + 1 :]):
-            return 1 / min(y.norm() for y in ys)
+    if disjoint and isinstance(space, SeqSpace):
+        return 1 / min(y.norm() for y in ys)
     from .oracles import min_crosspolytope_norm
 
     res = min_crosspolytope_norm(ys, space=space)
@@ -248,6 +255,11 @@ def build_level(
             )
 
 
+def _normalized(F: QuasiFunctional) -> bool:
+    """The premise of the whole ladder: assumed additivity constant 1."""
+    return abs(F.assumed_constant - 1.0) <= 1e-9
+
+
 def run_construction(
     F: QuasiFunctional,
     xs: list,
@@ -264,7 +276,7 @@ def run_construction(
     vectors of the splitting map (kernel_normalize does that)."""
     if depth < 0:
         raise ValueError("depth is nonnegative")
-    if abs(F.assumed_constant - 1.0) > 1e-9:
+    if not _normalized(F):
         raise ValueError("normalize the functional first: assumed constant is %r" % F.assumed_constant)
     if split_map is not None:
         for i, x in enumerate(xs):
@@ -684,12 +696,32 @@ def trivial_dual_witnesses(state: ConstructionState, F: QuasiFunctional, m: int,
 # --- static sanity battery and serialization -------------------------------------
 
 
+def state_shape_problem(state: ConstructionState) -> str | None:
+    """The first stored index that points outside the state's own tables (a
+    level missing from a per-level table, an ``e_idx`` or ``ell`` entry out of
+    range), or None.  Every other check assumes there is none."""
+    if len(state.e_idx) < state.depth:
+        return "e_idx has %d entries for depth %d" % (len(state.e_idx), state.depth)
+    tables = {"c": state.c, "s": state.s, "ell": state.ell, "m": state.m, "G": state.G}
+    for n in range(1, state.depth + 1):
+        missing = [name for name, table in tables.items() if n not in table]
+        if missing:
+            return "level %d missing from %s" % (n, ", ".join(missing))
+        if not 1 <= state.e_idx[n - 1] <= len(state.d_generators):
+            return "e_idx[%d] = %d is not a generator number" % (n - 1, state.e_idx[n - 1])
+        if not all(1 <= i <= len(state.xs) for i in state.ell[n]):
+            return "ell[%d] points past the %d kernel vectors" % (n, len(state.xs))
+    return None
+
+
 def static_state_checks(state: ConstructionState, F: QuasiFunctional) -> list[ChainStep]:
-    """Exact recheck of every stored level invariant (no randomness):
-    budget rule, generator shapes, tail indices, enumeration monotonicity,
-    generator normalization, and the uniform hull identity."""
+    """Exact recheck of every stored level invariant (no randomness): the
+    normalized functional, budget rule, generator shapes, tail indices,
+    enumeration monotonicity, generator normalization, and the uniform hull
+    identity.  The state must pass ``state_shape_problem`` first."""
     checks: list[ChainStep] = []
     space = state.space
+    checks.append(_step("functional_normalized", None, 0 if _normalized(F) else 1, F1))
     total_c = sum(state.c.values(), F0)
     checks.append(_step("c_series", None, total_c, Fraction(1, 4)))
     for n in range(1, state.depth + 1):
@@ -762,7 +794,7 @@ def state_from_json(obj: dict) -> ConstructionState:
         functional=obj["functional"],
         c={int(n): Fraction(v) for n, v in obj["c"].items()},
         d_generators=[vec(d) for d in obj["d_generators"]],
-        e_idx=list(obj["e_idx"]),
+        e_idx=list(map(int, obj["e_idx"])),
         s={int(n): int(v) for n, v in obj["s"].items()},
         ell={int(n): list(map(int, v)) for n, v in obj["ell"].items()},
         m={int(n): int(v) for n, v in obj["m"].items()},

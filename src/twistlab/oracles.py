@@ -23,14 +23,22 @@ from .construction import (
     verify_chain,
 )
 from .exact_lp import solve_lp_ineq
-from .quasilinear import QuasiFunctional, evaluate, quasi_defect, space_of
-from .seqspace import FinSeq, MixedSeq, MixedSpace, SeqSpace, as_fraction, block_entries, block_of
+from .quasilinear import QuasiFunctional, Scaled, UserLinear, WeightedRibe, evaluate, quasi_defect
+from .seqspace import (
+    FinSeq,
+    MixedSeq,
+    MixedSpace,
+    SeqSpace,
+    as_fraction,
+    block_entries,
+    block_of,
+    disjoint_supports,
+)
 from .sumsets import (
     SumCertificate,
     CertTerm,
     certificate_value,
     random_certificate,
-    rescale_certificate,
     scale_certificate,
 )
 from .twisted import TwistedVec, quasi_norm
@@ -79,17 +87,6 @@ class CrossPolytopeResult:
     value: object  # Fraction in exact mode, float otherwise
     minimizer: list
     method: str  # "exact" | "heuristic"
-
-
-def _supports_disjoint(vectors) -> bool:
-    seen: set[int] = set()
-    for v in vectors:
-        pos = v.support
-        for p in pos:
-            if p in seen:
-                return False
-        seen.update(pos)
-    return True
 
 
 EXACT_ORTHANT_CAP = 8
@@ -221,7 +218,7 @@ def min_crosspolytope_norm(ys: list, *, space=None, seed=0) -> CrossPolytopeResu
         space = SeqSpace()
     k = len(ys)
     if isinstance(space, SeqSpace):
-        if _supports_disjoint(ys):
+        if disjoint_supports(*ys):
             norms = [y.norm() for y in ys]
             j = min(range(k), key=lambda i: norms[i])
             alpha = [F0] * k
@@ -259,15 +256,14 @@ def _blocks_disjoint(ys: list[MixedSeq]) -> bool:
 def _analyze_negsum(zs, space):
     """Detect the construction's generator shape: a pairwise disjoint family
     plus one vector balancing its sum to zero.  Returns (kind, data)."""
-    if _supports_disjoint(zs):
+    if disjoint_supports(*zs):
         return ("disjoint", None)
     total = space.zero()
     for z in zs:
         total = total + z
     if total == space.zero():
         for d in range(len(zs)):
-            others = [z for j, z in enumerate(zs) if j != d]
-            if _supports_disjoint(others):
+            if disjoint_supports(*(z for j, z in enumerate(zs) if j != d)):
                 return ("negsum", d)
     return ("generic", None)
 
@@ -513,20 +509,13 @@ def span_sampler(basis):
     return sample
 
 
-def _unwrap(F: QuasiFunctional):
-    from .quasilinear import Scaled
-
-    return _unwrap(F.inner) if isinstance(F, Scaled) else F
-
-
 def quasi_constant_adversary(F: QuasiFunctional, sampler=None, trials: int = 2000, seed: int = 0) -> OracleReport:
     """Empirical maximum of the normalized additivity defect over random pairs
     plus structured families (disjoint shifts, nested truncations, sign flips,
     near-collinear pairs).  The assumed constant must dominate the maximum."""
-    from .quasilinear import UserLinear, WeightedRibe
-
-    space = space_of(F)
-    core = _unwrap(F)
+    core = F
+    while isinstance(core, Scaled):
+        core = core.inner
     span_only = isinstance(core, UserLinear)
     if sampler is None:
         if span_only:
@@ -710,10 +699,15 @@ def _coordinate_ascent(state, F, fam, cert: SumCertificate, rng, passes: int = 3
     target = space.norm(certificate_value(fam, cert))
 
     def renorm(c: SumCertificate) -> SumCertificate | None:
+        """c moved back to the target norm; None when that is impossible or
+        pushes a coefficient past 1."""
         nv = space.norm(certificate_value(fam, c))
         if not nv:
             return None
-        return rescale_certificate(c, _exact_scale(target, nv))
+        try:
+            return scale_certificate(c, _exact_scale(target, nv))
+        except ValueError:
+            return None
 
     best = cert
     f_best = abs(evaluate(F, certificate_value(fam, cert)))
@@ -728,8 +722,6 @@ def _coordinate_ascent(state, F, fam, cert: SumCertificate, rng, passes: int = 3
                 terms[idx] = CertTerm(t.block, t.gen, new_coeff)
                 cand = renorm(SumCertificate(tuple(terms)))
                 if cand is None:
-                    continue
-                if any(abs(u.coeff) > 1 for u in cand.terms):
                     continue
                 f_val = abs(evaluate(F, certificate_value(fam, cand)))
                 if f_val > f_best:

@@ -6,10 +6,13 @@ are implemented: the Ribe log functional on sparse l1 vectors, its weighted
 block variant on the mixed space, exact linear maps given by values on a
 basis, and rational rescalings of any of these.
 
-``evaluate`` factors every vector as sign * scale * ray, with the scale
-taken in the exact coordinate-l1 gauge and the ray canonically signed, and
-computes the transcendental part on the ray alone.  Homogeneity over rational scalars then
-holds to a couple of ulps by construction instead of by cancellation luck.
+``evaluate`` is the one evaluator.  It computes the Ribe formula (per block,
+for the weighted kind) as sum_i x_i ln|x_i / g| with the gauge g the
+coordinate sum S of x, which is sum x_i ln|x_i| - S ln|S| term by term.  When
+S = 0 the gauge is the l1 norm instead: then sum_i x_i ln g = S ln g = 0, so
+the value is unchanged.  Either gauge scales with x, so the ratios x_i / g do
+not move when x is scaled and homogeneity over rational scalars holds to a
+few ulps by construction instead of by cancellation luck.
 """
 
 from __future__ import annotations
@@ -75,7 +78,9 @@ class WeightedRibe:
 
 @dataclass
 class UserLinear:
-    """Exact linear extension of prescribed values on an independent basis."""
+    """Exact linear extension of prescribed values on an independent basis,
+    both a functional kind and the splitting map of a construction: calling
+    it gives the exact value, ``evaluate`` gives it as a float."""
 
     basis: list
     values: list[Fraction]
@@ -90,7 +95,7 @@ class UserLinear:
         if rank(self.basis) != len(self.basis):
             raise ValueError("basis vectors must be linearly independent")
 
-    def exact_value(self, x) -> Fraction:
+    def __call__(self, x) -> Fraction:
         coords = solve_in_span(self.basis, x)
         return sum((c * v for c, v in zip(coords, self.values)), F0)
 
@@ -129,22 +134,21 @@ def space_of(F: QuasiFunctional):
 
 
 def _ribe_terms(vals) -> float:
-    """Core formula on a collection of nonzero rationals (sparse storage holds
-    no zeros), 0.0 for none; the two branches agree with
-    sum v ln|v| - S ln|S| by the 0 ln 0 convention."""
+    """sum v ln|v / g| over a collection of nonzero rationals (sparse storage
+    holds no zeros), 0.0 for none; g is the coordinate sum, or the l1 norm
+    when the sum is 0 (see the module docstring)."""
     total = sum(vals, F0)
-    if total:
-        tf = float(total)
-        return math.fsum(v * math.log(abs(v / tf)) for v in map(float, vals))
-    return math.fsum(v * math.log(abs(v)) for v in map(float, vals))
+    fvals = [float(v) for v in vals]
+    g = float(total) if total else math.fsum(map(abs, fvals))
+    return math.fsum(v * math.log(abs(v / g)) for v in fvals)
 
 
 def ribe_eval(x: FinSeq) -> float:
-    """Direct formula evaluation; exactly 0 for the zero vector."""
+    """The Ribe formula; exactly 0 for the zero vector."""
     return _ribe_terms([v for _, v in x.items()])
 
 
-def weighted_ribe_eval(x: FinSeq, weights, p=None) -> float:
+def weighted_ribe_eval(x: FinSeq, weights) -> float:
     """sum_n c_n * (blockwise Ribe value); every nonzero block needs a weight."""
     parts = []
     for n, blk in block_entries(x).items():
@@ -154,41 +158,12 @@ def weighted_ribe_eval(x: FinSeq, weights, p=None) -> float:
     return math.fsum(parts)
 
 
-def _ray_decompose(x):
-    """x = sign * scale * ray with rational scale (coordinate-l1 gauge) and
-    the ray's first nonzero coordinate positive.  None for the zero vector."""
-    scale = x.norm()
-    if not scale:
-        return None
-    sign = 1 if x[x.support[0]] > 0 else -1
-    return sign, scale, x * (Fraction(sign) / scale)
-
-
 def evaluate(F: QuasiFunctional, x) -> float:
-    """Value of F at x; positively homogeneous to machine precision."""
+    """Value of F at x; positively homogeneous to a few ulps."""
     if isinstance(F, Scaled):
         return float(F.factor) * evaluate(F.inner, x)
     if isinstance(F, UserLinear):
-        return float(F.exact_value(x))
-    decomp = _ray_decompose(x)
-    if decomp is None:
-        return 0.0
-    sign, scale, ray = decomp
-    if isinstance(F, Ribe):
-        core = ribe_eval(ray)
-    else:
-        core = weighted_ribe_eval(ray, F.weights)
-    return sign * float(scale) * core
-
-
-def _direct_eval(F: QuasiFunctional, x) -> float:
-    """Formula evaluation without the ray factorization: cheaper, and on
-    disjoint unions the term sets literally partition, so additivity defects
-    carry no scaling noise.  Used where only value differences matter."""
-    if isinstance(F, Scaled):
-        return float(F.factor) * _direct_eval(F.inner, x)
-    if isinstance(F, UserLinear):
-        return float(F.exact_value(x))
+        return float(F(x))
     if isinstance(F, Ribe):
         return ribe_eval(x)
     return weighted_ribe_eval(x, F.weights)
@@ -200,7 +175,7 @@ def quasi_defect(F: QuasiFunctional, x, y) -> float:
     denom = space.norm(x) + space.norm(y)
     if denom == 0:
         raise ValueError("defect undefined: both arguments are zero")
-    gap = _direct_eval(F, x + y) - (_direct_eval(F, x) + _direct_eval(F, y))
+    gap = evaluate(F, x + y) - (evaluate(F, x) + evaluate(F, y))
     return abs(gap) / float(denom)
 
 
@@ -263,29 +238,7 @@ def rank(vectors) -> int:
 # --- splitting maps ----------------------------------------------------------
 
 
-@dataclass
-class SplitMap:
-    """Linear map given by exact values on an independent basis, together
-    with the defect bound |T(x) - F(x)| <= defect_bound * ||x|| it is assumed
-    to satisfy on the span."""
-
-    basis: list
-    values: list[Fraction]
-    defect_bound: float = 0.0
-
-    def __post_init__(self):
-        self.values = [Fraction(v) for v in self.values]
-        if len(self.basis) != len(self.values):
-            raise ValueError("one value per basis vector")
-        if rank(self.basis) != len(self.basis):
-            raise ValueError("basis vectors must be linearly independent")
-
-    def __call__(self, x) -> Fraction:
-        coords = solve_in_span(self.basis, x)
-        return sum((c * v for c, v in zip(coords, self.values)), F0)
-
-
-def split_map_from_ribe(xs: list[FinSeq]) -> SplitMap:
+def split_map_from_ribe(xs: list[FinSeq]) -> UserLinear:
     """Splitting map for the Ribe functional on a span where it is linear:
     mean-zero generators with pairwise disjoint, strictly increasing supports.
     """
@@ -300,10 +253,10 @@ def split_map_from_ribe(xs: list[FinSeq]) -> SplitMap:
             raise ValueError("supports must be disjoint and strictly increasing")
         prev_max = supp[-1]
     values = [Fraction(ribe_eval(x)) for x in xs]
-    return SplitMap(list(xs), values, defect_bound=0.0)
+    return UserLinear(list(xs), values)
 
 
-def kernel_normalize(T: SplitMap, xs: list) -> list:
+def kernel_normalize(T: UserLinear, xs: list) -> list:
     """Fold consecutive pairs into kernel vectors of T: the pair (a, b)
     becomes a + alpha*b with T(a + alpha*b) = 0 exactly.  A pair with
     T(a) != 0 and T(b) = 0 admits no such alpha and is rejected."""
@@ -330,27 +283,18 @@ def kernel_normalize(T: SplitMap, xs: list) -> list:
 # --- assorted checks ----------------------------------------------------------
 
 
-@dataclass
-class IteratedDefect:
-    holds: bool
-    lhs: float
-    rhs: float
-    f_values: list[float]
-    norms: list[float]
-
-
-def iterated_defect_check(F: QuasiFunctional, us: list, tolerance: float = 1e-9) -> IteratedDefect:
-    """Check |F(sum u_i)| <= sum |F(u_i)| + sum i * ||u_i|| (1-based i),
-    the right-nested telescoping bound used with additivity constant 1."""
+def iterated_defect_check(F: QuasiFunctional, us: list, tolerance: float = 1e-9) -> tuple[bool, float, float]:
+    """(holds, lhs, rhs) of |F(sum u_i)| <= sum |F(u_i)| + sum i * ||u_i||
+    (1-based i), the right-nested telescoping bound used with additivity
+    constant 1."""
     space = space_of(F)
     total = space.zero()
     for u in us:
         total = total + u
     lhs = abs(evaluate(F, total))
-    fvals = [abs(evaluate(F, u)) for u in us]
-    norms = [float(space.norm(u)) for u in us]
-    rhs = math.fsum(fvals) + math.fsum((i + 1) * n for i, n in enumerate(norms))
-    return IteratedDefect(lhs <= rhs + tolerance, lhs, rhs, fvals, norms)
+    rhs = math.fsum(abs(evaluate(F, u)) for u in us)
+    rhs += math.fsum((i + 1) * float(space.norm(u)) for i, u in enumerate(us))
+    return lhs <= rhs + tolerance, lhs, rhs
 
 
 def nonsplit_witness(n: int, cn) -> tuple[MixedSeq, float]:

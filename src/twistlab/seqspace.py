@@ -147,11 +147,15 @@ def in_hyperplane_H(x: FinSeq) -> bool:
     return x.coord_sum() == 0
 
 
-def disjoint_supports(x: FinSeq, y: FinSeq) -> bool:
-    a, b = x._entries, y._entries
-    if len(b) < len(a):
-        a, b = b, a
-    return not any(i in b for i in a)
+def disjoint_supports(*vectors: FinSeq) -> bool:
+    """True iff no position is in the support of two of the vectors (a pair
+    or a whole family); one pass over all stored entries."""
+    seen: set[int] = set()
+    for v in vectors:
+        if not seen.isdisjoint(v._entries):
+            return False
+        seen.update(v._entries)
+    return True
 
 
 JAMES_SUPPORT_CAP = 16

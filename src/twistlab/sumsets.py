@@ -122,18 +122,14 @@ def certificate_problems(fam: SumFamily, cert: SumCertificate, level: int, count
 
 
 def scale_certificate(cert: SumCertificate, s) -> SumCertificate:
-    """Multiply every coefficient by s, |s| <= 1; validity at the same level
-    is preserved and the value scales by s."""
+    """Multiply every coefficient by s; the value scales by s.  Every scaled
+    coefficient must stay within [-1, 1] (always so for |s| <= 1 on a valid
+    certificate), so validity at the same level is preserved."""
     s = as_fraction(s)
-    if abs(s) > 1:
-        raise ValueError("scaling factor must satisfy |s| <= 1")
-    return SumCertificate(tuple(CertTerm(t.block, t.gen, t.coeff * s) for t in cert.terms))
-
-
-def rescale_certificate(cert: SumCertificate, s) -> SumCertificate:
-    """Unrestricted rescaling (for internal renormalization, not set algebra)."""
-    s = as_fraction(s)
-    return SumCertificate(tuple(CertTerm(t.block, t.gen, t.coeff * s) for t in cert.terms))
+    terms = tuple(CertTerm(t.block, t.gen, t.coeff * s) for t in cert.terms)
+    if any(abs(t.coeff) > 1 for t in terms):
+        raise ValueError("scaled coefficient exceeds 1 in absolute value")
+    return SumCertificate(terms)
 
 
 def merge_certificates(fam: SumFamily, c1: SumCertificate, c2: SumCertificate, level: int) -> SumCertificate:
@@ -329,7 +325,6 @@ __all__ = [
     "certificate_valid",
     "certificate_problems",
     "scale_certificate",
-    "rescale_certificate",
     "merge_certificates",
     "random_certificate",
     "base_axioms_check",

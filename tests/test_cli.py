@@ -24,6 +24,23 @@ GOLDEN = {
 }
 
 
+# tampered copies of a case-a depth-2 state: (tamper, text of the violation)
+TAMPERED = {
+    "functional_swapped": (
+        lambda s: s.update(functional={"kind": "ribe", "assumed_constant": 4.0}),
+        "static:functional_normalized",
+    ),
+    "e_idx_out_of_range": (lambda s: s["e_idx"].__setitem__(1, 4), "e_idx[1] = 4"),
+    "e_idx_truncated": (lambda s: s["e_idx"].pop(), "e_idx has 1 entries for depth 2"),
+    "ell_past_xs": (lambda s: s["ell"]["2"].__setitem__(0, len(s["xs"]) + 1), "ell[2] points past"),
+    **{
+        "level_missing_from_" + key: (lambda s, key=key: s[key].pop("2"), "level 2 missing from " + key)
+        for key in ("c", "m", "s", "ell", "G")
+    },
+    "depth_past_tables": (lambda s: s.update(depth=3, e_idx=s["e_idx"] + [1]), "level 3 missing from c, s, ell, m, G"),
+}
+
+
 def run_cli(args):
     """In-process invocation; SystemExit from usage errors is normalized."""
     try:
@@ -58,6 +75,10 @@ class TestConstruct:
 
     def test_depth_zero_usage_error(self, tmp_path):
         assert run_cli(["construct", "--depth", "0", "--out", str(tmp_path)]) == 64
+
+    def test_depth_above_cap_is_usage(self, tmp_path):
+        # refused before the 2^(depth + 2) case inputs are built
+        assert run_cli(["construct", "--depth", "1000000", "--out", str(tmp_path)]) == 64
 
     def test_case_b_refused(self, tmp_path):
         assert run_cli(["construct", "--case", "b", "--depth", "2", "--out", str(tmp_path)]) == 64
@@ -195,6 +216,20 @@ class TestVerify:
         assert run_cli(["verify", "--state", str(p), "--trials", "5", "--out", str(tmp_path)]) == 3
         report = json.loads((tmp_path / "verify-report.json").read_text())
         assert "static:g_size level 2" in report["violations"]
+
+    @pytest.mark.parametrize("name", sorted(TAMPERED))
+    def test_tampered_field_exits_three(self, tmp_path, capsys, name):
+        out = tmp_path / "run"
+        assert run_cli(["construct", "--case", "a", "--depth", "2", "--out", str(out)]) == 0
+        state = json.loads((out / "state.json").read_text())
+        tamper, expected = TAMPERED[name]
+        tamper(state)
+        p = tmp_path / "state.json"
+        p.write_text(json.dumps(state))
+        capsys.readouterr()
+        assert run_cli(["verify", "--state", str(p), "--trials", "0", "--out", str(tmp_path)]) == 3
+        lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("VIOLATION")]
+        assert len(lines) == 1 and expected in lines[0]
 
     @pytest.mark.parametrize("text", ["[1, 2]", '{"space": {"kind": "seq"}, "depth": 1, "functional": {}, "c": []}'])
     def test_malformed_state_is_usage(self, tmp_path, text):

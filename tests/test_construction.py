@@ -131,7 +131,7 @@ class TestRunConstruction:
 
     def test_kernel_precondition_enforced(self, ribe_normalized):
         xs, ds = tl.make_case_a_inputs(2, 2)
-        T = tl.SplitMap([xs[0]], [Fraction(1)])  # deliberately nonzero on xs[0]
+        T = tl.UserLinear([xs[0]], [Fraction(1)])  # deliberately nonzero on xs[0]
         with pytest.raises(ValueError):
             tl.run_construction(ribe_normalized, xs, ds, 2, split_map=T)
 
