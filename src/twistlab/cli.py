@@ -340,7 +340,6 @@ def build_parser() -> Parser:
     e.add_argument("--r", type=float, default=0.0)
     e.add_argument("--functional")
     e.add_argument("--weights")
-    e.add_argument("--p", type=Fraction, default=Fraction(2), help="p of the mixed space; parsed, but the weighted Ribe value does not depend on it")
     e.add_argument("--n", type=int, default=1)
     e.add_argument("--cn", default="1")
     e.set_defaults(func=cmd_eval)

@@ -716,9 +716,10 @@ def state_shape_problem(state: ConstructionState) -> str | None:
 
 def static_state_checks(state: ConstructionState, F: QuasiFunctional) -> list[ChainStep]:
     """Exact recheck of every stored level invariant (no randomness): the
-    normalized functional, budget rule, generator shapes, tail indices,
-    enumeration monotonicity, generator normalization, and the uniform hull
-    identity.  The state must pass ``state_shape_problem`` first."""
+    normalized functional, budget rule, generator shapes, the stored basis
+    constants M_n, tail indices, enumeration monotonicity, generator
+    normalization, and the uniform hull identity.  The state must pass
+    ``state_shape_problem`` first."""
     checks: list[ChainStep] = []
     space = state.space
     checks.append(_step("functional_normalized", None, 0 if _normalized(F) else 1, F1))
@@ -744,6 +745,11 @@ def static_state_checks(state: ConstructionState, F: QuasiFunctional) -> list[Ch
                 balance = balance + xv
             shape_ok = shape_ok and (gens[2 ** n] - e_n == balance * (-m_n))
         checks.append(_step("g_shape", n, 0 if shape_ok else 1, F1))
+        try:
+            m_table_ok = state.M.get(n) == basis_constant(xs_n, space)
+        except ValueError:  # a dependent or empty family has no basis constant
+            m_table_ok = False
+        checks.append(_step("M_table", n, 0 if m_table_ok else 1, F1))
         prior = [w for i in range(1, n) for w in state.G[i]]
         checks.append(_step("tail_index", n, 0 if state.s[n] == tail_index(prior, e_n) else 1, F1))
         mono = all(a < b for a, b in zip(state.ell[n], state.ell[n][1:]))

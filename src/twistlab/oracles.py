@@ -253,57 +253,28 @@ def _blocks_disjoint(ys: list[MixedSeq]) -> bool:
 # --- the level mass adversary ------------------------------------------------------
 
 
-def _analyze_negsum(zs, space):
+def _analyze_negsum(zs):
     """Detect the construction's generator shape: a pairwise disjoint family
-    plus one vector balancing its sum to zero.  Returns (kind, data)."""
-    if disjoint_supports(*zs):
+    plus one vector balancing its sum to zero.  Returns ("disjoint", None),
+    ("negsum", d) or ("generic", None).
+
+    One pass maps every position to the vectors holding it and sums the
+    family.  Dropping d leaves the rest disjoint iff every shared position
+    has exactly two owners, one of them d; when two vectors qualify, d is
+    the smaller index."""
+    owners: dict[int, list[int]] = {}
+    total: dict[int, Fraction] = {}
+    for j, z in enumerate(zs):
+        for p, v in z.items():
+            owners.setdefault(p, []).append(j)
+            total[p] = total.get(p, F0) + v
+    shared = [js for js in owners.values() if len(js) > 1]
+    if not shared:
         return ("disjoint", None)
-    total = space.zero()
-    for z in zs:
-        total = total + z
-    if total == space.zero():
-        for d in range(len(zs)):
-            if disjoint_supports(*(z for j, z in enumerate(zs) if j != d)):
-                return ("negsum", d)
-    return ("generic", None)
-
-
-def _seq_negsum_min(norms, others_in, omitted_norm_sum):
-    """Exact l1 minimum for a disjoint family plus balancing vector, over the
-    pattern that keeps the balancing vector: candidates are mass on a single
-    cheap vector, or saturating the m largest others at equal weight.  The
-    objective is piecewise linear in the balance weight, so its minimum sits
-    at one of these breakpoints."""
-    candidates = []
-    a_sorted = sorted((norms[j] for j in others_in), reverse=True)
-    if a_sorted:
-        candidates.append((min(a_sorted), ("single", None)))
-    suffix = [F0]
-    for a in reversed(a_sorted):
-        suffix.append(suffix[-1] + a)
-    # saturate the m largest: cost (omitted + sum of the rest) / (m + 1)
-    for m_sat in range(len(a_sorted) + 1):
-        rest = suffix[len(a_sorted) - m_sat]
-        candidates.append(((omitted_norm_sum + rest) / (m_sat + 1), ("saturate", m_sat)))
-    return min(candidates, key=lambda c: c[0])
-
-
-def _negsum_witness_alpha(norms, pattern, d, shape, k_total):
-    """Reconstruct the minimizing coefficient vector for a structured pattern."""
-    alpha = [F0] * k_total
-    others = [j for j in pattern if j != d]
-    kind, arg = shape
-    if kind == "single":
-        j = min(others, key=lambda i: norms[i])
-        alpha[j] = F1
-        return alpha
-    m_sat = arg
-    beta = Fraction(1, m_sat + 1)
-    alpha[d] = beta
-    ranked = sorted(others, key=lambda i: norms[i], reverse=True)
-    for j in ranked[:m_sat]:
-        alpha[j] = beta
-    return alpha
+    if any(total.values()) or any(len(js) > 2 for js in shared):
+        return ("generic", None)
+    common = set(shared[0]).intersection(*shared[1:])
+    return ("negsum", min(common)) if common else ("generic", None)
 
 
 def lemma5_adversary(
@@ -320,7 +291,32 @@ def lemma5_adversary(
     staying inside norm cap (attacked at cap minus an interior margin) with
     at most k nonzero coefficients.  Monotone in the support pattern, so only
     maximal patterns are enumerated; each pattern reduces to a cross-polytope
-    minimum via mass = cap / min."""
+    minimum via mass = cap / min, and the strictly largest mass wins (the
+    first pattern on a tie).
+
+    Disjoint l1 families are minimized by the kept vector of least norm.  On
+    the construction's own shape (a disjoint family plus the vector d
+    balancing it to zero, see ``_analyze_negsum``) a pattern without d is
+    such a family; a pattern keeping d has a closed form.  Write
+    a_1 >= ... >= a_K for the l1 gauges of the other kept vectors, A for the
+    summed gauge of the omitted ones and T(m) = a_(m+1) + ... + a_K.  The
+    objective is piecewise linear in the weight on d, so its minimum sits at
+    a breakpoint: all mass on the single cheapest vector (value a_K), or
+    weight 1/(m+1) on d and on the m largest kept vectors, which leaves the
+    omitted vectors and the K - m smallest, at cost f(m) = (A + T(m))/(m+1).
+    Since
+
+        (m+1)(m+2) (f(m) - f(m+1)) = A + T(m) + (m+1) a_(m+1),
+
+    f strictly decreases while a_(m+1) > 0; a zero gauge makes a_K = 0, and
+    the single vector already attains the minimum 0.  So the minimum is
+    min(a_K, A/(K+1)), the single vector winning a tie, and A/(K+1) when
+    K = 0: weight 1/(K+1) on every kept vector.  The gauges are sorted once,
+    by (gauge, index), so the first kept entry in that order is the kept
+    vector of least gauge and lowest index.  Mixed families bound the
+    pattern minimum through the same closed form (see the ``bounded``
+    branch).  The witness is built for the winning pattern only.
+    """
     eta = as_fraction(eta)
     space = space or (SeqSpace() if zs and not isinstance(zs[0], MixedSeq) else None)
     if space is None:
@@ -332,11 +328,20 @@ def lemma5_adversary(
         return OracleReport(
             "level_mass", float(-eta), 0.0, float(eta), {"pattern": [], "coefficients": []}, 0, seed, "exact", "no nonzeros allowed"
         )
-    shape_kind, negsum_d = _analyze_negsum(zs, space)
-    norms = [space.norm(z) for z in zs]
-    # coordinate-l1 gauges and block sets, filled lazily for mixed families
-    l1_norms = z_blocks = None
+    shape_kind, d = _analyze_negsum(zs)
     exact_space = isinstance(space, SeqSpace)
+    # gauges: the exact l1 norms, also the coordinate-l1 relaxation of the
+    # mixed norm; `order` lists the indices by (gauge, index)
+    if exact_space or shape_kind == "negsum":
+        gauges = [z.norm() for z in zs]
+        order = sorted(range(N), key=gauges.__getitem__)
+    if shape_kind == "negsum":
+        total_others = sum((g for j, g in enumerate(gauges) if j != d), F0)
+        if not exact_space:
+            # every position of the family is shared with d, so a pattern
+            # keeping d meets all of d's blocks, whatever else it keeps
+            n_blocks = len(block_entries(zs[d])) or 1
+            q = float(space.p) / (float(space.p) - 1.0)
 
     n_patterns = math.comb(N, k)
     rng = random.Random(seed)
@@ -347,59 +352,56 @@ def lemma5_adversary(
         patterns = (tuple(sorted(rng.sample(range(N), k))) for _ in range(pattern_cap))
         exhaustive = False
 
+    everyone = frozenset(range(N))
     best_mass = None
-    best_alpha = None
-    best_pattern = None
+    best = None  # (pattern, indices, coefficients) of the running best
     methods = set()
     count = 0
     for pattern in patterns:
         count += 1
-        if exact_space and (shape_kind == "disjoint" or (shape_kind == "negsum" and negsum_d not in pattern)):
-            j0 = min(pattern, key=lambda j: norms[j])
-            mn = norms[j0]
-            alpha = [F0] * N
-            alpha[j0] = F1
+        omitted = everyone.difference(pattern)
+        keeps_d = shape_kind == "negsum" and d not in omitted
+        if exact_space and shape_kind != "generic" and not keeps_d:
+            j0 = next(j for j in order if j not in omitted)
+            mn, spec = gauges[j0], ((j0,), (F1,))
             methods.add("exact")
-        elif shape_kind == "negsum" and exact_space:
-            others_in = [j for j in pattern if j != negsum_d]
-            omitted = sum((norms[j] for j in range(N) if j != negsum_d and j not in pattern), F0)
-            mn, shape = _seq_negsum_min(norms, others_in, omitted)
-            alpha = _negsum_witness_alpha(norms, pattern, negsum_d, shape, N)
-            methods.add("exact")
-        elif shape_kind == "negsum" and negsum_d in pattern:
-            # mixed space: the norm dominates K^(-1/q) times the coordinate-l1
-            # norm over K blocks, and the l1 relaxation has the exact closed
-            # form, so the mass estimate is a sound upper bound (never an
-            # undershoot); the stored witness is feasible but may not attain it
-            if l1_norms is None:
-                l1_norms = [z.norm() for z in zs]
-                z_blocks = [set(block_entries(z)) for z in zs]
-            others_in = [j for j in pattern if j != negsum_d]
-            omitted = sum((l1_norms[j] for j in range(N) if j != negsum_d and j not in pattern), F0)
-            mn_l1, shape = _seq_negsum_min(l1_norms, others_in, omitted)
-            blocks = set().union(*(z_blocks[j] for j in pattern))
-            q = float(space.p) / (float(space.p) - 1.0)
-            mn = float(mn_l1) * (len(blocks) or 1) ** (-1.0 / q)
-            alpha = _negsum_witness_alpha(l1_norms, pattern, negsum_d, shape, N)
-            methods.add("bounded")
+        elif keeps_d:
+            j0 = next((j for j in order if j != d and j not in omitted), None)
+            # A / (K + 1) with K + 1 = k, A summed over the smaller side
+            if len(omitted) <= k:
+                saturated = sum((gauges[j] for j in omitted), F0) / k
+            else:
+                saturated = (total_others - sum((gauges[j] for j in pattern if j != d), F0)) / k
+            if j0 is not None and gauges[j0] <= saturated:
+                mn, spec = gauges[j0], ((j0,), (F1,))
+            else:
+                mn, spec = saturated, (pattern, (Fraction(1, k),) * k)
+            if exact_space:
+                methods.add("exact")
+            else:
+                # mixed space: the norm dominates B^(-1/q) times the
+                # coordinate-l1 norm over B blocks, and the l1 relaxation has
+                # the exact closed form, so the mass estimate is a sound upper
+                # bound (never an undershoot); the stored witness is feasible
+                # but may not attain it
+                mn = float(mn) * n_blocks ** (-1.0 / q)
+                methods.add("bounded")
         else:
-            sub = [zs[j] for j in pattern]
-            res = min_crosspolytope_norm(sub, space=space, seed=seed)
-            mn = res.value
-            alpha = [F0] * N
-            for j, a in zip(pattern, res.minimizer):
-                alpha[j] = a
+            res = min_crosspolytope_norm([zs[j] for j in pattern], space=space, seed=seed)
+            mn, spec = res.value, (pattern, res.minimizer)
             methods.add(res.method)
         if mn == 0:
-            best_mass = None
-            best_alpha = alpha
-            best_pattern = pattern
+            best_mass, best = None, (pattern, *spec)
             break
         mass = budget / mn if isinstance(mn, Fraction) else float(budget) / mn
         if best_mass is None or mass > best_mass:
-            best_mass, best_alpha, best_pattern = mass, alpha, pattern
+            best_mass, best = mass, (pattern, *spec)
 
-    if best_mass is None and best_alpha is not None and best_pattern is not None:
+    best_pattern, indices, coefficients = best
+    best_alpha = [F0] * N
+    for j, a in zip(indices, coefficients):
+        best_alpha[j] = a
+    if best_mass is None:
         # dependent sub-family: unbounded mass
         coeffs = [str(a) for a in best_alpha]
         return OracleReport(
@@ -694,38 +696,35 @@ def chain_fuzzer(
 
 def _coordinate_ascent(state, F, fam, cert: SumCertificate, rng, passes: int = 3):
     """Greedy push of |F(value)| over coefficient perturbations, value norm
-    pinned back to its target after every accepted move."""
+    pinned back to its target after every accepted move.  The value is kept
+    alongside the certificate and updated exactly: a step of delta on one
+    term adds delta times its generator, and the rescale multiplies the sum."""
     space = state.space
-    target = space.norm(certificate_value(fam, cert))
-
-    def renorm(c: SumCertificate) -> SumCertificate | None:
-        """c moved back to the target norm; None when that is impossible or
-        pushes a coefficient past 1."""
-        nv = space.norm(certificate_value(fam, c))
-        if not nv:
-            return None
-        try:
-            return scale_certificate(c, _exact_scale(target, nv))
-        except ValueError:
-            return None
-
     best = cert
-    f_best = abs(evaluate(F, certificate_value(fam, cert)))
+    v_best = certificate_value(fam, cert)
+    target = space.norm(v_best)
+    f_best = abs(evaluate(F, v_best))
     step = Fraction(1, 64)
     for _ in range(passes):
         improved = False
         for idx in range(len(best.terms)):
             for delta in (step, -step):
-                terms = list(best.terms)
-                t = terms[idx]
-                new_coeff = t.coeff + delta
-                terms[idx] = CertTerm(t.block, t.gen, new_coeff)
-                cand = renorm(SumCertificate(tuple(terms)))
-                if cand is None:
+                t = best.terms[idx]
+                raw = v_best + fam.gen(t.block, t.gen) * delta
+                nv = space.norm(raw)
+                if not nv:
                     continue
-                f_val = abs(evaluate(F, certificate_value(fam, cand)))
+                factor = _exact_scale(target, nv)
+                terms = list(best.terms)
+                terms[idx] = CertTerm(t.block, t.gen, t.coeff + delta)
+                try:
+                    cand = scale_certificate(SumCertificate(tuple(terms)), factor)
+                except ValueError:  # a coefficient would pass 1
+                    continue
+                v_cand = raw * factor
+                f_val = abs(evaluate(F, v_cand))
                 if f_val > f_best:
-                    best, f_best = cand, f_val
+                    best, v_best, f_best = cand, v_cand, f_val
                     improved = True
         if not improved:
             break

@@ -23,6 +23,14 @@ GOLDEN = {
     ),
 }
 
+# sha256 of the sort_keys JSON list of the ``level_mass`` entries written by
+# ``verify --trials 0`` on the ``construct --depth 6 --seed 0`` state: pins
+# the mass adversary's reported masses, witnesses and methods
+GOLDEN_LEVEL_MASS = {
+    "a": "9e15c98c7aefb0a918c69b3793d1952b849533b2b8c70fdedc9b11c29da79d31",
+    "c": "679c12e0f8c8446c50a7c3449fa2661425b665a6937e182e69db370c4043eb37",
+}
+
 
 # tampered copies of a case-a depth-2 state: (tamper, text of the violation)
 TAMPERED = {
@@ -37,6 +45,7 @@ TAMPERED = {
         "level_missing_from_" + key: (lambda s, key=key: s[key].pop("2"), "level 2 missing from " + key)
         for key in ("c", "m", "s", "ell", "G")
     },
+    "M_table_wrong": (lambda s: s["M"].__setitem__("2", "1000/1"), "static:M_table level 2"),
     "depth_past_tables": (lambda s: s.update(depth=3, e_idx=s["e_idx"] + [1]), "level 3 missing from c, s, ell, m, G"),
 }
 
@@ -217,6 +226,17 @@ class TestVerify:
         report = json.loads((tmp_path / "verify-report.json").read_text())
         assert "static:g_size level 2" in report["violations"]
 
+    @pytest.mark.parametrize("case", sorted(GOLDEN_LEVEL_MASS))
+    def test_golden_level_mass(self, tmp_path, case):
+        out = tmp_path / case
+        assert run_cli(["construct", "--case", case, "--depth", "6", "--seed", "0", "--out", str(out)]) == 0
+        assert run_cli(["verify", "--state", str(out / "state.json"), "--trials", "0", "--out", str(out)]) == 0
+        report = json.loads((out / "verify-report.json").read_text())
+        entries = [e for e in report["entries"] if e["source"] == "level_mass"]
+        assert len(entries) == 6
+        digest = hashlib.sha256(json.dumps(entries, sort_keys=True).encode()).hexdigest()
+        assert digest == GOLDEN_LEVEL_MASS[case]
+
     @pytest.mark.parametrize("name", sorted(TAMPERED))
     def test_tampered_field_exits_three(self, tmp_path, capsys, name):
         out = tmp_path / "run"
@@ -257,7 +277,7 @@ class TestEval:
 
     def test_weighted(self, capsys):
         code = run_cli(
-            ["eval", "weighted-ribe", "--x", '{"2": ["1/2", "1/2"]}', "--weights", '{"2": "1/2"}', "--p", "2"]
+            ["eval", "weighted-ribe", "--x", '{"2": ["1/2", "1/2"]}', "--weights", '{"2": "1/2"}']
         )
         assert code == 0
         assert float(capsys.readouterr().out) == pytest.approx(-math.log(2) / 2, abs=1e-12)

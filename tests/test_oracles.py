@@ -8,12 +8,16 @@ import pytest
 import twistlab as tl
 from twistlab import FinSeq, MixedSeq
 from twistlab.oracles import (
+    INTERIOR,
+    OracleReport,
     _analyze_negsum,
+    _coordinate_ascent,
     min_crosspolytope_norm,
     replay_lemma5,
     seq_sampler,
 )
-from twistlab.seqspace import MixedSpace, SeqSpace
+from twistlab.seqspace import MixedSpace, SeqSpace, block_entries, disjoint_supports
+from twistlab.sumsets import random_certificate
 
 
 def grid_min(ys, step=64):
@@ -126,7 +130,7 @@ class TestLemma5Adversary:
         assert rep.best_value == pytest.approx(expected, rel=1e-9)
 
     def test_structure_detection(self, state4):
-        kind, d = _analyze_negsum(state4.level_z(2), state4.space)
+        kind, d = _analyze_negsum(state4.level_z(2))
         assert kind == "negsum" and d == 4
 
     def test_monotone_in_k(self, state4):
@@ -188,6 +192,253 @@ class TestLemma5Adversary:
         assert rep.best_value == pytest.approx(float(best), rel=1e-12)
 
 
+# --- reference: the per-pattern level-mass search, candidate by candidate ----
+
+
+def reference_analyze_negsum(zs, space):
+    if disjoint_supports(*zs):
+        return ("disjoint", None)
+    total = space.zero()
+    for z in zs:
+        total = total + z
+    if total == space.zero():
+        for d in range(len(zs)):
+            if disjoint_supports(*(z for j, z in enumerate(zs) if j != d)):
+                return ("negsum", d)
+    return ("generic", None)
+
+
+def reference_negsum_min(norms, others_in, omitted_norm_sum):
+    """Every breakpoint candidate: one vector, or the m largest saturated."""
+    candidates = []
+    a_sorted = sorted((norms[j] for j in others_in), reverse=True)
+    if a_sorted:
+        candidates.append((min(a_sorted), ("single", None)))
+    suffix = [Fraction(0)]
+    for a in reversed(a_sorted):
+        suffix.append(suffix[-1] + a)
+    for m_sat in range(len(a_sorted) + 1):
+        rest = suffix[len(a_sorted) - m_sat]
+        candidates.append(((omitted_norm_sum + rest) / (m_sat + 1), ("saturate", m_sat)))
+    return min(candidates, key=lambda c: c[0])
+
+
+def reference_witness_alpha(norms, pattern, d, shape, k_total):
+    alpha = [Fraction(0)] * k_total
+    others = [j for j in pattern if j != d]
+    kind, m_sat = shape
+    if kind == "single":
+        alpha[min(others, key=lambda i: norms[i])] = Fraction(1)
+        return alpha
+    beta = Fraction(1, m_sat + 1)
+    alpha[d] = beta
+    for j in sorted(others, key=lambda i: norms[i], reverse=True)[:m_sat]:
+        alpha[j] = beta
+    return alpha
+
+
+def reference_lemma5(zs, k, eta, *, space=None, pattern_cap=4096, seed=0):
+    """The mass adversary as one search per pattern, re-sorting and summing
+    from scratch and building every pattern's witness."""
+    eta = Fraction(eta)
+    space = space or SeqSpace()
+    N = len(zs)
+    k = min(k, N)
+    budget = Fraction(3) - INTERIOR
+    if k == 0 or N == 0:
+        return OracleReport(
+            "level_mass", float(-eta), 0.0, float(eta), {"pattern": [], "coefficients": []}, 0, seed, "exact", "no nonzeros allowed"
+        )
+    kind, d = reference_analyze_negsum(zs, space)
+    norms = [space.norm(z) for z in zs]
+    l1 = [z.norm() for z in zs]
+    exact_space = isinstance(space, SeqSpace)
+    rng = random.Random(seed)
+    if math.comb(N, k) <= pattern_cap:
+        patterns, exhaustive = itertools.combinations(range(N), k), True
+    else:
+        patterns, exhaustive = (tuple(sorted(rng.sample(range(N), k))) for _ in range(pattern_cap)), False
+    best_mass = best_alpha = best_pattern = None
+    methods = set()
+    count = 0
+    for pattern in patterns:
+        count += 1
+        alpha = [Fraction(0)] * N
+        if exact_space and (kind == "disjoint" or (kind == "negsum" and d not in pattern)):
+            j0 = min(pattern, key=lambda j: norms[j])
+            mn = norms[j0]
+            alpha[j0] = Fraction(1)
+            methods.add("exact")
+        elif kind == "negsum" and d in pattern:
+            gauges = norms if exact_space else l1
+            others_in = [j for j in pattern if j != d]
+            omitted = sum((gauges[j] for j in range(N) if j != d and j not in pattern), Fraction(0))
+            mn, shape = reference_negsum_min(gauges, others_in, omitted)
+            alpha = reference_witness_alpha(gauges, pattern, d, shape, N)
+            if exact_space:
+                methods.add("exact")
+            else:
+                blocks = set().union(*(set(block_entries(zs[j])) for j in pattern))
+                q = float(space.p) / (float(space.p) - 1.0)
+                mn = float(mn) * (len(blocks) or 1) ** (-1.0 / q)
+                methods.add("bounded")
+        else:
+            res = min_crosspolytope_norm([zs[j] for j in pattern], space=space, seed=seed)
+            mn = res.value
+            for j, a in zip(pattern, res.minimizer):
+                alpha[j] = a
+            methods.add(res.method)
+        if mn == 0:
+            best_mass, best_alpha, best_pattern = None, alpha, pattern
+            break
+        mass = budget / mn if isinstance(mn, Fraction) else float(budget) / mn
+        if best_mass is None or mass > best_mass:
+            best_mass, best_alpha, best_pattern = mass, alpha, pattern
+    if best_mass is None:
+        return OracleReport(
+            "level_mass",
+            float("inf"),
+            float("inf"),
+            float(eta),
+            {"pattern": list(best_pattern), "coefficients": [str(a) for a in best_alpha]},
+            count,
+            seed,
+            "exact" if exact_space else "heuristic",
+            "combined vector vanished: coefficient mass is unbounded",
+        )
+    alpha_exact = [Fraction(a) for a in best_alpha]
+    combined = space.zero()
+    for a, z in zip(alpha_exact, zs):
+        if a:
+            combined = combined + z * a
+    wnorm = space.norm(combined)
+    if isinstance(wnorm, Fraction):
+        wscale = budget / wnorm if wnorm else Fraction(1)
+    else:
+        wscale = Fraction(float(budget) / wnorm) * (1 - Fraction(1, 2 ** 30)) if wnorm else Fraction(1)
+    r = [a * wscale for a in alpha_exact]
+    witness = {"pattern": list(best_pattern), "coefficients": ["%s" % c for c in r], "mass": float(sum(map(abs, r), Fraction(0)))}
+    method = "exact" if methods <= {"exact"} else "bounded" if methods <= {"exact", "bounded"} else "heuristic"
+    return OracleReport(
+        "level_mass",
+        float(best_mass - eta) if isinstance(best_mass, Fraction) else float(best_mass) - float(eta),
+        float(best_mass),
+        float(eta),
+        witness,
+        count,
+        seed,
+        method,
+        "patterns %s, budget %s" % ("exhaustive" if exhaustive else "sampled", float(budget)),
+    )
+
+
+def random_negsum_family(rng, mixed=False, balance=True):
+    """Pairwise disjoint vectors, then (with ``balance``) the vector summing
+    them to zero inserted at a random position.  Small value sets make tied
+    norms common; mixed families share blocks between vectors at disjoint
+    positions."""
+    size = rng.randint(1, 6)
+    values = rng.choice([(1,), (1, -1), (1, 2, Fraction(1, 2), -3)])
+    if mixed:
+        cells = [(n, i) for n in range(1, 7) for i in range(1, n + 1)]
+    else:
+        cells = list(range(1, 25))
+    rng.shuffle(cells)
+    zs = []
+    for _ in range(size):
+        take = [cells.pop() for _ in range(rng.randint(0 if rng.random() < 0.1 else 1, 2))]
+        if mixed:
+            blocks = {}
+            for n, i in take:
+                blocks.setdefault(n, [0] * n)[i - 1] = rng.choice(values)
+            zs.append(MixedSeq(blocks))
+        else:
+            zs.append(FinSeq({c: rng.choice(values) for c in take}))
+    if balance:
+        total = zs[0] * 0
+        for z in zs:
+            total = total + z
+        zs.insert(rng.randint(0, len(zs)), -total)
+    return zs
+
+
+def outcome(search, *args, **kwargs):
+    """The report's JSON, or the error raised (a mixed pattern with a zero
+    vector has no cross-polytope minimum)."""
+    try:
+        return search(*args, **kwargs).to_json()
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestLemma5AgainstReference:
+    """The closed-form search reports exactly what the per-pattern reference
+    reports: masses, witnesses, pattern counts and methods."""
+
+    @staticmethod
+    def check(zs, ks, space, seed):
+        assert _analyze_negsum(zs) == reference_analyze_negsum(zs, space)
+        eta = Fraction(1, 16 << seed % 7)
+        for k in ks:
+            for cap in (3, 4096):
+                args = (zs, k, eta)
+                kw = dict(space=space, pattern_cap=cap, seed=seed)
+                got = outcome(tl.lemma5_adversary, *args, **kw)
+                assert got == outcome(reference_lemma5, *args, **kw), (seed, k, cap)
+
+    def test_random_seq_families(self):
+        rng = random.Random(7)
+        kinds = set()
+        for trial in range(60):
+            zs = random_negsum_family(rng, balance=trial % 6 != 0)
+            kinds.add(_analyze_negsum(zs)[0])
+            self.check(zs, range(len(zs) + 2), SeqSpace(), trial)
+        assert kinds == {"negsum", "disjoint"}
+
+    def test_random_mixed_families(self):
+        # patterns without the balancing vector take the (slow, unchanged)
+        # subgradient route when blocks are shared, so k stays near N
+        rng = random.Random(11)
+        methods = set()
+        for trial in range(12):
+            zs = random_negsum_family(rng, mixed=True)
+            N = len(zs)
+            self.check(zs, sorted({0, 1, N - 1, N, N + 1}), MixedSpace(2 + trial % 2), trial)
+            rep = outcome(tl.lemma5_adversary, zs, N - 1, Fraction(1, 16), space=MixedSpace(2))
+            methods.add(rep["method"] if isinstance(rep, dict) else rep)
+        assert "bounded" in methods
+
+    def test_generic_family(self):
+        rng = random.Random(3)
+        for trial in range(2):
+            zs = [seq_sampler(rng) for _ in range(4)]
+            zs = [z for z in zs if z]
+            assert _analyze_negsum(zs) == reference_analyze_negsum(zs, SeqSpace())
+            for k in range(len(zs) + 1):
+                assert tl.lemma5_adversary(zs, k, Fraction(1, 16)).to_json() == reference_lemma5(zs, k, Fraction(1, 16)).to_json()
+
+    def test_level_family(self, state4):
+        for n in range(1, 5):
+            zs = state4.level_z(n)
+            for cap in (3, 4096):
+                got = tl.lemma5_adversary(zs, 2 ** n, state4.c[n], pattern_cap=cap)
+                assert got.to_json() == reference_lemma5(zs, 2 ** n, state4.c[n], pattern_cap=cap).to_json()
+
+    def test_three_owners_are_generic(self):
+        zs = [FinSeq({1: 1}), FinSeq({1: 1}), FinSeq({1: -2})]
+        assert _analyze_negsum(zs) == ("generic", None)
+
+    def test_two_balancing_candidates_pick_the_smaller(self):
+        zs = [FinSeq(), FinSeq({3: 2}), FinSeq({3: -2}), FinSeq({5: 1, 6: 1}), FinSeq({5: -1, 6: -1})]
+        assert reference_analyze_negsum(zs, SeqSpace()) == ("generic", None)
+        zs = zs[:3]
+        assert _analyze_negsum(zs) == reference_analyze_negsum(zs, SeqSpace()) == ("negsum", 1)
+
+    def test_nonzero_sum_is_generic(self):
+        zs = [FinSeq({1: 1, 2: 1}), FinSeq({1: -1}), FinSeq({3: 1})]
+        assert _analyze_negsum(zs) == ("generic", None)
+
+
 class TestQuasiConstant:
     def test_linear_map_zero_defect(self):
         lin = tl.UserLinear([FinSeq.unit(1), FinSeq.unit(2)], [Fraction(1), Fraction(2)])
@@ -227,6 +478,19 @@ class TestChainFuzzer:
         bad = tl.run_construction(ribe_normalized, xs, ds, 3, m_override={2: 2}, verify_levels=False)
         rep = tl.chain_fuzzer(bad, ribe_normalized, trials=150, seed=6)
         assert rep.best_violation >= 0
+
+    def test_ascent_value_matches_certificate(self, state4, ribe_normalized):
+        # the ascent keeps the certificate's value incrementally; it must be
+        # the value recomputed from scratch, at the starting norm
+        fam = tl.fn_family(state4)
+        rng = random.Random(3)
+        cert = random_certificate(fam, 1, rng)
+        start = tl.certificate_value(fam, cert)
+        best, f_best = _coordinate_ascent(state4, ribe_normalized, fam, cert, rng)
+        value = tl.certificate_value(fam, best)
+        assert best != cert
+        assert f_best == abs(tl.evaluate(ribe_normalized, value))
+        assert value.norm() == start.norm()
 
     def test_report_roundtrip(self, state4, ribe_normalized):
         rep = tl.chain_fuzzer(state4, ribe_normalized, trials=20, seed=7)
