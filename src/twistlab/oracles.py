@@ -335,13 +335,11 @@ def lemma5_adversary(
     if exact_space or shape_kind == "negsum":
         gauges = [z.norm() for z in zs]
         order = sorted(range(N), key=gauges.__getitem__)
-    if shape_kind == "negsum":
-        total_others = sum((g for j, g in enumerate(gauges) if j != d), F0)
-        if not exact_space:
-            # every position of the family is shared with d, so a pattern
-            # keeping d meets all of d's blocks, whatever else it keeps
-            n_blocks = len(block_entries(zs[d])) or 1
-            q = float(space.p) / (float(space.p) - 1.0)
+    if shape_kind == "negsum" and not exact_space:
+        # every position of the family is shared with d, so a pattern keeping
+        # d meets all of d's blocks, whatever else it keeps
+        n_blocks = len(block_entries(zs[d])) or 1
+        q = float(space.p) / (float(space.p) - 1.0)
 
     n_patterns = math.comb(N, k)
     rng = random.Random(seed)
@@ -367,11 +365,8 @@ def lemma5_adversary(
             methods.add("exact")
         elif keeps_d:
             j0 = next((j for j in order if j != d and j not in omitted), None)
-            # A / (K + 1) with K + 1 = k, A summed over the smaller side
-            if len(omitted) <= k:
-                saturated = sum((gauges[j] for j in omitted), F0) / k
-            else:
-                saturated = (total_others - sum((gauges[j] for j in pattern if j != d), F0)) / k
+            # A / (K + 1) with K + 1 = k
+            saturated = sum((gauges[j] for j in omitted), F0) / k
             if j0 is not None and gauges[j0] <= saturated:
                 mn, spec = gauges[j0], ((j0,), (F1,))
             else:
