@@ -31,6 +31,20 @@ GOLDEN_LEVEL_MASS = {
     "c": "679c12e0f8c8446c50a7c3449fa2661425b665a6937e182e69db370c4043eb37",
 }
 
+# sha256 of (transcript.json, sort_keys JSON of the ``chain_fuzzer`` entry)
+# written by ``verify --trials 20 --seed 0`` on the same states: pins the
+# ladder replay, its margins and the fuzzer's choice of certificates
+GOLDEN_CHAIN = {
+    "a": (
+        "c59d4580071af959c2de297ee86441fe2782348d53b5cdf6eaa047373ec0b81e",
+        "58998969fd967730d1d1a3f0d7eb1f371aa0e5aa1ac9ade7c7de1135610decc0",
+    ),
+    "c": (
+        "5aacd534a60a529dbfc552328d3ab3096817d5fe12ecfe4933debdbda870f3f1",
+        "65291619de4f6da3fb5bf783e1602aa4c97d7dd6f57824dd48fb32c079fdbe14",
+    ),
+}
+
 
 # tampered copies of a case-a depth-2 state: (tamper, text of the violation)
 TAMPERED = {
@@ -236,6 +250,20 @@ class TestVerify:
         assert len(entries) == 6
         digest = hashlib.sha256(json.dumps(entries, sort_keys=True).encode()).hexdigest()
         assert digest == GOLDEN_LEVEL_MASS[case]
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_CHAIN))
+    def test_golden_chain(self, tmp_path, case):
+        out = tmp_path / case
+        assert run_cli(["construct", "--case", case, "--depth", "6", "--seed", "0", "--out", str(out)]) == 0
+        state = str(out / "state.json")
+        assert run_cli(["verify", "--state", state, "--trials", "20", "--seed", "0", "--out", str(out)]) == 0
+        report = json.loads((out / "verify-report.json").read_text())
+        [entry] = [e for e in report["entries"] if e["source"] == "chain_fuzzer"]
+        digests = (
+            hashlib.sha256((out / "transcript.json").read_bytes()).hexdigest(),
+            hashlib.sha256(json.dumps(entry, sort_keys=True).encode()).hexdigest(),
+        )
+        assert digests == GOLDEN_CHAIN[case]
 
     @pytest.mark.parametrize("name", sorted(TAMPERED))
     def test_tampered_field_exits_three(self, tmp_path, capsys, name):
