@@ -36,6 +36,7 @@ from .construction import (
     verify_chain,
 )
 from .oracles import (
+    OracleReport,
     chain_fuzzer,
     lemma5_adversary,
     min_crosspolytope_norm,
@@ -59,6 +60,11 @@ EXIT_OK = 0
 EXIT_CONSTRUCTION = 2
 EXIT_VIOLATION = 3
 EXIT_USAGE = 64
+
+# what malformed JSON input raises on its way into the library: wrong JSON
+# shapes surface as lookups or method calls on the wrong type, a "n/0"
+# rational as ZeroDivisionError
+INPUT_ERRORS = (ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError)
 
 
 class Parser(argparse.ArgumentParser):
@@ -84,9 +90,11 @@ def _dump_json(obj) -> str:
 def _load_json_arg(value: str):
     """Accept inline JSON or a path to a JSON file."""
     p = Path(value)
-    if p.exists():
-        return json.loads(p.read_text())
-    return json.loads(value)
+    try:
+        is_file = p.is_file()
+    except OSError:  # e.g. a name too long for the file system: inline JSON
+        is_file = False
+    return json.loads(p.read_text() if is_file else value)
 
 
 def _usage_fail(message: str) -> int:
@@ -129,7 +137,7 @@ def cmd_construct(args) -> int:
                 # a "defect_bound" key, written by older versions, is ignored
                 sm = _load_json_arg(args.split_map)
                 split_map = UserLinear([vector_from_json(v) for v in sm["basis"]], [Fraction(v) for v in sm["values"]])
-        except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+        except INPUT_ERRORS as exc:
             return _usage_fail("cannot parse custom inputs: %s" % exc)
     try:
         state = run_construction(F, xs, ds, args.depth, split_map=split_map, meta=meta)
@@ -156,7 +164,7 @@ def _load_state(path):
     index in it points outside its own tables."""
     try:
         state = state_from_json(json.loads(Path(path).read_text()))
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (OSError, *INPUT_ERRORS) as exc:
         raise SystemExit(_usage_fail("cannot load state %s: %s" % (path, exc)))
     problem = state_shape_problem(state)
     if problem:
@@ -245,7 +253,7 @@ def cmd_eval(args) -> int:
             value = weighted_ribe_eval(vector_from_json(_load_json_arg(args.x)), weights)
         else:  # nonsplit
             vec, value = nonsplit_witness(args.n, Fraction(args.cn))
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except INPUT_ERRORS as exc:
         return _usage_fail("cannot evaluate: %s" % exc)
     print("%.15g" % value)
     return EXIT_OK
@@ -261,7 +269,7 @@ def cmd_oracle(args) -> int:
     if args.target == "quasi-constant":
         try:
             F = functional_from_json(_load_json_arg(args.functional)) if args.functional else Ribe()
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
+        except INPUT_ERRORS as exc:
             return _usage_fail("cannot parse functional: %s" % exc)
         rep = quasi_constant_adversary(F, trials=int(args.trials), seed=args.seed)
     elif args.target == "lemma5":
@@ -281,22 +289,24 @@ def cmd_oracle(args) -> int:
         if not args.ys:
             return _usage_fail("oracle crosspolytope needs --ys")
         try:
-            ys = [vector_from_json(v) for v in _load_json_arg(args.ys)]
-        except (ValueError, json.JSONDecodeError) as exc:
-            return _usage_fail("cannot parse --ys: %s" % exc)
-        res = min_crosspolytope_norm(ys, seed=args.seed)
-        rep_obj = {
-            "target": "crosspolytope",
-            "best_violation": None,
-            "best_value": float(res.value),
-            "bound": None,
-            "witness": {"minimizer": [str(a) for a in res.minimizer]},
-            "trials": 1,
-            "seed": args.seed,
-            "method": res.method,
-            "notes": "minimum of the combined norm over unit coefficient mass",
-        }
-        _write_atomic(out / "oracle-report.json", _dump_json(rep_obj))
+            ys = _load_json_arg(args.ys)
+            if not isinstance(ys, list):
+                raise ValueError("expected a JSON list of vectors")
+            res = min_crosspolytope_norm([vector_from_json(v) for v in ys], seed=args.seed)
+        except INPUT_ERRORS as exc:
+            return _usage_fail("cannot use --ys: %s" % exc)
+        rep = OracleReport(
+            "crosspolytope",
+            None,
+            float(res.value),
+            None,
+            {"minimizer": [str(a) for a in res.minimizer]},
+            1,
+            args.seed,
+            res.method,
+            "minimum of the combined norm over unit coefficient mass",
+        )
+        _write_atomic(out / "oracle-report.json", _dump_json(rep.to_json()))
         print("min %.15g (%s)" % (float(res.value), res.method))
         return EXIT_OK
     _write_atomic(out / "oracle-report.json", _dump_json(rep.to_json()))

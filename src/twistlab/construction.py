@@ -356,19 +356,6 @@ class ChainStep:
             "note": self.note,
         }
 
-    @classmethod
-    def from_json(cls, obj):
-        return cls(
-            name=obj["name"],
-            level=obj["level"],
-            lhs=obj["lhs"],
-            rhs=obj["rhs"],
-            passed=obj["passed"],
-            exact=obj["exact"],
-            tolerance_band=obj["tolerance_band"],
-            note=obj.get("note", ""),
-        )
-
 
 def _step(name, level, lhs, rhs, *, strict=True, note="") -> ChainStep:
     """Record a comparison.  Rational lhs/rhs compare exactly; anything float
@@ -402,17 +389,6 @@ class ChainTranscript:
             "min_margin": self.min_margin,
         }
 
-    @classmethod
-    def from_json(cls, obj):
-        return cls(
-            steps=[ChainStep.from_json(s) for s in obj["steps"]],
-            top_level=obj["top_level"],
-            value_norm=obj["value_norm"],
-            f_value=obj["f_value"],
-            passed=obj["passed"],
-            min_margin=obj["min_margin"],
-        )
-
 
 def _finish(steps, top, norm_repr, f_value) -> ChainTranscript:
     return ChainTranscript(
@@ -442,78 +418,68 @@ def verify_chain(state: ConstructionState, F: QuasiFunctional, cert: SumCertific
     if problems:
         raise CertificateError("certificate invalid at level 1: %s" % problems[0])
     space = state.space
-    x = certificate_value(fam, cert)
-    nx = space.norm(x)
-    if not nx < 1:
-        raise ValueError("chain replay needs value norm < 1, got %s" % nx)
-
     merged: dict[int, dict[int, Fraction]] = {}
     for t in cert.terms:
         lv = merged.setdefault(t.block, {})
         lv[t.gen] = lv.get(t.gen, F0) + t.coeff
     merged = {i: {j: r for j, r in d.items() if r} for i, d in merged.items()}
-    merged = {i: d for i, d in merged.items() if d}
-    levels = sorted(merged)
-    top = levels[-1] if levels else 0
+    top = max((i for i, d in merged.items() if d), default=0)
 
+    # one bottom-up pass: per level the prefix below it and its norm, the
+    # level's vector, coefficient sum, mass and generators used; the prefix
+    # after the top level is the certificate's value
     zero = space.zero()
-    level_vec: dict[int, object] = {}
-    rsum: dict[int, Fraction] = {}
-    mass: dict[int, Fraction] = {}
-    for i in levels:
-        acc = zero
-        for j, r in merged[i].items():
-            acc = acc + state.G[i][j] * r
-        level_vec[i] = acc
-        rsum[i] = sum(merged[i].values(), F0)
-        mass[i] = sum((abs(r) for r in merged[i].values()), F0)
+    rows = []
+    x, nx = zero, space.norm(zero)
+    for i in range(1, top + 1):
+        coeffs = merged.get(i, {})
+        vec = zero
+        for j, r in coeffs.items():
+            vec = vec + state.G[i][j] * r
+        rows.append((x, nx, vec, sum(coeffs.values(), F0), sum(map(abs, coeffs.values()), F0), len(coeffs)))
+        if vec:
+            x = x + vec
+            nx = space.norm(x)
+    if not nx < 1:
+        raise ValueError("chain replay needs value norm < 1, got %s" % nx)
 
     steps: list[ChainStep] = []
     bound = F1
-    prefix: dict[int, object] = {}
-    running = zero
-    for i in range(1, top + 1):
-        prefix[i] = running
-        if i in level_vec:
-            running = running + level_vec[i]
-
     for lv in range(top, 0, -1):
+        prefix, prefix_norm, vec, r_l, mass, used = rows[lv - 1]
         c_l = state.c[lv]
-        e_l = state.e_vector(lv)
-        r_l = rsum.get(lv, F0)
-        head = prefix[lv] + e_l * r_l
-        tail = level_vec.get(lv, zero) - e_l * r_l
-        used = len(merged.get(lv, ()))
-        steps.append(_step("head_norm", lv, space.norm(head), bound + c_l))
-        steps.append(_step("stretched_norm", lv, space.norm(tail), 2 * bound + c_l))
-        steps.append(_step("stretched_cap", lv, space.norm(tail), Fraction(3)))
-        steps.append(
-            _step("level_mass", lv, mass.get(lv, F0), c_l, note="%d of %d generators used" % (used, 2 ** lv + 1))
-        )
-        steps.append(_step("prefix_norm", lv, space.norm(prefix[lv]), bound + 2 * c_l))
+        e_part = state.e_vector(lv) * r_l
+        head_norm = space.norm(prefix + e_part) if r_l else prefix_norm
+        tail_norm = space.norm(vec - e_part)
+        steps.append(_step("head_norm", lv, head_norm, bound + c_l))
+        steps.append(_step("stretched_norm", lv, tail_norm, 2 * bound + c_l))
+        steps.append(_step("stretched_cap", lv, tail_norm, Fraction(3)))
+        steps.append(_step("level_mass", lv, mass, c_l, note="%d of %d generators used" % (used, 2 ** lv + 1)))
+        steps.append(_step("prefix_norm", lv, prefix_norm, bound + 2 * c_l))
         bound = bound + 2 * c_l
 
-    unit_parts: dict[int, object] = {}
-    for i in levels:
-        u_i = state.e_vector(i) * rsum[i]
-        unit_parts[i] = u_i
-        steps.append(_step("unit_norm", i, space.norm(u_i), state.c[i]))
-        steps.append(_step("unit_f", i, abs(evaluate(F, u_i)), Fraction(1, 2 ** i)))
-
+    units = []  # (level, norm, |F|) of each used level's e-part
     unit_total = zero
-    for i in levels:
-        unit_total = unit_total + unit_parts[i]
+    for i, (_, _, _, r_i, _, used) in enumerate(rows, 1):
+        if not used:
+            continue
+        u_i = state.e_vector(i) * r_i
+        u_norm, u_f = space.norm(u_i), abs(evaluate(F, u_i))
+        units.append((i, u_norm, u_f))
+        steps.append(_step("unit_norm", i, u_norm, state.c[i]))
+        steps.append(_step("unit_f", i, u_f, Fraction(1, 2 ** i)))
+        unit_total = unit_total + u_i
+
     span_part = x - unit_total
+    span_norm = space.norm(span_part)
     c_partial = sum((state.c[i] for i in range(1, top + 1)), F0)
-    steps.append(_step("span_norm_tight", None, space.norm(span_part), 1 + c_partial))
-    steps.append(_step("span_norm", None, space.norm(span_part), Fraction(2)))
+    steps.append(_step("span_norm_tight", None, span_norm, 1 + c_partial))
+    steps.append(_step("span_norm", None, span_norm, Fraction(2)))
     f_span = abs(evaluate(F, span_part))
     steps.append(_step("span_f", None, f_span, 2.0, note="kernel span: splitting map vanishes there"))
 
     f_unit = abs(evaluate(F, unit_total))
-    ladder = math.fsum(abs(evaluate(F, unit_parts[i])) for i in levels) + math.fsum(
-        i * float(space.norm(unit_parts[i])) for i in levels
-    )
+    ladder = math.fsum(f for _, _, f in units) + math.fsum(i * float(n) for i, n, _ in units)
     steps.append(
         _step("unit_f_ladder", None, f_unit, ladder + STRICT_MARGIN, note="additivity ladder bound", strict=False)
     )
@@ -521,7 +487,7 @@ def verify_chain(state: ConstructionState, F: QuasiFunctional, cert: SumCertific
     steps.append(_step("unit_f_total", None, f_unit, 4.0, note="ladder evaluates below %g" % geom))
 
     f_value = evaluate(F, x)
-    split_rhs = f_unit + f_span + float(space.norm(unit_total)) + float(space.norm(span_part))
+    split_rhs = f_unit + f_span + float(space.norm(unit_total)) + float(span_norm)
     steps.append(_step("f_split", None, abs(f_value), split_rhs + STRICT_MARGIN, strict=False, note="one additivity application"))
     steps.append(_step("f_total", None, abs(f_value), 9.0))
     return _finish(steps, top, nx, f_value)

@@ -48,6 +48,9 @@ F1 = Fraction(1)
 
 INTERIOR = Fraction(1, 10 ** 9)
 
+# the level-mass cap: the ladder bounds each stretched part by 3
+NORM_CAP = 3
+
 
 @dataclass
 class OracleReport:
@@ -73,10 +76,6 @@ class OracleReport:
             "method": self.method,
             "notes": self.notes,
         }
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(**obj)
 
 
 # --- cross-polytope minimization ------------------------------------------------
@@ -141,7 +140,7 @@ def _float_norm(rows, labels, p, alpha):
     return math.fsum(b ** p for b in per_block.values()) ** (1.0 / p)
 
 
-def _subgradient_min(ys, space, *, restarts=8, iters=300, seed=0, seeds_alpha=()):
+def _subgradient_min(ys, space, *, seed=0):
     rng = random.Random(seed)
     k = len(ys)
     rows, labels, p = _float_coords(ys, space)
@@ -173,12 +172,13 @@ def _subgradient_min(ys, space, *, restarts=8, iters=300, seed=0, seeds_alpha=()
             g.append(outer * acc)
         return g
 
-    starts = [project(list(a)) for a in seeds_alpha]
+    # the k unit vectors, then 8 random restarts, each descended 300 steps
+    starts = []
     for j in range(k):
         e = [0.0] * k
         e[j] = 1.0
         starts.append(e)
-    for _ in range(restarts):
+    for _ in range(8):
         starts.append(project([rng.uniform(-1, 1) for _ in range(k)]))
     best_val = None
     best_alpha = None
@@ -187,7 +187,7 @@ def _subgradient_min(ys, space, *, restarts=8, iters=300, seed=0, seeds_alpha=()
         if best_val is None or val < best_val:
             best_val, best_alpha = val, list(alpha)
         cur = list(alpha)
-        for it in range(1, iters + 1):
+        for it in range(1, 301):
             g = grad(cur)
             gn = math.fsum(abs(v) for v in g)
             if gn == 0:
@@ -283,7 +283,6 @@ def lemma5_adversary(
     eta,
     *,
     space=None,
-    norm_cap=3,
     pattern_cap: int = 4096,
     seed: int = 0,
 ) -> OracleReport:
@@ -323,7 +322,7 @@ def lemma5_adversary(
         raise ValueError("mixed vectors need an explicit space")
     N = len(zs)
     k = min(k, N)
-    budget = as_fraction(norm_cap) - INTERIOR
+    budget = NORM_CAP - INTERIOR
     if k == 0 or N == 0:
         return OracleReport(
             "level_mass", float(-eta), 0.0, float(eta), {"pattern": [], "coefficients": []}, 0, seed, "exact", "no nonzeros allowed"
@@ -587,7 +586,7 @@ def _random_admissible_decomposition(state, F, z_cert, rng):
     if abs(factor) > 1:
         return None
     z_cert = scale_certificate(z_cert, factor)
-    z = certificate_value(fam, z_cert)
+    z = z * factor
     zeta = float(space.norm(z))
     if not 0 < zeta < 2:
         return None
@@ -607,20 +606,13 @@ def _random_admissible_decomposition(state, F, z_cert, rng):
     return u, z_cert
 
 
-def chain_fuzzer(
-    state: ConstructionState,
-    F: QuasiFunctional,
-    trials: int = 200,
-    seed: int = 0,
-    *,
-    deltas=(Fraction(1, 1000), Fraction(1, 10 ** 6)),
-    final_every: int = 10,
-    ascent: bool = True,
-) -> OracleReport:
+def chain_fuzzer(state: ConstructionState, F: QuasiFunctional, trials: int = 200, seed: int = 0) -> OracleReport:
     """Random valid level-1 certificates rescaled to value norm 1 - delta,
-    replayed through the full inequality ladder; every tenth trial also
-    exercises the final bound on a random admissible decomposition.  Ends
-    with a short coordinate-ascent push on the worst certificate found."""
+    delta alternating between 1e-3 and 1e-6, replayed through the full
+    inequality ladder; every tenth trial also exercises the final bound on a
+    random admissible decomposition.  Ends with a short coordinate-ascent
+    push on the worst certificate found."""
+    deltas = (Fraction(1, 1000), Fraction(1, 10 ** 6))
     fam = fn_family(state)
     space = state.space
     rng = random.Random(seed)
@@ -635,11 +627,13 @@ def chain_fuzzer(
         cert = random_certificate(fam, 1, rng)
         if not cert.terms:
             continue
-        nv = space.norm(certificate_value(fam, cert))
+        value = certificate_value(fam, cert)
+        nv = space.norm(value)
         if not nv or nv <= target:
             continue
-        scaled = scale_certificate(cert, _exact_scale(target, nv))
-        if not space.norm(certificate_value(fam, scaled)) < 1:
+        factor = _exact_scale(target, nv)
+        scaled = scale_certificate(cert, factor)
+        if not space.norm(value * factor) < 1:
             continue
         tr = verify_chain(state, F, scaled)
         chains += 1
@@ -651,7 +645,7 @@ def chain_fuzzer(
         if abs(tr.f_value) > max_f:
             max_f = abs(tr.f_value)
             max_f_cert = scaled
-        if final_every and t % final_every == 0:
+        if t % 10 == 0:
             decomp = _random_admissible_decomposition(state, F, cert, rng)
             if decomp is not None:
                 u, z_cert = decomp
@@ -663,7 +657,7 @@ def chain_fuzzer(
                 if worst < min_margin:
                     min_margin = worst
                     min_witness = {"kind": "final_bound", "u": u.to_json(), "certificate": z_cert.to_json()}
-    if ascent and max_f_cert is not None:
+    if max_f_cert is not None:
         cert, f_best = _coordinate_ascent(state, F, fam, max_f_cert, rng)
         if f_best > max_f:
             max_f = f_best
@@ -689,18 +683,19 @@ def chain_fuzzer(
     )
 
 
-def _coordinate_ascent(state, F, fam, cert: SumCertificate, rng, passes: int = 3):
-    """Greedy push of |F(value)| over coefficient perturbations, value norm
-    pinned back to its target after every accepted move.  The value is kept
-    alongside the certificate and updated exactly: a step of delta on one
-    term adds delta times its generator, and the rescale multiplies the sum."""
+def _coordinate_ascent(state, F, fam, cert: SumCertificate, rng):
+    """Greedy push of |F(value)| over coefficient perturbations in at most
+    three passes, value norm pinned back to its target after every accepted
+    move.  The value is kept alongside the certificate and updated exactly: a
+    step of delta on one term adds delta times its generator, and the
+    rescale multiplies the sum."""
     space = state.space
     best = cert
     v_best = certificate_value(fam, cert)
     target = space.norm(v_best)
     f_best = abs(evaluate(F, v_best))
     step = Fraction(1, 64)
-    for _ in range(passes):
+    for _ in range(3):
         improved = False
         for idx in range(len(best.terms)):
             for delta in (step, -step):

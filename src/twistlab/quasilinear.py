@@ -335,10 +335,19 @@ def functional_to_json(F: QuasiFunctional) -> dict:
     raise TypeError("unknown functional kind: %r" % (F,))
 
 
+def _assumed_constant(obj: dict, default: float):
+    """The descriptor's constant as written (an int stays an int, so the
+    descriptor writes back unchanged); anything but a number is refused."""
+    c = obj.get("assumed_constant", default)
+    if isinstance(c, bool) or not isinstance(c, (int, float)):
+        raise ValueError("assumed_constant must be a number, got %r" % (c,))
+    return c
+
+
 def functional_from_json(obj: dict) -> QuasiFunctional:
     kind = obj["kind"]
     if kind == "ribe":
-        return Ribe(assumed_constant=obj.get("assumed_constant", 4.0))
+        return Ribe(assumed_constant=_assumed_constant(obj, 4.0))
     if kind == "weighted_ribe":
         return WeightedRibe(
             weights={int(n): Fraction(c) for n, c in obj["weights"].items()},
@@ -351,7 +360,7 @@ def functional_from_json(obj: dict) -> QuasiFunctional:
         return UserLinear(
             basis=[space.vector.from_json(b) for b in obj["basis"]],
             values=[Fraction(v) for v in obj["values"]],
-            assumed_constant=obj.get("assumed_constant", 0.0),
+            assumed_constant=_assumed_constant(obj, 0.0),
             space=space,
         )
     if kind == "scaled":

@@ -64,6 +64,30 @@ TAMPERED = {
 }
 
 
+# malformed inline JSON, each of which must exit 64 with one error line
+MALFORMED = {
+    **{
+        "crosspolytope_ys_" + name: ["oracle", "crosspolytope", "--ys", ys]
+        for name, ys in (
+            ("empty", "[]"),
+            ("zero_vector", "[{}]"),
+            ("block_vector", '[{"1": ["1/1"]}]'),
+            ("number", "[1]"),
+            ("object", '{"a": 1}'),
+        )
+    },
+    "quasi_constant_list": ["oracle", "quasi-constant", "--functional", "[1]"],
+    "quasi_constant_text_constant": [
+        "oracle",
+        "quasi-constant",
+        "--functional",
+        '{"kind": "ribe", "assumed_constant": "x"}',
+    ],
+    "eval_list": ["eval", "ribe", "--x", "[1]"],
+    "eval_zero_denominator": ["eval", "ribe", "--x", '{"1": "1/0"}'],
+}
+
+
 def run_cli(args):
     """In-process invocation; SystemExit from usage errors is normalized."""
     try:
@@ -356,6 +380,23 @@ class TestOracle:
 
     def test_unknown_target_usage(self):
         assert run_cli(["oracle", "mystery"]) == 64
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_input_is_usage(tmp_path, capsys, name):
+    args = MALFORMED[name] + (["--out", str(tmp_path)] if MALFORMED[name][0] == "oracle" else [])
+    assert run_cli(args) == 64
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert not (tmp_path / "oracle-report.json").exists()
+
+
+def test_long_inline_json_is_not_a_path(capsys):
+    # one path component past the file system's name limit
+    x = json.dumps({str(i): "1" for i in range(1, 60)})
+    assert run_cli(["eval", "ribe", "--x", x]) == 0
+    assert float(capsys.readouterr().out) == pytest.approx(-59 * math.log(59))
 
 
 def test_console_script_installed():

@@ -7,7 +7,6 @@ import pytest
 import twistlab as tl
 from twistlab import FinSeq, MixedSeq, SumCertificate, TwistedVec
 from twistlab.construction import (
-    ChainTranscript,
     functional_of_state,
     levels_csv_rows,
     state_from_json,
@@ -279,19 +278,6 @@ class TestVerifyChain:
         obj = tr.to_json()
         assert obj["passed"] is True
         assert all("margin" in s for s in obj["steps"])
-
-    def test_transcript_roundtrip(self, state4, ribe_normalized):
-        fam = tl.fn_family(state4)
-        rng = random.Random(8)
-        cert = None
-        while not cert or not cert.terms:
-            cert = random_certificate(fam, 1, rng)
-        nv = certificate_value(fam, cert).norm()
-        tr = tl.verify_chain(state4, ribe_normalized, scale_certificate(cert, Fraction(1, 2) / nv))
-        back = ChainTranscript.from_json(json.loads(json.dumps(tr.to_json())))
-        assert back.passed == tr.passed
-        assert back.min_margin == tr.min_margin
-        assert [s.name for s in back.steps] == [s.name for s in tr.steps]
 
     def test_depth_eight_chains(self, ribe_normalized):
         xs, ds = tl.make_case_a_inputs(8, 3)

@@ -491,9 +491,3 @@ class TestChainFuzzer:
         assert best != cert
         assert f_best == abs(tl.evaluate(ribe_normalized, value))
         assert value.norm() == start.norm()
-
-    def test_report_roundtrip(self, state4, ribe_normalized):
-        rep = tl.chain_fuzzer(state4, ribe_normalized, trials=20, seed=7)
-        back = tl.OracleReport.from_json(rep.to_json())
-        assert back.best_violation == rep.best_violation
-        assert back.witness == rep.witness
