@@ -45,6 +45,31 @@ GOLDEN_CHAIN = {
     ),
 }
 
+# sha256 of the whole verify-report.json written by ``verify --trials 20
+# --seed 0`` on the same states, its "state" path replaced by "state.json"
+GOLDEN_REPORT = {
+    "a": "fb1f188126a2d4506651ad87d4b84c65c094f5a81394d552710aff61e298ee35",
+    "c": "e0f84c62299e3d4673d94950d64cbbff786f2daa87ea12b9c7e147562309df79",
+}
+
+# sha256 of oracle-report.json for each stateless oracle run: (arguments, digest)
+WEIGHTED = '{"kind": "weighted_ribe", "weights": {"1": "1/1", "2": "1/2", "3": "1/4"}, "p": "2/1"}'
+YS = '[{"1": "1/1", "2": "-1/2"}, {"2": "1/2", "3": "1/3"}, {"1": "1/4", "3": "-1/1"}]'
+GOLDEN_ORACLE = {
+    "quasi_constant_ribe": (
+        ["quasi-constant", "--trials", "300", "--seed", "1"],
+        "f446f989b13d06cdf3f844d0fe940121bd7a9779c1a0103b5f289018a6eb2394",
+    ),
+    "quasi_constant_weighted": (
+        ["quasi-constant", "--functional", WEIGHTED, "--trials", "300", "--seed", "2"],
+        "01f9805333cbdf44f0f13ff803d6abdc162ecdf8119ac364caee0d800be7e635",
+    ),
+    "crosspolytope": (
+        ["crosspolytope", "--ys", YS],
+        "ef03bb0fa82ad5f1c11456b1b81610fcc17ef6a84a6803c5153803de6761fc78",
+    ),
+}
+
 
 # tampered copies of a case-a depth-2 state: (tamper, text of the violation)
 TAMPERED = {
@@ -289,6 +314,16 @@ class TestVerify:
         )
         assert digests == GOLDEN_CHAIN[case]
 
+    @pytest.mark.parametrize("case", sorted(GOLDEN_REPORT))
+    def test_golden_report(self, tmp_path, case):
+        out = tmp_path / case
+        assert run_cli(["construct", "--case", case, "--depth", "6", "--seed", "0", "--out", str(out)]) == 0
+        state = str(out / "state.json")
+        assert run_cli(["verify", "--state", state, "--trials", "20", "--seed", "0", "--out", str(out)]) == 0
+        text = (out / "verify-report.json").read_text()
+        text = text.replace('"state": %s,' % json.dumps(state), '"state": "state.json",', 1)
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORT[case]
+
     @pytest.mark.parametrize("name", sorted(TAMPERED))
     def test_tampered_field_exits_three(self, tmp_path, capsys, name):
         out = tmp_path / "run"
@@ -303,8 +338,24 @@ class TestVerify:
         lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("VIOLATION")]
         assert len(lines) == 1 and expected in lines[0]
 
-    @pytest.mark.parametrize("text", ["[1, 2]", '{"space": {"kind": "seq"}, "depth": 1, "functional": {}, "c": []}'])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[1, 2]",
+            '{"space": {"kind": "seq"}, "depth": 1, "functional": {}, "c": []}',
+            # a vector of the other space's shape in a constructed state
+            pytest.param(("a", "d_generators", {"1": ["1/1"]}), id="block_vector_in_case_a"),
+            pytest.param(("c", "xs", {"1": "1/1"}), id="sparse_vector_in_case_c"),
+        ],
+    )
     def test_malformed_state_is_usage(self, tmp_path, text):
+        if isinstance(text, tuple):
+            case, key, vec = text
+            out = tmp_path / "run"
+            assert run_cli(["construct", "--case", case, "--depth", "2", "--out", str(out)]) == 0
+            state = json.loads((out / "state.json").read_text())
+            state[key][0] = vec
+            text = json.dumps(state)
         p = tmp_path / "state.json"
         p.write_text(text)
         assert run_cli(["verify", "--state", str(p), "--out", str(tmp_path)]) == 64
@@ -380,6 +431,12 @@ class TestOracle:
 
     def test_unknown_target_usage(self):
         assert run_cli(["oracle", "mystery"]) == 64
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_ORACLE))
+    def test_golden_report(self, tmp_path, name):
+        args, digest = GOLDEN_ORACLE[name]
+        assert run_cli(["oracle", *args, "--out", str(tmp_path)]) == 0
+        assert hashlib.sha256((tmp_path / "oracle-report.json").read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
