@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -188,7 +189,7 @@ def cmd_verify(args) -> int:
     radii = [ball_radius(n) for n in range(1, state.depth + 2)]
     axioms = base_axioms_check(radii, fn_family(state), state.depth + 1)
     for chk in axioms.checks:
-        entries.append({"source": "base_axioms", "name": chk.name, "level": chk.level, "passed": chk.passed, "detail": chk.detail})
+        entries.append({"source": "base_axioms", **asdict(chk)})
         if not chk.passed:
             violations.append("base_axioms:%s level %s" % (chk.name, chk.level))
 

@@ -20,7 +20,7 @@ functional steps carry an explicit interior margin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .quasilinear import (
@@ -38,6 +38,7 @@ from .seqspace import (
     SeqSpace,
     as_fraction,
     disjoint_supports,
+    frac_str,
     space_from_json,
 )
 from .sumsets import (
@@ -337,24 +338,11 @@ class ChainStep:
     passed: bool
     exact: bool
     tolerance_band: bool
+    margin: float
     note: str = ""
 
-    @property
-    def margin(self) -> float:
-        return self.rhs - self.lhs
-
     def to_json(self):
-        return {
-            "name": self.name,
-            "level": self.level,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "passed": self.passed,
-            "exact": self.exact,
-            "tolerance_band": self.tolerance_band,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def _step(name, level, lhs, rhs, *, strict=True, note="") -> ChainStep:
@@ -364,7 +352,8 @@ def _step(name, level, lhs, rhs, *, strict=True, note="") -> ChainStep:
     exact = isinstance(lhs, (Fraction, int)) and isinstance(rhs, (Fraction, int))
     passed = (lhs < rhs) if strict else (lhs <= rhs)
     band = bool(passed and strict and not (lhs < rhs - STRICT_MARGIN))
-    return ChainStep(name, level, float(lhs), float(rhs), bool(passed), exact, band, note)
+    lhs, rhs = float(lhs), float(rhs)
+    return ChainStep(name, level, lhs, rhs, bool(passed), exact, band, rhs - lhs, note)
 
 
 @dataclass
@@ -380,14 +369,7 @@ class ChainTranscript:
         return [s for s in self.steps if not s.passed]
 
     def to_json(self):
-        return {
-            "steps": [s.to_json() for s in self.steps],
-            "top_level": self.top_level,
-            "value_norm": self.value_norm,
-            "f_value": self.f_value,
-            "passed": self.passed,
-            "min_margin": self.min_margin,
-        }
+        return asdict(self)
 
 
 def _finish(steps, top, norm_repr, f_value) -> ChainTranscript:
@@ -501,15 +483,6 @@ class BoundReport:
     premises_ok: bool
     passed: bool
 
-    def to_json(self):
-        return {
-            "premises": [s.to_json() for s in self.premises],
-            "checks": [s.to_json() for s in self.checks],
-            "chain": self.chain.to_json() if self.chain else None,
-            "premises_ok": self.premises_ok,
-            "passed": self.passed,
-        }
-
 
 def final_bound_check(
     state: ConstructionState,
@@ -572,15 +545,6 @@ class HullWitness:
     reproduces: bool
     budget_note: str
 
-    def to_json(self):
-        return {
-            "level": self.level,
-            "sum_level": self.sum_level,
-            "weights": ["%d/%d" % (w.numerator, w.denominator) for w in self.weights],
-            "reproduces": self.reproduces,
-            "budget_note": self.budget_note,
-        }
-
 
 @dataclass
 class UPartWitness:
@@ -591,24 +555,11 @@ class UPartWitness:
     scaled_point: TwistedVec
     scaled_member: bool
 
-    def to_json(self):
-        return {
-            "level": self.level,
-            "radius": "%d/%d" % (self.radius.numerator, self.radius.denominator),
-            "point_norm": self.point_norm,
-            "status": self.status,
-            "scaled_point": self.scaled_point.to_json(),
-            "scaled_member": self.scaled_member,
-        }
-
 
 @dataclass
 class WitnessBundle:
     hull: HullWitness
     u_part: UPartWitness
-
-    def to_json(self):
-        return {"hull": self.hull.to_json(), "u_part": self.u_part.to_json()}
 
 
 def trivial_dual_witnesses(state: ConstructionState, F: QuasiFunctional, m: int, n: int) -> WitnessBundle:
@@ -734,20 +685,17 @@ def static_state_checks(state: ConstructionState, F: QuasiFunctional) -> list[Ch
 
 
 def state_to_json(state: ConstructionState) -> dict:
-    def frac(v: Fraction) -> str:
-        return "%d/%d" % (v.numerator, v.denominator)
-
     return {
         "depth": state.depth,
         "space": state.space.to_json(),
         "functional": state.functional,
-        "c": {str(n): frac(v) for n, v in sorted(state.c.items())},
+        "c": {str(n): frac_str(v) for n, v in sorted(state.c.items())},
         "d_generators": [d.to_json() for d in state.d_generators],
         "e_idx": state.e_idx,
         "s": {str(n): v for n, v in sorted(state.s.items())},
         "ell": {str(n): v for n, v in sorted(state.ell.items())},
         "m": {str(n): v for n, v in sorted(state.m.items())},
-        "M": {str(n): frac(v) for n, v in sorted(state.M.items())},
+        "M": {str(n): frac_str(v) for n, v in sorted(state.M.items())},
         "G": {str(n): [g.to_json() for g in gens] for n, gens in sorted(state.G.items())},
         "xs": [x.to_json() for x in state.xs],
         "x_cursor": state.x_cursor,
@@ -785,16 +733,5 @@ def functional_of_state(state: ConstructionState) -> QuasiFunctional:
 def levels_csv_rows(state: ConstructionState) -> list[tuple]:
     rows = [("level", "c_n", "s_n", "m_n", "M_n", "G_size")]
     for n in range(1, state.depth + 1):
-        c = state.c[n]
-        M = state.M[n]
-        rows.append(
-            (
-                n,
-                "%d/%d" % (c.numerator, c.denominator),
-                state.s[n],
-                state.m[n],
-                "%d/%d" % (M.numerator, M.denominator),
-                len(state.G[n]),
-            )
-        )
+        rows.append((n, frac_str(state.c[n]), state.s[n], state.m[n], frac_str(state.M[n]), len(state.G[n])))
     return rows

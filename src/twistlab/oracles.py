@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .construction import (
@@ -65,17 +65,7 @@ class OracleReport:
     notes: str = ""
 
     def to_json(self):
-        return {
-            "target": self.target,
-            "best_violation": self.best_violation,
-            "best_value": self.best_value,
-            "bound": self.bound,
-            "witness": self.witness,
-            "trials": self.trials,
-            "seed": self.seed,
-            "method": self.method,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 # --- cross-polytope minimization ------------------------------------------------
@@ -291,7 +281,9 @@ def lemma5_adversary(
     at most k nonzero coefficients.  Monotone in the support pattern, so only
     maximal patterns are enumerated; each pattern reduces to a cross-polytope
     minimum via mass = cap / min, and the strictly largest mass wins (the
-    first pattern on a tie).
+    first pattern on a tie).  Past ``pattern_cap`` maximal patterns,
+    ``pattern_cap`` random ones are searched and the report is ``heuristic``
+    unless a vanishing combination turns up.
 
     Disjoint l1 families are minimized by the kept vector of least norm.  On
     the construction's own shape (a disjoint family plus the vector d
@@ -427,7 +419,10 @@ def lemma5_adversary(
         "coefficients": ["%s" % c for c in r],
         "mass": float(sum((abs(c) for c in r), F0)),
     }
-    if methods <= {"exact"}:
+    if not exhaustive:
+        # a sampled search proves nothing about the patterns it never drew
+        method = "heuristic"
+    elif methods <= {"exact"}:
         method = "exact"
     elif methods <= {"exact", "bounded"}:
         method = "bounded"
@@ -658,7 +653,7 @@ def chain_fuzzer(state: ConstructionState, F: QuasiFunctional, trials: int = 200
                     min_margin = worst
                     min_witness = {"kind": "final_bound", "u": u.to_json(), "certificate": z_cert.to_json()}
     if max_f_cert is not None:
-        cert, f_best = _coordinate_ascent(state, F, fam, max_f_cert, rng)
+        cert, f_best = _coordinate_ascent(state, F, fam, max_f_cert)
         if f_best > max_f:
             max_f = f_best
             max_f_cert = cert
@@ -683,7 +678,7 @@ def chain_fuzzer(state: ConstructionState, F: QuasiFunctional, trials: int = 200
     )
 
 
-def _coordinate_ascent(state, F, fam, cert: SumCertificate, rng):
+def _coordinate_ascent(state, F, fam, cert: SumCertificate):
     """Greedy push of |F(value)| over coefficient perturbations in at most
     three passes, value norm pinned back to its target after every accepted
     move.  The value is kept alongside the certificate and updated exactly: a

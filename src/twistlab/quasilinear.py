@@ -29,6 +29,7 @@ from .seqspace import (
     SeqSpace,
     as_fraction,
     block_entries,
+    frac_str,
     in_hyperplane_H,
 )
 
@@ -315,14 +316,14 @@ def functional_to_json(F: QuasiFunctional) -> dict:
     if isinstance(F, WeightedRibe):
         return {
             "kind": "weighted_ribe",
-            "weights": {str(n): "%d/%d" % (c.numerator, c.denominator) for n, c in sorted(F.weights.items())},
-            "p": "%d/%d" % (F.p.numerator, F.p.denominator),
+            "weights": {str(n): frac_str(c) for n, c in sorted(F.weights.items())},
+            "p": frac_str(F.p),
         }
     if isinstance(F, UserLinear):
         return {
             "kind": "user_linear",
             "basis": [b.to_json() for b in F.basis],
-            "values": ["%d/%d" % (v.numerator, v.denominator) for v in F.values],
+            "values": list(map(frac_str, F.values)),
             "space": F.space.to_json(),
             "assumed_constant": F.assumed_constant,
         }
@@ -330,7 +331,7 @@ def functional_to_json(F: QuasiFunctional) -> dict:
         return {
             "kind": "scaled",
             "inner": functional_to_json(F.inner),
-            "factor": "%d/%d" % (F.factor.numerator, F.factor.denominator),
+            "factor": frac_str(F.factor),
         }
     raise TypeError("unknown functional kind: %r" % (F,))
 

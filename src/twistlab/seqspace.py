@@ -28,6 +28,11 @@ def as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
+def frac_str(v: Fraction) -> str:
+    """A rational's JSON form, "num/den" (an integer keeps its "/1")."""
+    return "%d/%d" % (v.numerator, v.denominator)
+
+
 class FinSeq:
     """Sparse rational sequence; zero coefficients are never stored."""
 
@@ -135,7 +140,7 @@ class FinSeq:
         return "FinSeq({%s})" % inner
 
     def to_json(self) -> dict[str, str]:
-        return {str(i): "%d/%d" % (v.numerator, v.denominator) for i, v in sorted(self._entries.items())}
+        return {str(i): frac_str(v) for i, v in sorted(self._entries.items())}
 
     @classmethod
     def from_json(cls, obj: Mapping[str, str]) -> "FinSeq":
@@ -270,7 +275,7 @@ class MixedSeq(FinSeq):
         return "MixedSeq({%s})" % inner
 
     def to_json(self) -> dict[str, list[str]]:
-        return {str(n): ["%d/%d" % (v.numerator, v.denominator) for v in vec] for n, vec in self.blocks.items()}
+        return {str(n): list(map(frac_str, vec)) for n, vec in self.blocks.items()}
 
     @classmethod
     def from_json(cls, obj: Mapping[str, Iterable[str]]) -> "MixedSeq":
@@ -350,7 +355,7 @@ class MixedSpace:
         return MixedSeq.unit(*block_of(j))
 
     def to_json(self):
-        return {"kind": "mixed", "p": "%d/%d" % (self.p.numerator, self.p.denominator)}
+        return {"kind": "mixed", "p": frac_str(self.p)}
 
 
 def space_from_json(obj):

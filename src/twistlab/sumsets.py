@@ -17,7 +17,7 @@ from typing import Callable
 
 from .exact_lp import solve_lp
 from .quasilinear import rank
-from .seqspace import as_fraction
+from .seqspace import as_fraction, frac_str
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -30,7 +30,7 @@ class CertTerm:
     coeff: Fraction
 
     def to_json(self):
-        return {"i": self.block, "j": self.gen, "r": "%d/%d" % (self.coeff.numerator, self.coeff.denominator)}
+        return {"i": self.block, "j": self.gen, "r": frac_str(self.coeff)}
 
 
 @dataclass(frozen=True)
@@ -185,12 +185,6 @@ class AxiomReport:
     def failures(self) -> list[AxiomCheck]:
         return [c for c in self.checks if not c.passed]
 
-    def to_json(self):
-        return [
-            {"name": c.name, "level": c.level, "passed": c.passed, "detail": c.detail}
-            for c in self.checks
-        ]
-
 
 def base_axioms_check(
     ball_radii,
@@ -280,13 +274,6 @@ class HullCertificate:
     weights: list[Fraction]
     member: bool
     reason: str = ""
-
-    def to_json(self):
-        return {
-            "member": self.member,
-            "weights": ["%d/%d" % (w.numerator, w.denominator) for w in self.weights],
-            "reason": self.reason,
-        }
 
 
 def hull_membership(point, points: list) -> HullCertificate:

@@ -22,6 +22,10 @@ from twistlab.sumsets import (
 
 WEIGHTS = {n: Fraction(1, 2 ** (n - 1)) for n in range(1, 65)}
 
+# draws a sampling loop may make per accepted sample before its criterion
+# fails: with the pinned seeds every loop drew at most one extra sample
+ATTEMPTS_PER_SAMPLE = 2
+
 
 def report(num, name, elapsed, limit):
     print("ACCEPTANCE %2d PASS  %-38s %6.1fs (limit %ds)" % (num, name, elapsed, limit))
@@ -79,8 +83,10 @@ def test_criterion_2_disjoint_mean_zero_additivity():
     t0 = time.time()
     F = tl.Ribe()
     rng = random.Random(1002)
-    done = 0
+    done = tries = 0
     while done < 10 ** 3:
+        tries += 1
+        assert tries <= ATTEMPTS_PER_SAMPLE * 10 ** 3, "criterion 2 reached its attempt cap"
         x = sample_mean_zero(rng, 1)
         y = sample_mean_zero(rng, x.max_support() + 1)
         if not x and not y:
@@ -97,8 +103,10 @@ def test_criterion_3_weighted_holder_and_witnesses():
     F = tl.WeightedRibe(WEIGHTS, 2)
     bound = F.assumed_constant + 1e-9
     rng = random.Random(1003)
-    done = 0
+    done = tries = 0
     while done < 10 ** 5:
+        tries += 1
+        assert tries <= ATTEMPTS_PER_SAMPLE * 10 ** 5, "criterion 3 reached its attempt cap"
         x = sample_mixed(rng)
         y = sample_mixed(rng)
         if not x and not y:
@@ -116,8 +124,10 @@ def test_criterion_4_quasi_triangle(ribe_normalized):
     t0 = time.time()
     F = ribe_normalized
     rng = random.Random(1004)
-    done = 0
+    done = tries = 0
     while done < 10 ** 4:
+        tries += 1
+        assert tries <= ATTEMPTS_PER_SAMPLE * 10 ** 4, "criterion 4 reached its attempt cap"
         w1 = tl.TwistedVec(rng.uniform(-4, 4), sample_vector(rng))
         w2 = tl.TwistedVec(rng.uniform(-4, 4), sample_vector(rng))
         if tl.quasi_norm(F, w1) + tl.quasi_norm(F, w2) == 0:
@@ -148,9 +158,11 @@ def test_criterion_6_chain_and_final_bound(state6, ribe_normalized):
     fam = tl.fn_family(state6)
     rng = random.Random(1006)
     target = 1 - Fraction(1, 1000)
-    done = 0
+    done = tries = 0
     min_margin = float("inf")
     while done < 10 ** 4:
+        tries += 1
+        assert tries <= ATTEMPTS_PER_SAMPLE * 10 ** 4, "criterion 6 reached its attempt cap"
         cert = random_certificate(fam, 1, rng)
         if not cert.terms:
             continue
@@ -165,8 +177,10 @@ def test_criterion_6_chain_and_final_bound(state6, ribe_normalized):
     assert min_margin > 0
     from twistlab.oracles import _random_admissible_decomposition
 
-    done = 0
+    done = tries = 0
     while done < 10 ** 3:
+        tries += 1
+        assert tries <= ATTEMPTS_PER_SAMPLE * 10 ** 3, "criterion 6 reached its attempt cap"
         cert = random_certificate(fam, 1, rng)
         if not cert.terms:
             continue

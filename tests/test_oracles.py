@@ -152,6 +152,15 @@ class TestLemma5Adversary:
             assert mass == pytest.approx(rep.best_value, abs=1e-12)
             assert nrm <= 3 - 1e-9 + 1e-12
 
+    def test_sampled_patterns_are_heuristic(self, state4):
+        # level 2 has 5 leave-one-out patterns; a cap of 3 samples them
+        zs = state4.level_z(2)
+        rep = tl.lemma5_adversary(zs, 4, state4.c[2], pattern_cap=3)
+        assert rep.method == "heuristic"
+        assert "sampled" in rep.notes
+        assert rep.trials == 3
+        assert tl.lemma5_adversary(zs, 4, state4.c[2]).method == "exact"
+
     def test_k_zero(self, state4):
         rep = tl.lemma5_adversary(state4.level_z(1), 0, state4.c[1])
         assert rep.best_value == 0.0
@@ -318,7 +327,10 @@ def reference_lemma5(zs, k, eta, *, space=None, pattern_cap=4096, seed=0):
         wscale = Fraction(float(budget) / wnorm) * (1 - Fraction(1, 2 ** 30)) if wnorm else Fraction(1)
     r = [a * wscale for a in alpha_exact]
     witness = {"pattern": list(best_pattern), "coefficients": ["%s" % c for c in r], "mass": float(sum(map(abs, r), Fraction(0)))}
-    method = "exact" if methods <= {"exact"} else "bounded" if methods <= {"exact", "bounded"} else "heuristic"
+    if not exhaustive:
+        method = "heuristic"
+    else:
+        method = "exact" if methods <= {"exact"} else "bounded" if methods <= {"exact", "bounded"} else "heuristic"
     return OracleReport(
         "level_mass",
         float(best_mass - eta) if isinstance(best_mass, Fraction) else float(best_mass) - float(eta),
@@ -486,7 +498,7 @@ class TestChainFuzzer:
         rng = random.Random(3)
         cert = random_certificate(fam, 1, rng)
         start = tl.certificate_value(fam, cert)
-        best, f_best = _coordinate_ascent(state4, ribe_normalized, fam, cert, rng)
+        best, f_best = _coordinate_ascent(state4, ribe_normalized, fam, cert)
         value = tl.certificate_value(fam, best)
         assert best != cert
         assert f_best == abs(tl.evaluate(ribe_normalized, value))
