@@ -328,9 +328,8 @@ def reference_lemma5(zs, k, eta, *, space=None, pattern_cap=4096, seed=0):
     r = [a * wscale for a in alpha_exact]
     witness = {"pattern": list(best_pattern), "coefficients": ["%s" % c for c in r], "mass": float(sum(map(abs, r), Fraction(0)))}
     if not exhaustive:
-        method = "heuristic"
-    else:
-        method = "exact" if methods <= {"exact"} else "bounded" if methods <= {"exact", "bounded"} else "heuristic"
+        methods.add("heuristic")
+    method = "exact" if methods <= {"exact"} else "bounded" if methods <= {"exact", "bounded"} else "heuristic"
     return OracleReport(
         "level_mass",
         float(best_mass - eta) if isinstance(best_mass, Fraction) else float(best_mass) - float(eta),
