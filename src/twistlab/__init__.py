@@ -64,7 +64,6 @@ from .construction import (
     normalize_generators,
     run_construction,
     tail_index,
-    trivial_dual_witnesses,
     verify_chain,
 )
 from .oracles import (

@@ -48,7 +48,7 @@ from .sumsets import (
     certificate_value,
     scale_certificate,
 )
-from .twisted import TwistedVec, ball_radius, quasi_norm
+from .twisted import TwistedVec, quasi_norm
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -532,82 +532,6 @@ def final_bound_check(
         premises_ok=premises_ok,
         passed=premises_ok and all(c.passed for c in checks) and (chain is None or chain.passed),
     )
-
-
-# --- the two hull witnesses -----------------------------------------------------
-
-
-@dataclass
-class HullWitness:
-    level: int
-    sum_level: int
-    weights: list[Fraction]
-    reproduces: bool
-    budget_note: str
-
-
-@dataclass
-class UPartWitness:
-    level: int
-    radius: Fraction
-    point_norm: float
-    status: str  # "member" | "boundary" | "radius_dependent"
-    scaled_point: TwistedVec
-    scaled_member: bool
-
-
-@dataclass
-class WitnessBundle:
-    hull: HullWitness
-    u_part: UPartWitness
-
-
-def trivial_dual_witnesses(state: ConstructionState, F: QuasiFunctional, m: int, n: int) -> WitnessBundle:
-    """The two membership facts behind the vanishing dual: the level-m
-    e-generator is the uniform convex combination of G_m (exactly, because
-    the stretched parts sum to zero), and the real axis meets every metric
-    ball (the unit point itself sits on the level-1 boundary, so the direct
-    witness is a slightly shrunk multiple; membership of the unit point in
-    the convex hull of deeper balls is radius-dependent and flagged)."""
-    if not 1 <= n <= m <= state.depth:
-        raise ValueError("need 1 <= n <= m <= depth, got n=%d m=%d depth=%d" % (n, m, state.depth))
-    gens = state.G[m]
-    count = len(gens)
-    lam = Fraction(1, count)
-    combo = state.space.zero()
-    for g in gens:
-        combo = combo + g * lam
-    e_m = state.e_vector(m)
-    hull = HullWitness(
-        level=m,
-        sum_level=n,
-        weights=[lam] * count,
-        reproduces=combo == e_m,
-        budget_note=(
-            "each generator of block %d alone is level-%d valid (budget %d >= 1); "
-            "the combination is a point of the convex hull of the level set, not of the set itself"
-            % (m, n, 2 ** (m - n))
-        ),
-    )
-    radius = ball_radius(n)
-    point_norm = quasi_norm(F, TwistedVec(1.0, state.space.zero()))
-    if point_norm < float(radius):
-        status = "member"
-    elif point_norm == float(radius):
-        status = "boundary"
-    else:
-        status = "radius_dependent"
-    shrink = (1 - Fraction(1, 1000)) * min(F1, radius)
-    scaled = TwistedVec(float(shrink), state.space.zero())
-    u_part = UPartWitness(
-        level=n,
-        radius=radius,
-        point_norm=point_norm,
-        status=status,
-        scaled_point=scaled,
-        scaled_member=quasi_norm(F, scaled) < float(radius),
-    )
-    return WitnessBundle(hull=hull, u_part=u_part)
 
 
 # --- static sanity battery and serialization -------------------------------------

@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .construction import (
+    MAX_DEPTH,
     ConstructionState,
     final_bound_check,
     fn_family,
@@ -50,6 +51,10 @@ INTERIOR = Fraction(1, 10 ** 9)
 
 # the level-mass cap: the ladder bounds each stretched part by 3
 NORM_CAP = 3
+
+# the most support patterns the level-mass search takes on: the 2^n + 1
+# leave-one-out patterns of the deepest level ``construct`` builds
+PATTERN_CAP = 2 ** MAX_DEPTH + 1
 
 
 @dataclass
@@ -267,23 +272,30 @@ def _analyze_negsum(zs):
     return ("negsum", min(common)) if common else ("generic", None)
 
 
-def lemma5_adversary(
-    zs: list,
-    k: int,
-    eta,
-    *,
-    space=None,
-    pattern_cap: int = 4096,
-    seed: int = 0,
-) -> OracleReport:
+def _omitted_sets(N: int, r: int):
+    """The r-subsets of range(N) in reverse lexicographic order, so that their
+    complements come in ``itertools.combinations(range(N), N - r)`` order.
+    Each step lowers the last entry that can move down and lifts every later
+    entry as high as it goes."""
+    c = list(range(N - r, N))
+    while True:
+        yield set(c)
+        i = next((i for i in reversed(range(r)) if c[i] > (c[i - 1] + 1 if i else 0)), None)
+        if i is None:
+            return
+        c[i] -= 1
+        c[i + 1 :] = range(N - r + i + 1, N)
+
+
+def lemma5_adversary(zs: list, k: int, eta, *, space=None, seed: int = 0) -> OracleReport:
     """Maximize the coefficient mass sum |r_j| subject to the combined vector
     staying inside norm cap (attacked at cap minus an interior margin) with
     at most k nonzero coefficients.  Monotone in the support pattern, so only
-    maximal patterns are enumerated; each pattern reduces to a cross-polytope
-    minimum via mass = cap / min, and the strictly largest mass wins (the
-    first pattern on a tie).  Past ``pattern_cap`` maximal patterns,
-    ``pattern_cap`` random ones are searched and the report is ``heuristic``
-    unless a vanishing combination turns up.
+    maximal patterns are searched, all of them, each named by the vectors it
+    omits; each reduces to a cross-polytope minimum via mass = cap / min, and
+    the strictly largest mass wins (the first in ``itertools.combinations``
+    order on a tie).  Past ``PATTERN_CAP`` patterns the family is refused
+    unsearched, with violation inf and no witness: a failure to every caller.
 
     Disjoint l1 families are minimized by the kept vector of least norm.  On
     the construction's own shape (a disjoint family plus the vector d
@@ -304,9 +316,10 @@ def lemma5_adversary(
     min(a_K, A/(K+1)), the single vector winning a tie, and A/(K+1) when
     K = 0: weight 1/(K+1) on every kept vector.  The gauges are sorted once,
     by (gauge, index), so the first kept entry in that order is the kept
-    vector of least gauge and lowest index.  Mixed families bound the
-    pattern minimum through the same closed form (see the ``bounded``
-    branch).  The witness is built for the winning pattern only.
+    vector of least gauge and lowest index.  Both closed forms read only the
+    omitted set, so a pattern costs O(N - k); only generic patterns and the
+    winner list the kept vectors.  Mixed families bound the pattern minimum
+    through the same closed form (see the ``bounded`` branch).
     """
     eta = as_fraction(eta)
     space = space or (SeqSpace() if zs and not isinstance(zs[0], MixedSeq) else None)
@@ -319,6 +332,10 @@ def lemma5_adversary(
         return OracleReport(
             "level_mass", float(-eta), 0.0, float(eta), {"pattern": [], "coefficients": []}, 0, seed, "exact", "no nonzeros allowed"
         )
+    n_patterns = math.comb(N, k)
+    if n_patterns > PATTERN_CAP:
+        notes = "refused: %d support patterns exceed the cap of %d" % (n_patterns, PATTERN_CAP)
+        return OracleReport("level_mass", float("inf"), None, float(eta), None, 0, seed, "heuristic", notes)
     shape_kind, d = _analyze_negsum(zs)
     exact_space = isinstance(space, SeqSpace)
     # gauges: the exact l1 norms, also the coordinate-l1 relaxation of the
@@ -332,23 +349,13 @@ def lemma5_adversary(
         n_blocks = len(block_entries(zs[d])) or 1
         q = float(space.p) / (float(space.p) - 1.0)
 
-    n_patterns = math.comb(N, k)
-    rng = random.Random(seed)
-    if n_patterns <= pattern_cap:
-        patterns = itertools.combinations(range(N), k)
-        exhaustive = True
-    else:
-        patterns = (tuple(sorted(rng.sample(range(N), k))) for _ in range(pattern_cap))
-        exhaustive = False
-
-    everyone = frozenset(range(N))
-    best_mass = None
-    best = None  # (pattern, indices, coefficients) of the running best
+    # (omitted, indices, coefficients) of the running best; indices None
+    # stands for every kept vector
+    best_mass = best = None
     methods = set()
     count = 0
-    for pattern in patterns:
+    for omitted in _omitted_sets(N, N - k):
         count += 1
-        omitted = everyone.difference(pattern)
         keeps_d = shape_kind == "negsum" and d not in omitted
         if exact_space and shape_kind != "generic" and not keeps_d:
             j0 = next(j for j in order if j not in omitted)
@@ -361,7 +368,7 @@ def lemma5_adversary(
             if j0 is not None and gauges[j0] <= saturated:
                 mn, spec = gauges[j0], ((j0,), (F1,))
             else:
-                mn, spec = saturated, (pattern, (Fraction(1, k),) * k)
+                mn, spec = saturated, (None, (Fraction(1, k),) * k)
             if exact_space:
                 methods.add("exact")
             else:
@@ -373,29 +380,30 @@ def lemma5_adversary(
                 mn = float(mn) * n_blocks ** (-1.0 / q)
                 methods.add("bounded")
         else:
-            res = min_crosspolytope_norm([zs[j] for j in pattern], space=space, seed=seed)
-            mn, spec = res.value, (pattern, res.minimizer)
+            kept = [j for j in range(N) if j not in omitted]
+            res = min_crosspolytope_norm([zs[j] for j in kept], space=space, seed=seed)
+            mn, spec = res.value, (kept, res.minimizer)
             methods.add(res.method)
         if mn == 0:
-            best_mass, best = None, (pattern, *spec)
+            best_mass, best = None, (omitted, *spec)
             break
         mass = budget / mn if isinstance(mn, Fraction) else float(budget) / mn
         if best_mass is None or mass > best_mass:
-            best_mass, best = mass, (pattern, *spec)
+            best_mass, best = mass, (omitted, *spec)
 
-    best_pattern, indices, coefficients = best
+    omitted, indices, coefficients = best
+    pattern = [j for j in range(N) if j not in omitted]
     best_alpha = [F0] * N
-    for j, a in zip(indices, coefficients):
+    for j, a in zip(pattern if indices is None else indices, coefficients):
         best_alpha[j] = a
     if best_mass is None:
         # dependent sub-family: unbounded mass
-        coeffs = [str(a) for a in best_alpha]
         return OracleReport(
             "level_mass",
             float("inf"),
             float("inf"),
             float(eta),
-            {"pattern": list(best_pattern), "coefficients": coeffs},
+            {"pattern": pattern, "coefficients": [str(a) for a in best_alpha]},
             count,
             seed,
             "exact" if exact_space else "heuristic",
@@ -415,19 +423,11 @@ def lemma5_adversary(
         wscale = Fraction(float(budget) / wnorm) * (1 - Fraction(1, 2 ** 30)) if wnorm else F1
     r = [a * wscale for a in alpha_exact]
     witness = {
-        "pattern": list(best_pattern),
+        "pattern": pattern,
         "coefficients": ["%s" % c for c in r],
         "mass": float(sum((abs(c) for c in r), F0)),
     }
-    if not exhaustive:
-        # a sampled search proves nothing about the patterns it never drew
-        method = "heuristic"
-    elif methods <= {"exact"}:
-        method = "exact"
-    elif methods <= {"exact", "bounded"}:
-        method = "bounded"
-    else:
-        method = "heuristic"
+    method = "exact" if methods <= {"exact"} else "bounded" if methods <= {"exact", "bounded"} else "heuristic"
     return OracleReport(
         target="level_mass",
         best_violation=float(best_mass - eta) if isinstance(best_mass, Fraction) else float(best_mass) - float(eta),
@@ -437,7 +437,7 @@ def lemma5_adversary(
         trials=count,
         seed=seed,
         method=method,
-        notes="patterns %s, budget %s" % ("exhaustive" if exhaustive else "sampled", float(budget)),
+        notes="patterns exhaustive, budget %s" % float(budget),
     )
 
 
@@ -480,9 +480,6 @@ def mixed_sampler_over(block_pool):
     return sample
 
 
-mixed_sampler = mixed_sampler_over((1, 2, 3, 4))
-
-
 def _shift_right(x: FinSeq, offset: int) -> FinSeq:
     return FinSeq({i + offset: v for i, v in x.items()})
 
@@ -500,7 +497,7 @@ def span_sampler(basis):
     return sample
 
 
-def quasi_constant_adversary(F: QuasiFunctional, sampler=None, trials: int = 2000, seed: int = 0) -> OracleReport:
+def quasi_constant_adversary(F: QuasiFunctional, trials: int = 2000, seed: int = 0) -> OracleReport:
     """Empirical maximum of the normalized additivity defect over random pairs
     plus structured families (disjoint shifts, nested truncations, sign flips,
     near-collinear pairs).  The assumed constant must dominate the maximum."""
@@ -508,14 +505,12 @@ def quasi_constant_adversary(F: QuasiFunctional, sampler=None, trials: int = 200
     while isinstance(core, Scaled):
         core = core.inner
     span_only = isinstance(core, UserLinear)
-    if sampler is None:
-        if span_only:
-            sampler = span_sampler(core.basis)
-        elif isinstance(core, WeightedRibe):
-            pool = sorted(core.weights)[:6] or [1]
-            sampler = mixed_sampler_over(pool)
-        else:
-            sampler = seq_sampler
+    if span_only:
+        sampler = span_sampler(core.basis)
+    elif isinstance(core, WeightedRibe):
+        sampler = mixed_sampler_over(sorted(core.weights)[:6] or [1])
+    else:
+        sampler = seq_sampler
     rng = random.Random(seed)
     best = -1.0
     witness = None
@@ -565,14 +560,13 @@ def _exact_scale(target, current) -> Fraction:
     return t / Fraction(current) * (1 - Fraction(1, 2 ** 30))
 
 
-def _random_admissible_decomposition(state, F, z_cert, rng):
-    """Split a certified vector into (ball element, certified part) meeting
-    every premise of the final bound check: a collinear split with the budget
-    algebra worked out so both parts stay admissible.  Samples that land on a
-    float boundary are dropped rather than repaired."""
-    fam = fn_family(state)
+def _random_admissible_decomposition(state, F, z_cert, z, rng):
+    """Split a certified vector ``z``, the value of ``z_cert``, into (ball
+    element, certified part) meeting every premise of the final bound check:
+    a collinear split with the budget algebra worked out so both parts stay
+    admissible.  Samples that land on a float boundary are dropped rather
+    than repaired."""
     space = state.space
-    z = certificate_value(fam, z_cert)
     nz = space.norm(z)
     if not nz:
         return None
@@ -641,7 +635,7 @@ def chain_fuzzer(state: ConstructionState, F: QuasiFunctional, trials: int = 200
             max_f = abs(tr.f_value)
             max_f_cert = scaled
         if t % 10 == 0:
-            decomp = _random_admissible_decomposition(state, F, cert, rng)
+            decomp = _random_admissible_decomposition(state, F, cert, value, rng)
             if decomp is not None:
                 u, z_cert = decomp
                 rep = final_bound_check(state, F, u, z_cert)

@@ -184,7 +184,7 @@ def test_criterion_6_chain_and_final_bound(state6, ribe_normalized):
         cert = random_certificate(fam, 1, rng)
         if not cert.terms:
             continue
-        decomp = _random_admissible_decomposition(state6, F, cert, rng)
+        decomp = _random_admissible_decomposition(state6, F, cert, certificate_value(fam, cert), rng)
         if decomp is None:
             continue
         u, z_cert = decomp

@@ -86,6 +86,12 @@ TAMPERED = {
     },
     "M_table_wrong": (lambda s: s["M"].__setitem__("2", "1000/1"), "static:M_table level 2"),
     "depth_past_tables": (lambda s: s.update(depth=3, e_idx=s["e_idx"] + [1]), "level 3 missing from c, s, ell, m, G"),
+    # two generators trade places: the uniform hull and the level mass stay
+    # the same, so only the shape check can see it
+    "generator_perturbed": (
+        lambda s: s["G"]["2"].__setitem__(slice(0, 2), s["G"]["2"][1::-1]),
+        "static:g_shape level 2",
+    ),
 }
 
 
@@ -338,6 +344,18 @@ class TestVerify:
         lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("VIOLATION")]
         assert len(lines) == 1 and expected in lines[0]
 
+    def test_changed_generator_moves_the_hull(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_cli(["construct", "--case", "a", "--depth", "2", "--out", str(out)]) == 0
+        state = json.loads((out / "state.json").read_text())
+        state["G"]["2"][0]["2"] = "2/1"
+        p = tmp_path / "state.json"
+        p.write_text(json.dumps(state))
+        capsys.readouterr()
+        assert run_cli(["verify", "--state", str(p), "--trials", "0", "--out", str(tmp_path)]) == 3
+        lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("VIOLATION")]
+        assert lines[:2] == ["VIOLATION static:g_shape level 2", "VIOLATION static:e_hull level 2"]
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -408,6 +426,21 @@ class TestOracle:
         p = tmp_path / "state.json"
         p.write_text(json.dumps(state_to_json(bad), sort_keys=True))
         assert run_cli(["oracle", "lemma5", "--state", str(p), "--level", "2", "--out", str(tmp_path)]) == 3
+
+    def test_lemma5_too_many_patterns_exits_three(self, tmp_path, capsys):
+        # 20 level-2 generators leave comb(20, 4) > PATTERN_CAP patterns
+        out = tmp_path / "run"
+        assert run_cli(["construct", "--case", "a", "--depth", "2", "--out", str(out)]) == 0
+        state = json.loads((out / "state.json").read_text())
+        state["G"]["2"] *= 4
+        p = tmp_path / "state.json"
+        p.write_text(json.dumps(state))
+        assert run_cli(["oracle", "lemma5", "--state", str(p), "--level", "2", "--out", str(tmp_path)]) == 3
+        rep = json.loads((tmp_path / "oracle-report.json").read_text())
+        assert rep["trials"] == 0 and rep["witness"] is None and rep["method"] != "exact"
+        capsys.readouterr()
+        assert run_cli(["verify", "--state", str(p), "--trials", "0", "--out", str(tmp_path)]) == 3
+        assert "VIOLATION level_mass: level 2" in capsys.readouterr().out
 
     def test_quasi_constant(self, tmp_path):
         code = run_cli(["oracle", "quasi-constant", "--trials", "200", "--seed", "1", "--out", str(tmp_path)])

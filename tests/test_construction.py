@@ -325,34 +325,3 @@ class TestFinalBound:
             rep = tl.final_bound_check(state4, ribe_normalized, u, cert)
             assert rep.passed
             assert rep.chain is not None and rep.chain.passed
-
-
-class TestWitnesses:
-    def test_uniform_weights(self, state4, ribe_normalized):
-        for n in range(1, 5):
-            wb = tl.trivial_dual_witnesses(state4, ribe_normalized, n, 1)
-            assert wb.hull.reproduces
-            assert wb.hull.weights == [Fraction(1, 2 ** n + 1)] * (2 ** n + 1)
-
-    def test_deep_generator_low_level(self, state6, ribe_normalized):
-        wb = tl.trivial_dual_witnesses(state6, ribe_normalized, 3, 1)
-        assert wb.hull.reproduces
-        assert wb.hull.sum_level == 1
-        assert "convex hull" in wb.hull.budget_note
-
-    def test_unit_point_boundary_at_level_one(self, state4, ribe_normalized):
-        wb = tl.trivial_dual_witnesses(state4, ribe_normalized, 1, 1)
-        assert wb.u_part.status == "boundary"
-        assert wb.u_part.point_norm == 1.0
-        assert wb.u_part.scaled_member
-
-    def test_deeper_levels_flagged(self, state4, ribe_normalized):
-        wb = tl.trivial_dual_witnesses(state4, ribe_normalized, 3, 2)
-        assert wb.u_part.status == "radius_dependent"
-        assert wb.u_part.scaled_member
-
-    def test_range_checks(self, state4, ribe_normalized):
-        with pytest.raises(ValueError):
-            tl.trivial_dual_witnesses(state4, ribe_normalized, 5, 1)
-        with pytest.raises(ValueError):
-            tl.trivial_dual_witnesses(state4, ribe_normalized, 2, 3)

@@ -9,9 +9,11 @@ import twistlab as tl
 from twistlab import FinSeq, MixedSeq
 from twistlab.oracles import (
     INTERIOR,
+    PATTERN_CAP,
     OracleReport,
     _analyze_negsum,
     _coordinate_ascent,
+    _omitted_sets,
     min_crosspolytope_norm,
     replay_lemma5,
     seq_sampler,
@@ -152,14 +154,29 @@ class TestLemma5Adversary:
             assert mass == pytest.approx(rep.best_value, abs=1e-12)
             assert nrm <= 3 - 1e-9 + 1e-12
 
-    def test_sampled_patterns_are_heuristic(self, state4):
-        # level 2 has 5 leave-one-out patterns; a cap of 3 samples them
-        zs = state4.level_z(2)
-        rep = tl.lemma5_adversary(zs, 4, state4.c[2], pattern_cap=3)
-        assert rep.method == "heuristic"
-        assert "sampled" in rep.notes
-        assert rep.trials == 3
-        assert tl.lemma5_adversary(zs, 4, state4.c[2]).method == "exact"
+    def test_deepest_level_is_exhaustive(self):
+        # the shape of a depth-12 level: 4096 disjoint vectors and the one
+        # balancing them, 4097 leave-one-out patterns, every one searched
+        zs = [FinSeq({i: 1}) for i in range(1, 4097)]
+        zs.append(FinSeq({i: -1 for i in range(1, 4097)}))
+        rep = tl.lemma5_adversary(zs, 4096, Fraction(1, 2 ** 15))
+        assert rep.method == "exact"
+        assert rep.trials == 4097 == PATTERN_CAP
+        assert "patterns exhaustive" in rep.notes
+        # omitting one unit vector leaves the balancing vector plus 4095
+        # others: weight 1/4096 on each costs norm 1/4096
+        assert rep.best_value == pytest.approx(float((3 - INTERIOR) * 4096), rel=1e-12)
+        assert rep.witness["pattern"] == list(range(4095)) + [4096]
+
+    def test_too_many_patterns_are_refused(self):
+        zs = [FinSeq({i: 1}) for i in range(1, 21)]
+        assert math.comb(20, 10) > PATTERN_CAP
+        rep = tl.lemma5_adversary(zs, 10, Fraction(1, 16))
+        assert rep.best_violation == float("inf")
+        assert rep.witness is None
+        assert rep.trials == 0
+        assert rep.method != "exact"
+        assert str(math.comb(20, 10)) in rep.notes and str(PATTERN_CAP) in rep.notes
 
     def test_k_zero(self, state4):
         rep = tl.lemma5_adversary(state4.level_z(1), 0, state4.c[1])
@@ -246,7 +263,7 @@ def reference_witness_alpha(norms, pattern, d, shape, k_total):
     return alpha
 
 
-def reference_lemma5(zs, k, eta, *, space=None, pattern_cap=4096, seed=0):
+def reference_lemma5(zs, k, eta, *, space=None, seed=0):
     """The mass adversary as one search per pattern, re-sorting and summing
     from scratch and building every pattern's witness."""
     eta = Fraction(eta)
@@ -262,15 +279,10 @@ def reference_lemma5(zs, k, eta, *, space=None, pattern_cap=4096, seed=0):
     norms = [space.norm(z) for z in zs]
     l1 = [z.norm() for z in zs]
     exact_space = isinstance(space, SeqSpace)
-    rng = random.Random(seed)
-    if math.comb(N, k) <= pattern_cap:
-        patterns, exhaustive = itertools.combinations(range(N), k), True
-    else:
-        patterns, exhaustive = (tuple(sorted(rng.sample(range(N), k))) for _ in range(pattern_cap)), False
     best_mass = best_alpha = best_pattern = None
     methods = set()
     count = 0
-    for pattern in patterns:
+    for pattern in itertools.combinations(range(N), k):
         count += 1
         alpha = [Fraction(0)] * N
         if exact_space and (kind == "disjoint" or (kind == "negsum" and d not in pattern)):
@@ -327,8 +339,6 @@ def reference_lemma5(zs, k, eta, *, space=None, pattern_cap=4096, seed=0):
         wscale = Fraction(float(budget) / wnorm) * (1 - Fraction(1, 2 ** 30)) if wnorm else Fraction(1)
     r = [a * wscale for a in alpha_exact]
     witness = {"pattern": list(best_pattern), "coefficients": ["%s" % c for c in r], "mass": float(sum(map(abs, r), Fraction(0)))}
-    if not exhaustive:
-        methods.add("heuristic")
     method = "exact" if methods <= {"exact"} else "bounded" if methods <= {"exact", "bounded"} else "heuristic"
     return OracleReport(
         "level_mass",
@@ -339,7 +349,7 @@ def reference_lemma5(zs, k, eta, *, space=None, pattern_cap=4096, seed=0):
         count,
         seed,
         method,
-        "patterns %s, budget %s" % ("exhaustive" if exhaustive else "sampled", float(budget)),
+        "patterns exhaustive, budget %s" % float(budget),
     )
 
 
@@ -391,11 +401,9 @@ class TestLemma5AgainstReference:
         assert _analyze_negsum(zs) == reference_analyze_negsum(zs, space)
         eta = Fraction(1, 16 << seed % 7)
         for k in ks:
-            for cap in (3, 4096):
-                args = (zs, k, eta)
-                kw = dict(space=space, pattern_cap=cap, seed=seed)
-                got = outcome(tl.lemma5_adversary, *args, **kw)
-                assert got == outcome(reference_lemma5, *args, **kw), (seed, k, cap)
+            args = (zs, k, eta)
+            kw = dict(space=space, seed=seed)
+            assert outcome(tl.lemma5_adversary, *args, **kw) == outcome(reference_lemma5, *args, **kw), (seed, k)
 
     def test_random_seq_families(self):
         rng = random.Random(7)
@@ -431,9 +439,14 @@ class TestLemma5AgainstReference:
     def test_level_family(self, state4):
         for n in range(1, 5):
             zs = state4.level_z(n)
-            for cap in (3, 4096):
-                got = tl.lemma5_adversary(zs, 2 ** n, state4.c[n], pattern_cap=cap)
-                assert got.to_json() == reference_lemma5(zs, 2 ** n, state4.c[n], pattern_cap=cap).to_json()
+            got = tl.lemma5_adversary(zs, 2 ** n, state4.c[n])
+            assert got.to_json() == reference_lemma5(zs, 2 ** n, state4.c[n]).to_json()
+
+    def test_omitted_sets_follow_combinations_order(self):
+        for N in range(8):
+            for k in range(N + 1):
+                kept = [tuple(j for j in range(N) if j not in om) for om in _omitted_sets(N, N - k)]
+                assert kept == list(itertools.combinations(range(N), k)), (N, k)
 
     def test_three_owners_are_generic(self):
         zs = [FinSeq({1: 1}), FinSeq({1: 1}), FinSeq({1: -2})]
