@@ -196,7 +196,9 @@ def cmd_verify(args) -> int:
     for n in range(1, state.depth + 1):
         rep = lemma5_adversary(state.level_z(n), 2 ** n, state.c[n], space=state.space, seed=args.seed)
         entries.append({"source": "level_mass", "level": n, **rep.to_json()})
-        if rep.best_violation is None or rep.best_violation >= 0:
+        if rep.best_value is None:  # the search was refused; the notes say why
+            violations.append("level_mass: level %d %s" % (n, rep.notes))
+        elif rep.best_violation is None or rep.best_violation >= 0:
             violations.append("level_mass: level %d mass %s vs budget %s" % (n, rep.best_value, rep.bound))
 
     min_margin = None
@@ -311,10 +313,8 @@ def cmd_oracle(args) -> int:
         print("min %.15g (%s)" % (float(res.value), res.method))
         return EXIT_OK
     _write_atomic(out / "oracle-report.json", _dump_json(rep.to_json()))
-    print(
-        "%s: best value %s against bound %s (violation %s, %s)"
-        % (rep.target, rep.best_value, rep.bound, rep.best_violation, rep.method)
-    )
+    found = rep.notes if rep.best_value is None else "best value %s against bound %s" % (rep.best_value, rep.bound)
+    print("%s: %s (violation %s, %s)" % (rep.target, found, rep.best_violation, rep.method))
     return EXIT_OK if (rep.best_violation is None or rep.best_violation < 0) else EXIT_VIOLATION
 
 

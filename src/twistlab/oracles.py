@@ -677,7 +677,8 @@ def _coordinate_ascent(state, F, fam, cert: SumCertificate):
     three passes, value norm pinned back to its target after every accepted
     move.  The value is kept alongside the certificate and updated exactly: a
     step of delta on one term adds delta times its generator, and the
-    rescale multiplies the sum."""
+    rescale multiplies the sum.  Moves that push a coefficient past 1 are
+    skipped, and only an accepted move builds its certificate."""
     space = state.space
     best = cert
     v_best = certificate_value(fam, cert)
@@ -696,14 +697,13 @@ def _coordinate_ascent(state, F, fam, cert: SumCertificate):
                 factor = _exact_scale(target, nv)
                 terms = list(best.terms)
                 terms[idx] = CertTerm(t.block, t.gen, t.coeff + delta)
-                try:
-                    cand = scale_certificate(SumCertificate(tuple(terms)), factor)
-                except ValueError:  # a coefficient would pass 1
+                if max(abs(u.coeff) for u in terms) * abs(factor) > 1:
                     continue
                 v_cand = raw * factor
                 f_val = abs(evaluate(F, v_cand))
                 if f_val > f_best:
-                    best, v_best, f_best = cand, v_cand, f_val
+                    best = scale_certificate(SumCertificate(tuple(terms)), factor)
+                    v_best, f_best = v_cand, f_val
                     improved = True
         if not improved:
             break

@@ -150,19 +150,19 @@ def space_of(F: QuasiFunctional):
 # --- evaluation -------------------------------------------------------------
 
 
-def _ribe_terms(vals) -> float:
-    """sum v ln|v / g| over a collection of nonzero rationals (sparse storage
-    holds no zeros), 0.0 for none; g is the coordinate sum, or the l1 norm
-    when the sum is 0 (see the module docstring)."""
-    total = sum(vals, F0)
-    fvals = [float(v) for v in vals]
-    g = float(total) if total else math.fsum(map(abs, fvals))
+def _ribe_terms(nums, den: int) -> float:
+    """sum v ln|v / g| over v = n / den, n nonzero ints (int division rounds
+    correctly, so v is the float of the rational), 0.0 for none; g is the
+    coordinate sum, or the l1 norm when the sum is 0 (see the module docstring)."""
+    total = sum(nums)
+    fvals = [n / den for n in nums]
+    g = total / den if total else math.fsum(map(abs, fvals))
     return math.fsum(v * math.log(abs(v / g)) for v in fvals)
 
 
 def ribe_eval(x: FinSeq) -> float:
     """The Ribe formula; exactly 0 for the zero vector."""
-    return _ribe_terms([v for _, v in x.items()])
+    return _ribe_terms(x.nums.values(), x.den)
 
 
 def weighted_ribe_eval(x: FinSeq, weights) -> float:
@@ -171,7 +171,7 @@ def weighted_ribe_eval(x: FinSeq, weights) -> float:
     for n, blk in block_entries(x).items():
         if n not in weights:
             raise ValueError("missing weight for nonzero block %d" % n)
-        parts.append(float(weights[n]) * _ribe_terms(blk.values()))
+        parts.append(float(weights[n]) * _ribe_terms(blk.values(), x.den))
     return math.fsum(parts)
 
 

@@ -9,6 +9,12 @@ normed by ``norm_mixed``.  Its JSON shape stays dense per block,
 ``{"n": [n coordinates]}``.  Coefficient arithmetic is exact; the only
 floating-point quantities anywhere in this module are p-th roots and the
 square roots inside the James norm.
+
+A vector stores integer numerators over one positive denominator: the
+kernels run on ints, the reads hand out ``Fraction``s.  Reduction is lazy (a
+sum keeps the lcm of its operands' denominators, a scalar product reduces
+once, equality and hashing reduce first), since reducing every sum makes a
+level's running sums over thousands of generators quadratic.
 """
 
 from __future__ import annotations
@@ -23,6 +29,8 @@ RationalLike = Union[int, str, Fraction]
 
 def as_fraction(value) -> Fraction:
     """Coerce to Fraction, rejecting floats (exactness guard)."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError("coefficients must be exact rationals, got float %r" % value)
     return Fraction(value)
@@ -33,10 +41,17 @@ def frac_str(v: Fraction) -> str:
     return "%d/%d" % (v.numerator, v.denominator)
 
 
-class FinSeq:
-    """Sparse rational sequence; zero coefficients are never stored."""
+def ratio_str(n: int, den: int) -> str:
+    """``frac_str(Fraction(n, den))`` for den > 0, without the Fraction."""
+    g = math.gcd(n, den)
+    return "%d/%d" % (n // g, den // g)
 
-    __slots__ = ("_entries",)
+
+class FinSeq:
+    """Sparse rational sequence: nonzero int numerators ``nums`` by position
+    over one positive, not always least, denominator ``den``; both read-only."""
+
+    __slots__ = ("nums", "den")
 
     def __init__(self, entries: Mapping[int, RationalLike] | Iterable[tuple[int, RationalLike]] | None = None):
         data: dict[int, Fraction] = {}
@@ -55,52 +70,63 @@ class FinSeq:
                         del data[idx]
                         continue
                 data[idx] = val
-        self._entries = data
+        self.den = den = math.lcm(*(v.denominator for v in data.values()))
+        self.nums = {i: v.numerator * (den // v.denominator) for i, v in data.items()}
 
     @classmethod
     def unit(cls, index: int) -> "FinSeq":
         return cls({index: 1})
 
     @classmethod
-    def _raw(cls, data: dict[int, Fraction]) -> "FinSeq":
+    def _raw(cls, nums: dict[int, int], den: int) -> "FinSeq":
         out = object.__new__(cls)
-        out._entries = data
+        out.nums, out.den = nums, den
         return out
 
-    def items(self):
-        return self._entries.items()
+    def _reduced(self) -> "FinSeq":
+        """Divide out the common factor of ``den`` and the numerators, in place."""
+        g = math.gcd(self.den, *self.nums.values())
+        if g != 1:
+            self.nums, self.den = {i: n // g for i, n in self.nums.items()}, self.den // g
+        return self
+
+    def items(self) -> list[tuple[int, Fraction]]:
+        return [(i, Fraction(n, self.den)) for i, n in self.nums.items()]
 
     def __getitem__(self, index: int) -> Fraction:
-        return self._entries.get(index, Fraction(0))
+        return Fraction(self.nums.get(index, 0), self.den)
 
     def __bool__(self) -> bool:
-        return bool(self._entries)
+        return bool(self.nums)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.nums)
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self._entries))
+        return tuple(sorted(self.nums))
 
     def max_support(self) -> int:
         """Largest support index, 0 for the zero vector."""
-        return max(self._entries) if self._entries else 0
+        return max(self.nums) if self.nums else 0
 
     def is_right_of(self, n: int) -> bool:
         """True iff every support index exceeds n (vacuously true for 0)."""
-        return all(i > n for i in self._entries)
+        return all(i > n for i in self.nums)
 
     def coord_sum(self) -> Fraction:
-        return sum(self._entries.values(), Fraction(0))
+        return Fraction(sum(self.nums.values()), self.den)
 
     def norm(self) -> Fraction:
         """Exact l1 norm: sum of absolute coefficients."""
-        return sum((abs(v) for v in self._entries.values()), Fraction(0))
+        return Fraction(sum(map(abs, self.nums.values())), self.den)
 
     def __add__(self, other: "FinSeq") -> "FinSeq":
-        data = dict(self._entries)
-        for i, v in other._entries.items():
+        den = math.lcm(self.den, other.den)
+        mine, theirs = den // self.den, den // other.den
+        data = dict(self.nums) if mine == 1 else {i: n * mine for i, n in self.nums.items()}
+        for i, v in other.nums.items():
+            v *= theirs
             if i in data:
                 acc = data[i] + v
                 if acc:
@@ -109,10 +135,10 @@ class FinSeq:
                     del data[i]
             else:
                 data[i] = v
-        return self._raw(data)
+        return self._raw(data, den)
 
     def __neg__(self) -> "FinSeq":
-        return self._raw({i: -v for i, v in self._entries.items()})
+        return self._raw({i: -n for i, n in self.nums.items()}, self.den)
 
     def __sub__(self, other: "FinSeq") -> "FinSeq":
         return self + (-other)
@@ -120,8 +146,9 @@ class FinSeq:
     def __mul__(self, scalar) -> "FinSeq":
         s = as_fraction(scalar)
         if not s:
-            return self._raw({})
-        return self._raw({i: v * s for i, v in self._entries.items()})
+            return self._raw({}, 1)
+        p = s.numerator
+        return self._raw({i: n * p for i, n in self.nums.items()}, self.den * s.denominator)._reduced()
 
     __rmul__ = __mul__
 
@@ -130,17 +157,17 @@ class FinSeq:
 
     def __eq__(self, other) -> bool:
         """Same entries and same vector type: a MixedSeq never equals a FinSeq."""
-        return type(other) is type(self) and self._entries == other._entries
+        return type(other) is type(self) and self._reduced().den == other._reduced().den and self.nums == other.nums
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._entries.items()))
+        return hash((self._reduced().den, frozenset(self.nums.items())))
 
     def __repr__(self) -> str:
-        inner = ", ".join("%d: %s" % (i, v) for i, v in sorted(self._entries.items()))
+        inner = ", ".join("%d: %s" % (i, v) for i, v in sorted(self.items()))
         return "FinSeq({%s})" % inner
 
     def to_json(self) -> dict[str, str]:
-        return {str(i): frac_str(v) for i, v in sorted(self._entries.items())}
+        return {str(i): ratio_str(n, self.den) for i, n in sorted(self.nums.items())}
 
     @classmethod
     def from_json(cls, obj: Mapping[str, str]) -> "FinSeq":
@@ -157,9 +184,9 @@ def disjoint_supports(*vectors: FinSeq) -> bool:
     or a whole family); one pass over all stored entries."""
     seen: set[int] = set()
     for v in vectors:
-        if not seen.isdisjoint(v._entries):
+        if not seen.isdisjoint(v.nums):
             return False
-        seen.update(v._entries)
+        seen.update(v.nums)
     return True
 
 
@@ -211,14 +238,14 @@ def block_of(position: int) -> tuple[int, int]:
     return n, position - n * (n - 1) // 2
 
 
-def block_entries(x: FinSeq) -> dict[int, dict[int, Fraction]]:
-    """The entries of any FinSeq grouped by block in the block layout,
-    {n: {i: coordinate i of block n}}, nonzero entries only.  A block is
-    decoded once per run of its positions in iteration order, not once per
-    entry."""
-    out: dict[int, dict[int, Fraction]] = {}
+def block_entries(x: FinSeq) -> dict[int, dict[int, int]]:
+    """The numerators of any FinSeq grouped by block in the block layout,
+    {n: {i: numerator of coordinate i of block n}} over ``x.den``, nonzero
+    entries only.  A block is decoded once per run of its positions in
+    iteration order, not once per entry."""
+    out: dict[int, dict[int, int]] = {}
     lo = hi = 0
-    for p, v in x.items():
+    for p, v in x.nums.items():
         if p > hi or p <= lo:
             n = block_of(p)[0]
             lo = n * (n - 1) // 2
@@ -254,17 +281,18 @@ class MixedSeq(FinSeq):
             if len(vec) != n:
                 raise ValueError("block %d must have exactly %d coordinates" % (n, n))
             data.update((p, v) for p, v in enumerate(vec, n * (n - 1) // 2 + 1) if v)
-        self._entries = data
+        super().__init__(data)
 
     @classmethod
     def unit(cls, n: int, i: int) -> "MixedSeq":
-        return cls._raw({block_position(n, i): Fraction(1)})
+        return cls._raw({block_position(n, i): 1}, 1)
 
     @property
     def blocks(self) -> dict[int, tuple[Fraction, ...]]:
         """The nonzero blocks as dense tuples in block order, built on each access."""
-        zero = Fraction(0)
-        return {n: tuple(blk.get(i, zero) for i in range(1, n + 1)) for n, blk in sorted(block_entries(self).items())}
+        den, zero = self.den, Fraction(0)
+        blocks = sorted(block_entries(self).items())
+        return {n: tuple(Fraction(blk[i], den) if i in blk else zero for i in range(1, n + 1)) for n, blk in blocks}
 
     def block(self, n: int) -> tuple[Fraction, ...]:
         base = n * (n - 1) // 2
@@ -288,13 +316,14 @@ def norm_mixed(x: FinSeq, p) -> float:
     p = as_fraction(p)
     if p <= 1:
         raise ValueError("norm_mixed requires p > 1")
-    norms = [sum(map(abs, blk.values()), Fraction(0)) for blk in block_entries(x).values()]
+    den = x.den
+    norms = [sum(map(abs, blk.values())) for blk in block_entries(x).values()]
     if not norms:
         return 0.0
     if len(norms) == 1:
-        return float(norms[0])
+        return norms[0] / den
     pf = float(p)
-    return math.fsum(float(a) ** pf for a in norms) ** (1.0 / pf)
+    return math.fsum((a / den) ** pf for a in norms) ** (1.0 / pf)
 
 
 def vector_from_json(obj):

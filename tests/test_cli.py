@@ -438,9 +438,9 @@ class TestOracle:
         assert run_cli(["oracle", "lemma5", "--state", str(p), "--level", "2", "--out", str(tmp_path)]) == 3
         rep = json.loads((tmp_path / "oracle-report.json").read_text())
         assert rep["trials"] == 0 and rep["witness"] is None and rep["method"] != "exact"
-        capsys.readouterr()
+        assert "refused: 4845 support patterns exceed the cap of 4097" in capsys.readouterr().out
         assert run_cli(["verify", "--state", str(p), "--trials", "0", "--out", str(tmp_path)]) == 3
-        assert "VIOLATION level_mass: level 2" in capsys.readouterr().out
+        assert "VIOLATION level_mass: level 2 refused: 4845 support patterns exceed the cap" in capsys.readouterr().out
 
     def test_quasi_constant(self, tmp_path):
         code = run_cli(["oracle", "quasi-constant", "--trials", "200", "--seed", "1", "--out", str(tmp_path)])

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from twistlab import (
@@ -11,8 +12,10 @@ from twistlab import (
     in_hyperplane_H,
     james_norm,
     norm_mixed,
+    ribe_eval,
+    weighted_ribe_eval,
 )
-from twistlab.seqspace import MixedSpace, SeqSpace, block_of, block_position
+from twistlab.seqspace import MixedSpace, SeqSpace, block_of, block_position, frac_str
 
 from .strategies import finseqs, small_scalar
 
@@ -188,3 +191,142 @@ class TestSerialization:
         assert isinstance(space_from_json(SeqSpace().to_json()), SeqSpace)
         ms = space_from_json(MixedSpace(Fraction(3, 2)).to_json())
         assert ms.p == Fraction(3, 2)
+
+
+# --- reference model: the same operations on plain {position: Fraction} dicts ---
+
+PRIME_64 = 2**61 - 1  # so PRIME_64 * 10007 passes 2^64
+wide_den = st.sampled_from([1, 2, 8, 1024, 2**40, 3, 7, 101, 10007, PRIME_64, PRIME_64 * 10007, 6 * PRIME_64 * 10007])
+wide_rational = st.builds(Fraction, st.integers(-(10**21), 10**21).filter(bool), wide_den)
+positions = st.integers(1, 15)  # blocks 1..5 in the block layout
+
+
+@st.composite
+def models(draw, max_entries=6):
+    idxs = draw(st.lists(positions, max_size=max_entries, unique=True))
+    return {i: draw(wide_rational) for i in idxs}
+
+
+def model_add(a, b):
+    """The seed FinSeq's addition: a's order, b's new positions appended,
+    cancelled positions dropped."""
+    out = dict(a)
+    for i, v in b.items():
+        acc = out.get(i, 0) + v
+        if acc:
+            out[i] = acc
+        else:
+            out.pop(i, None)
+    return out
+
+
+def model_scale(a, s):
+    return {i: v * s for i, v in a.items()} if s else {}
+
+
+def ref_ribe_terms(vals):
+    total = sum(vals, Fraction(0))
+    fvals = [float(v) for v in vals]
+    g = float(total) if total else math.fsum(map(abs, fvals))
+    return math.fsum(v * math.log(abs(v / g)) for v in fvals)
+
+
+def model_blocks(a):
+    out = {}
+    for p, v in a.items():
+        n, i = block_of(p)
+        out.setdefault(n, {})[i] = v
+    return out
+
+
+def assert_matches(x, model):
+    """x holds exactly the model's entries, in the model's order."""
+    assert list(x.items()) == list(model.items())
+    assert all(type(v) is Fraction for _, v in x.items())
+    assert len(x) == len(model) and bool(x) == bool(model)
+
+
+class TestReferenceModel:
+    @given(models(), models())
+    @settings(max_examples=150, deadline=None)
+    def test_add_sub_neg(self, a, b):
+        x, y = FinSeq(a), FinSeq(b)
+        assert_matches(x, a)
+        assert_matches(x + y, model_add(a, b))
+        assert_matches(x - y, model_add(a, model_scale(b, -1)))
+        assert_matches(-x, model_scale(a, -1))
+
+    @given(models(), wide_rational | st.just(Fraction(0)))
+    @settings(max_examples=150, deadline=None)
+    def test_scale_and_divide(self, a, s):
+        x = FinSeq(a)
+        assert_matches(x * s, model_scale(a, s))
+        assert_matches(s * x, model_scale(a, s))
+        if s:
+            assert_matches(x / s, model_scale(a, 1 / s))
+
+    @given(models(), models())
+    @settings(max_examples=150, deadline=None)
+    def test_reads(self, a, b):
+        x = FinSeq(a) + FinSeq(b)  # an unreduced sum over mixed denominators
+        m = model_add(a, b)
+        assert x.norm() == sum(map(abs, m.values()), Fraction(0))
+        assert x.coord_sum() == sum(m.values(), Fraction(0))
+        assert x.support == tuple(sorted(m))
+        assert all(x[i] == m.get(i, 0) and type(x[i]) is Fraction for i in range(1, 17))
+        assert x.max_support() == max(m, default=0)
+        assert x.to_json() == {str(i): frac_str(v) for i, v in sorted(m.items())}
+        assert FinSeq.from_json(x.to_json()) == x
+
+    @given(models(), models(), wide_rational)
+    @settings(max_examples=150, deadline=None)
+    def test_equal_values_are_equal_and_hash_equal(self, a, b, s):
+        x, y = FinSeq(a), FinSeq(b)
+        for same in ((x * s) / s, x + y - y, y + x - y, FinSeq(x.items())):
+            assert same == x and hash(same) == hash(x)
+        assert (x + y == y + x) and hash(x + y) == hash(y + x)
+        assert (x + FinSeq({1: 1})) != x
+
+    def test_halves_sum_to_the_unit(self):
+        half = FinSeq({1: Fraction(1, 2)})
+        assert half + half == FinSeq.unit(1) and hash(half + half) == hash(FinSeq.unit(1))
+        third = FinSeq({1: Fraction(1, 3), 2: Fraction(1, 6)})
+        assert third * 6 - FinSeq({2: 1}) == FinSeq({1: 2})
+
+    @given(models(), models())
+    @settings(max_examples=150, deadline=None)
+    def test_ribe_eval_bit_identical(self, a, b):
+        m = model_add(a, b)
+        assert ribe_eval(FinSeq(a) + FinSeq(b)) == ref_ribe_terms(list(m.values()))
+
+    @given(models(), models(), st.dictionaries(st.integers(1, 5), wide_rational, min_size=5, max_size=5))
+    @settings(max_examples=150, deadline=None)
+    def test_block_formulas_bit_identical(self, a, b, weights):
+        x = MixedSeq() + FinSeq(a) + FinSeq(b)
+        blocks = model_blocks(model_add(a, b))
+        parts = [float(weights[n]) * ref_ribe_terms(list(blk.values())) for n, blk in blocks.items()]
+        assert weighted_ribe_eval(x, weights) == math.fsum(parts)
+        norms = [sum(map(abs, blk.values()), Fraction(0)) for blk in blocks.values()]
+        for p in (Fraction(2), Fraction(3, 2)):
+            if len(norms) > 1:
+                expected = math.fsum(float(v) ** float(p) for v in norms) ** (1.0 / float(p))
+            else:
+                expected = float(norms[0]) if norms else 0.0
+            assert norm_mixed(x, p) == expected
+
+    @given(models(), models())
+    @settings(max_examples=100, deadline=None)
+    def test_mixed_blocks_and_json(self, a, b):
+        x = MixedSeq() + FinSeq(a) - FinSeq(b)
+        blocks = model_blocks(model_add(a, model_scale(b, -1)))
+        dense = {n: tuple(blk.get(i, Fraction(0)) for i in range(1, n + 1)) for n, blk in sorted(blocks.items())}
+        assert type(x) is MixedSeq and x.blocks == dense
+        assert list(x.blocks) == list(dense)
+        assert x.to_json() == {str(n): [frac_str(v) for v in vec] for n, vec in dense.items()}
+        assert MixedSeq.from_json(x.to_json()) == x
+
+    def test_floats_rejected_everywhere(self):
+        x = FinSeq({1: 1})
+        for bad in (lambda: FinSeq({1: 0.5}), lambda: x * 0.5, lambda: x / 0.5, lambda: MixedSeq({1: [0.5]})):
+            with pytest.raises(TypeError):
+                bad()
