@@ -23,6 +23,7 @@ from pathlib import Path
 
 from .construction import (
     MAX_DEPTH,
+    MAX_DEPTH_C,
     ConstructionError,
     fn_family,
     functional_of_state,
@@ -109,6 +110,8 @@ def _usage_fail(message: str) -> int:
 def cmd_construct(args) -> int:
     if not 1 <= args.depth <= MAX_DEPTH:
         return _usage_fail("--depth must be between 1 and %d" % MAX_DEPTH)
+    if args.case == "c" and args.depth > MAX_DEPTH_C:
+        return _usage_fail("--depth must be between 1 and %d for case c" % MAX_DEPTH_C)
     if args.generators < 1:
         return _usage_fail("--generators must be at least 1")
     out = Path(args.out)

@@ -34,9 +34,9 @@ from .quasilinear import (
 from .seqspace import (
     FinSeq,
     MixedSeq,
-    MixedSpace,
     SeqSpace,
     as_fraction,
+    block_of,
     disjoint_supports,
     frac_str,
     space_from_json,
@@ -59,6 +59,10 @@ STRICT_MARGIN = 1e-9  # interior margin for strict inequalities on float values
 # 2^(depth + 2) kernel vectors and, for case c, as many weights 2^(1-n); they
 # take about 40 MB at depth 12 and 320 MB at depth 14
 MAX_DEPTH = 12
+# case c's state.json grows 4x per level, since a level-n vector is written
+# as a dense block of about 2^n coordinates: depth 10 writes 200 MB at a
+# measured 1.25 GB peak RSS, so depth 11 would need about 5 GB
+MAX_DEPTH_C = 10
 
 
 class ConstructionError(RuntimeError):
@@ -314,14 +318,13 @@ def make_case_a_inputs(depth: int, generators: int = 3):
     return xs, ds
 
 
-def make_case_c_inputs(depth: int, generators: int = 3, p=2):
+def make_case_c_inputs(depth: int, generators: int = 3):
     """Inputs for the mixed-space case: one unit vector per block (on which
     the weighted functional vanishes, so the zero map splits exactly) and the
     first few block-layout unit vectors."""
-    space = MixedSpace(p)
     supply = 2 ** (depth + 2)
     xs = [MixedSeq.unit(n, 1) for n in range(1, supply + 1)]
-    ds = [space.unit_source(j) for j in range(1, generators + 1)]
+    ds = [MixedSeq.unit(*block_of(j)) for j in range(1, generators + 1)]
     weights = {n: Fraction(1, 2 ** (n - 1)) for n in range(1, supply + 1)}
     return xs, ds, weights
 
@@ -631,7 +634,7 @@ def state_from_json(obj: dict) -> ConstructionState:
     """Parse a state; its vectors load through its space, so the zero vector
     ``{}`` (G[0], for one) gets the space's vector type."""
     space = space_from_json(obj["space"])
-    vec = space.vector.from_json
+    vec = space.vector
     return ConstructionState(
         depth=obj["depth"],
         space=space,

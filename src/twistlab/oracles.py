@@ -444,7 +444,7 @@ def lemma5_adversary(zs: list, k: int, eta, *, space=None, seed: int = 0) -> Ora
 def replay_lemma5(zs: list, witness: dict, space=None) -> tuple[float, float]:
     """Recompute (mass, combined norm) from a stored witness."""
     space = space or (SeqSpace() if zs and not isinstance(zs[0], MixedSeq) else None)
-    coeffs = [Fraction(c) if "/" in c or c.lstrip("-").isdigit() else Fraction(float(c)) for c in witness["coefficients"]]
+    coeffs = [Fraction(c) for c in witness["coefficients"]]
     total = space.zero()
     for c, z in zip(coeffs, zs):
         total = total + z * c

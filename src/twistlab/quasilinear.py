@@ -375,7 +375,7 @@ def functional_from_json(obj: dict) -> QuasiFunctional:
 
         space = space_from_json(obj.get("space", {"kind": "seq"}))
         return UserLinear(
-            basis=[space.vector.from_json(b) for b in obj["basis"]],
+            basis=[space.vector(b) for b in obj["basis"]],
             values=[Fraction(v) for v in obj["values"]],
             assumed_constant=_assumed_constant(obj, 0.0),
             space=space,

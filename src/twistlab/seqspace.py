@@ -6,9 +6,10 @@ is a vector of sparse l1.  ``MixedSeq`` is a ``FinSeq`` whose positions are
 read in the block layout of ``block_position`` (block n holds the n
 positions after n(n-1)/2): a vector of the l_p sum of the l1^n blocks,
 normed by ``norm_mixed``.  Its JSON shape stays dense per block,
-``{"n": [n coordinates]}``.  Coefficient arithmetic is exact; the only
-floating-point quantities anywhere in this module are p-th roots and the
-square roots inside the James norm.
+``{"n": [n coordinates]}``, but only the stored entries are formatted or
+parsed: the rest of a row is the literal ``"0/1"``.  Coefficient arithmetic
+is exact; the only floating-point quantities anywhere in this module are
+p-th roots and the square roots inside the James norm.
 
 A vector stores integer numerators over one positive denominator: the
 kernels run on ints, the reads hand out ``Fraction``s.  Reduction is lazy (a
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
 
@@ -163,15 +164,15 @@ class FinSeq:
         return hash((self._reduced().den, frozenset(self.nums.items())))
 
     def __repr__(self) -> str:
-        inner = ", ".join("%d: %s" % (i, v) for i, v in sorted(self.items()))
-        return "FinSeq({%s})" % inner
+        return "%s(%s)" % (type(self).__name__, self.to_json())
 
     def to_json(self) -> dict[str, str]:
         return {str(i): ratio_str(n, self.den) for i, n in sorted(self.nums.items())}
 
     @classmethod
-    def from_json(cls, obj: Mapping[str, str]) -> "FinSeq":
-        return cls({int(i): Fraction(v) for i, v in obj.items()})
+    def from_json(cls, obj):
+        """The constructor reads the JSON shape as it is (string keys, "num/den" values)."""
+        return cls(obj)
 
 
 def in_hyperplane_H(x: FinSeq) -> bool:
@@ -260,8 +261,9 @@ class MixedSeq(FinSeq):
     sparsely at the global positions of ``block_position``.
 
     Arithmetic, the coordinate-l1 gauge ``norm()``, supports and equality
-    are FinSeq's; this class adds the block constructor, the block view and
-    the dense per-block JSON shape.
+    are FinSeq's; this class adds the block constructor and the dense
+    per-block JSON shape, which it reads and writes through the stored
+    entries only.
     """
 
     __slots__ = ()
@@ -272,42 +274,30 @@ class MixedSeq(FinSeq):
     __add__ = FinSeq.__add__
     __mul__ = __rmul__ = FinSeq.__mul__
 
-    def __init__(self, blocks: Mapping[int, Iterable[RationalLike]] | None = None):
-        data: dict[int, Fraction] = {}
-        for n, vec in (blocks or {}).items():
-            n, vec = int(n), [as_fraction(v) for v in vec]
+    def __init__(self, blocks: Mapping[int, Sequence[RationalLike]] | None = None):
+        data: dict[int, RationalLike] = {}
+        for n, row in (blocks or {}).items():
+            n = int(n)
             if n < 1:
                 raise ValueError("block indices are positive")
-            if len(vec) != n:
-                raise ValueError("block %d must have exactly %d coordinates" % (n, n))
-            data.update((p, v) for p, v in enumerate(vec, n * (n - 1) // 2 + 1) if v)
+            if isinstance(row, str) or len(row) != n:
+                raise ValueError("block %d must be a list of exactly %d coordinates" % (n, n))
+            # the JSON zero is skipped unparsed, and the type test keeps Fraction
+            # rows off Fraction.__eq__; FinSeq drops every other zero
+            data.update((p, v) for p, v in enumerate(row, n * (n - 1) // 2 + 1) if type(v) is not str or v != "0/1")
         super().__init__(data)
 
     @classmethod
     def unit(cls, n: int, i: int) -> "MixedSeq":
         return cls._raw({block_position(n, i): 1}, 1)
 
-    @property
-    def blocks(self) -> dict[int, tuple[Fraction, ...]]:
-        """The nonzero blocks as dense tuples in block order, built on each access."""
-        den, zero = self.den, Fraction(0)
-        blocks = sorted(block_entries(self).items())
-        return {n: tuple(Fraction(blk[i], den) if i in blk else zero for i in range(1, n + 1)) for n, blk in blocks}
-
-    def block(self, n: int) -> tuple[Fraction, ...]:
-        base = n * (n - 1) // 2
-        return tuple(self[base + i] for i in range(1, n + 1))
-
-    def __repr__(self) -> str:
-        inner = ", ".join("%d: (%s)" % (n, ", ".join(map(str, vec))) for n, vec in self.blocks.items())
-        return "MixedSeq({%s})" % inner
-
     def to_json(self) -> dict[str, list[str]]:
-        return {str(n): list(map(frac_str, vec)) for n, vec in self.blocks.items()}
-
-    @classmethod
-    def from_json(cls, obj: Mapping[str, Iterable[str]]) -> "MixedSeq":
-        return cls({int(n): [Fraction(v) for v in vec] for n, vec in obj.items()})
+        den, out = self.den, {}
+        for n, blk in sorted(block_entries(self).items()):
+            row = out[str(n)] = ["0/1"] * n
+            for i, num in blk.items():
+                row[i - 1] = ratio_str(num, den)
+        return out
 
 
 def norm_mixed(x: FinSeq, p) -> float:
@@ -333,9 +323,7 @@ def vector_from_json(obj):
     if not obj:
         return FinSeq()
     sample = next(iter(obj.values()))
-    if isinstance(sample, str):
-        return FinSeq.from_json(obj)
-    return MixedSeq.from_json(obj)
+    return FinSeq(obj) if isinstance(sample, str) else MixedSeq(obj)
 
 
 # --- space adapters: the handful of norms/positions the level construction

@@ -182,9 +182,6 @@ class AxiomReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def failures(self) -> list[AxiomCheck]:
-        return [c for c in self.checks if not c.passed]
-
 
 def base_axioms_check(
     ball_radii,

@@ -67,13 +67,10 @@ def nearly_convex_ball(eps, space=None):
     These sets form the neighborhood base of the nearly convex side of the
     topology split.  The norm is the space's own (exact l1 by default).
     """
-    if isinstance(eps, float):
-        if eps <= 0:
-            raise ValueError("radius must be positive")
-    else:
+    if not isinstance(eps, float):
         eps = Fraction(eps)
-        if eps <= 0:
-            raise ValueError("radius must be positive")
+    if eps <= 0:
+        raise ValueError("radius must be positive")
     space = space or SeqSpace()
 
     def member(w: TwistedVec) -> bool:

@@ -158,6 +158,19 @@ class TestConstruct:
         # refused before the 2^(depth + 2) case inputs are built
         assert run_cli(["construct", "--depth", "1000000", "--out", str(tmp_path)]) == 64
 
+    def test_case_c_depth_cap_is_usage(self, tmp_path, capsys, monkeypatch):
+        # case c's dense block JSON grows 4x per level: depth 11 is refused
+        # before its inputs are built, depth 10 still reaches them
+        def build(*args):
+            raise LookupError("inputs built for %r" % (args,))
+
+        monkeypatch.setattr("twistlab.cli.make_case_c_inputs", build)
+        assert run_cli(["construct", "--case", "c", "--depth", "11", "--out", str(tmp_path)]) == 64
+        assert capsys.readouterr().err == "error: --depth must be between 1 and 10 for case c\n"
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(LookupError, match=r"\(10, 3\)"):
+            run_cli(["construct", "--case", "c", "--depth", "10", "--out", str(tmp_path)])
+
     def test_case_b_refused(self, tmp_path):
         assert run_cli(["construct", "--case", "b", "--depth", "2", "--out", str(tmp_path)]) == 64
 
@@ -364,6 +377,7 @@ class TestVerify:
             # a vector of the other space's shape in a constructed state
             pytest.param(("a", "d_generators", {"1": ["1/1"]}), id="block_vector_in_case_a"),
             pytest.param(("c", "xs", {"1": "1/1"}), id="sparse_vector_in_case_c"),
+            pytest.param(("c", "xs", {"1": "7"}), id="string_row_in_case_c"),
         ],
     )
     def test_malformed_state_is_usage(self, tmp_path, text):

@@ -138,10 +138,11 @@ class TestWeightedRibe:
     @settings(max_examples=60, deadline=None)
     def test_per_block_bound(self, x, y):
         # each block obeys |c R(x+y) - c R(x) - c R(y)| <= c (||x||_1 + ||y||_1)
-        for n in set(x.blocks) | set(y.blocks):
-            c = float(self.W[n])
-            bx = MixedSeq({n: list(x.block(n))})
-            by = MixedSeq({n: list(y.block(n))})
+        xj, yj = x.to_json(), y.to_json()
+        for n in set(xj) | set(yj):
+            c = float(self.W[int(n)])
+            bx = MixedSeq({n: xj[n]} if n in xj else {})
+            by = MixedSeq({n: yj[n]} if n in yj else {})
             gap = abs(
                 tl.weighted_ribe_eval(bx + by, self.W)
                 - tl.weighted_ribe_eval(bx, self.W)

@@ -15,7 +15,7 @@ from twistlab import (
     ribe_eval,
     weighted_ribe_eval,
 )
-from twistlab.seqspace import MixedSpace, SeqSpace, block_of, block_position, frac_str
+from twistlab.seqspace import MixedSpace, SeqSpace, block_entries, block_of, block_position, frac_str
 
 from .strategies import finseqs, small_scalar
 
@@ -118,8 +118,10 @@ class TestJamesNorm:
 
 class TestMixed:
     def test_block_length_enforced(self):
-        with pytest.raises(ValueError):
-            MixedSeq({3: [1, 2]})
+        # a string has a length and iterates, but it is not a row of coordinates
+        for bad in ({3: [1, 2]}, {"3": "123"}, {"1": "7"}):
+            with pytest.raises(ValueError):
+                MixedSeq(bad)
 
     def test_single_block_exact(self):
         assert norm_mixed(MixedSeq({3: [1, 1, 1]}), 2) == 3.0
@@ -160,9 +162,16 @@ class TestMixed:
         x = MixedSeq({3: [0, Fraction(1, 2), 0], 1: [-1]})
         assert isinstance(x, FinSeq) and x != FinSeq(x.items())
         assert dict(x.items()) == {1: -1, 5: Fraction(1, 2)}
-        assert x.blocks == {1: (-1,), 3: (0, Fraction(1, 2), 0)}
-        assert x.block(2) == (0, 0)
+        assert block_entries(x) == {1: {1: -2}, 3: {2: 1}} and x.den == 2
+        assert x.to_json() == {"1": ["-1/1"], "3": ["0/1", "1/2", "0/1"]}
+        assert repr(x) == "MixedSeq({'1': ['-1/1'], '3': ['0/1', '1/2', '0/1']})"
+        assert repr(FinSeq({2: Fraction(-1, 3)})) == "FinSeq({'2': '-1/3'})"
         assert type(x + x) is MixedSeq and type(-x * 3) is MixedSeq
+
+    def test_zero_rows_load_equal(self):
+        rows = [MixedSeq({"3": [z, "1/2", z], "2": [z, z]}) for z in ("0", "0/7", "0/1")]
+        assert rows[0] == rows[1] == rows[2] == MixedSeq({3: [0, Fraction(1, 2), 0]})
+        assert all(x.nums == {5: 1} and x.den == 2 for x in rows)
 
     def test_zero_finseq_operand(self):
         # the JSON zero vector {} loads as FinSeq(); block norms read any FinSeq
@@ -319,14 +328,15 @@ class TestReferenceModel:
     def test_mixed_blocks_and_json(self, a, b):
         x = MixedSeq() + FinSeq(a) - FinSeq(b)
         blocks = model_blocks(model_add(a, model_scale(b, -1)))
-        dense = {n: tuple(blk.get(i, Fraction(0)) for i in range(1, n + 1)) for n, blk in sorted(blocks.items())}
-        assert type(x) is MixedSeq and x.blocks == dense
-        assert list(x.blocks) == list(dense)
-        assert x.to_json() == {str(n): [frac_str(v) for v in vec] for n, vec in dense.items()}
+        dense = {str(n): [frac_str(blk.get(i, Fraction(0))) for i in range(1, n + 1)] for n, blk in sorted(blocks.items())}
+        assert type(x) is MixedSeq
+        assert {n: {i: Fraction(v, x.den) for i, v in blk.items()} for n, blk in block_entries(x).items()} == blocks
+        assert x.to_json() == dense and list(x.to_json()) == list(dense)
         assert MixedSeq.from_json(x.to_json()) == x
 
     def test_floats_rejected_everywhere(self):
         x = FinSeq({1: 1})
-        for bad in (lambda: FinSeq({1: 0.5}), lambda: x * 0.5, lambda: x / 0.5, lambda: MixedSeq({1: [0.5]})):
+        floats = (lambda: FinSeq({1: 0.5}), lambda: x * 0.5, lambda: x / 0.5, lambda: MixedSeq({1: [0.5]}))
+        for bad in (*floats, lambda: MixedSeq({2: [0.0, 1]})):
             with pytest.raises(TypeError):
                 bad()
