@@ -112,8 +112,9 @@ def cmd_construct(args) -> int:
         return _usage_fail("--depth must be between 1 and %d" % MAX_DEPTH)
     if args.case == "c" and args.depth > MAX_DEPTH_C:
         return _usage_fail("--depth must be between 1 and %d for case c" % MAX_DEPTH_C)
-    if args.generators < 1:
-        return _usage_fail("--generators must be at least 1")
+    supply = 2 ** (args.depth + 2)  # the kernel vectors the case inputs build
+    if not 1 <= args.generators <= supply:
+        return _usage_fail("--generators must be between 1 and %d" % supply)
     out = Path(args.out)
     # the flags a run is keyed on, embedded in state.json so a fixed seed
     # reproduces byte-identical artifacts

@@ -205,6 +205,15 @@ def fn_family(state: ConstructionState) -> SumFamily:
     return SumFamily({n: state.G[n] for n in range(1, state.depth + 1)})
 
 
+def level_generators(space, e_n, xs_n: list, m_n: int) -> list:
+    """The generator set of a level: e_n + m_n x for each kernel vector x,
+    then e_n - m_n (sum of the x), which balances the sum to (#G) e_n."""
+    balance = space.zero()
+    for x in xs_n:
+        balance = balance + x
+    return [e_n + x * m_n for x in xs_n + [-balance]]
+
+
 def build_level(
     state: ConstructionState,
     F: QuasiFunctional,
@@ -238,11 +247,7 @@ def build_level(
     xs_n = [state.xs[i - 1] for i in chosen]
     M_n = basis_constant(xs_n, state.space)
     m_n = int(m_override) if m_override else choose_m(M_n, k, c_n)
-    balance = state.space.zero()
-    for x in xs_n:
-        balance = balance + x
-    tail = xs_n + [-balance]
-    state.G[n] = [e_n + x * m_n for x in tail]
+    state.G[n] = level_generators(state.space, e_n, xs_n, m_n)
     state.s[n] = s_n
     state.ell[n] = chosen
     state.m[n] = m_n
@@ -578,16 +583,9 @@ def static_state_checks(state: ConstructionState, F: QuasiFunctional) -> list[Ch
         checks.append(_step("g_size", n, 0 if size_ok else 1, F1))
         e_n = state.e_vector(n)
         xs_n = state.level_x(n)
-        m_n = state.m[n]
         # a wrong count fails g_size above; the shape is only compared
-        # generator by generator once the counts match
-        shape_ok = size_ok and len(xs_n) == 2 ** n
-        if shape_ok:
-            shape_ok = all(gens[i] - e_n == xs_n[i] * m_n for i in range(2 ** n))
-            balance = space.zero()
-            for xv in xs_n:
-                balance = balance + xv
-            shape_ok = shape_ok and (gens[2 ** n] - e_n == balance * (-m_n))
+        # once the counts match
+        shape_ok = size_ok and len(xs_n) == 2 ** n and gens == level_generators(space, e_n, xs_n, state.m[n])
         checks.append(_step("g_shape", n, 0 if shape_ok else 1, F1))
         try:
             m_table_ok = state.M.get(n) == basis_constant(xs_n, space)

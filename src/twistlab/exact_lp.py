@@ -1,8 +1,10 @@
 """Two-phase simplex over exact rationals.
 
-Dense Fraction tableaus with Bland's anti-cycling rule.  Meant for the
-desk-scale certification problems in this package (tens of variables and
-constraints), not for serious LP workloads.
+Dense Fraction tableaus with Bland's anti-cycling rule.  The one entry
+point, ``solve_lp``, takes the standard equality form min c.x s.t. A x = b,
+x >= 0; a caller with inequalities writes its own slack columns.  Meant for
+the desk-scale certification problems in this package (tens of variables
+and constraints), not for serious LP workloads.
 """
 
 from __future__ import annotations
@@ -120,26 +122,3 @@ def solve_lp(c, A, b) -> LPResult:
     obj = sum((ci * xi for ci, xi in zip(c, x)), Fraction(0))
     return LPResult("optimal", obj, x)
 
-
-def solve_lp_ineq(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> LPResult:
-    """Minimize c.x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0."""
-    A_ub = A_ub or []
-    b_ub = b_ub or []
-    A_eq = A_eq or []
-    b_eq = b_eq or []
-    n = len(c)
-    k = len(A_ub)
-    A = []
-    b = []
-    for i, line in enumerate(A_ub):
-        slack = [Fraction(0)] * k
-        slack[i] = Fraction(1)
-        A.append([Fraction(v) for v in line] + slack)
-        b.append(Fraction(b_ub[i]))
-    for i, line in enumerate(A_eq):
-        A.append([Fraction(v) for v in line] + [Fraction(0)] * k)
-        b.append(Fraction(b_eq[i]))
-    res = solve_lp(list(c) + [Fraction(0)] * k, A, b)
-    if res.status != "optimal":
-        return res
-    return LPResult("optimal", res.objective, res.x[:n])

@@ -23,7 +23,7 @@ from .construction import (
     fn_family,
     verify_chain,
 )
-from .exact_lp import solve_lp_ineq
+from .exact_lp import solve_lp
 from .quasilinear import QuasiFunctional, Scaled, UserLinear, WeightedRibe, evaluate, quasi_defect
 from .seqspace import (
     FinSeq,
@@ -88,26 +88,26 @@ EXACT_ORTHANT_CAP = 8
 
 def _orthant_lp_min(ys: list[FinSeq]):
     """Exact minimum of || sum a_i y_i ||_1 over the cross-polytope surface by
-    sign-pattern decomposition; each orthant is one rational LP."""
+    sign-pattern decomposition.  In orthant sigma (first sign pinned, since
+    f(-a) = f(a)) it is one rational LP in equality form over t, p, q >= 0:
+
+        (V sigma t)_c + p_c - q_c = 0 for each coordinate c,   sum t = 1,
+
+    minimizing sum p + sum q, which equals ||V sigma t||_1 at the optimum.
+    The columns run t, then p, then q.  Bland's rule picks among optimal
+    vertices by column order, so this order fixes which minimizer a tie
+    returns; the golden crosspolytope report in the CLI tests pins it."""
     k = len(ys)
     coords = sorted(set().union(*(set(y.support) for y in ys)))
     d = len(coords)
+    eye = [[int(i == r) for i in range(d)] for r in range(d)]
     best = None
     best_alpha = None
     for signs in itertools.product((1, -1), repeat=k - 1):
         sigma = (1,) + signs  # f(-a) = f(a): pin the first sign
-        cols = [[sigma[j] * ys[j][c] for j in range(k)] for c in coords]
-        A_ub = []
-        b_ub = []
-        for idx, row in enumerate(cols):
-            # (V t)_c - u_c <= 0 and -(V t)_c - u_c <= 0
-            A_ub.append(row + [-1 if i == idx else 0 for i in range(d)])
-            b_ub.append(F0)
-        for idx, row in enumerate(cols):
-            A_ub.append([-v for v in row] + [-1 if i == idx else 0 for i in range(d)])
-            b_ub.append(F0)
-        A_eq = [[F1] * k + [F0] * d]
-        res = solve_lp_ineq([F0] * k + [F1] * d, A_ub, b_ub, A_eq, [F1])
+        A = [[sigma[j] * ys[j][c] for j in range(k)] + e + [-v for v in e] for c, e in zip(coords, eye)]
+        A.append([1] * k + [0] * (2 * d))
+        res = solve_lp([0] * k + [1] * (2 * d), A, [0] * d + [1])
         if res.status != "optimal":
             continue
         if best is None or res.objective < best:

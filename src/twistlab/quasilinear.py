@@ -314,11 +314,15 @@ def iterated_defect_check(F: QuasiFunctional, us: list, tolerance: float = 1e-9)
     return lhs <= rhs + tolerance, lhs, rhs
 
 
+# the largest block nonsplit_witness builds: block n holds n entries
+NONSPLIT_CAP = 2 ** 16
+
+
 def nonsplit_witness(n: int, cn) -> tuple[MixedSeq, float]:
     """The flat block vector (1/n, ..., 1/n) in block n and the weighted
     Ribe value -c_n ln n it must evaluate to."""
-    if n < 1:
-        raise ValueError("block index must be positive")
+    if not 1 <= n <= NONSPLIT_CAP:
+        raise ValueError("block index must be between 1 and %d" % NONSPLIT_CAP)
     vec = MixedSeq({n: [Fraction(1, n)] * n})
     return vec, -float(as_fraction(cn)) * math.log(n)
 

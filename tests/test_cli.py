@@ -9,6 +9,7 @@ import pytest
 import twistlab as tl
 from twistlab.cli import main
 from twistlab.construction import state_to_json
+from twistlab.quasilinear import NONSPLIT_CAP
 
 # sha256 of (state.json, levels.csv) from ``construct --depth 6 --seed 0``:
 # a refactor that changes a single output byte fails here
@@ -170,6 +171,19 @@ class TestConstruct:
         assert list(tmp_path.iterdir()) == []
         with pytest.raises(LookupError, match=r"\(10, 3\)"):
             run_cli(["construct", "--case", "c", "--depth", "10", "--out", str(tmp_path)])
+
+    def test_generators_above_supply_is_usage(self, tmp_path, capsys, monkeypatch):
+        # depth 1 builds 2^3 kernel vectors; more generators are refused
+        # before the inputs are built, 8 still reaches them
+        def build(*args):
+            raise LookupError("inputs built for %r" % (args,))
+
+        monkeypatch.setattr("twistlab.cli.make_case_a_inputs", build)
+        assert run_cli(["construct", "--case", "a", "--depth", "1", "--generators", "9", "--out", str(tmp_path)]) == 64
+        assert capsys.readouterr().err == "error: --generators must be between 1 and 8\n"
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(LookupError, match=r"\(1, 8\)"):
+            run_cli(["construct", "--case", "a", "--depth", "1", "--generators", "8", "--out", str(tmp_path)])
 
     def test_case_b_refused(self, tmp_path):
         assert run_cli(["construct", "--case", "b", "--depth", "2", "--out", str(tmp_path)]) == 64
@@ -409,6 +423,12 @@ class TestEval:
     def test_nonsplit(self, capsys):
         assert run_cli(["eval", "nonsplit", "--n", "8", "--cn", "1"]) == 0
         assert capsys.readouterr().out.strip() == "-2.07944154167984"
+
+    def test_nonsplit_above_cap_is_usage(self, capsys):
+        assert run_cli(["eval", "nonsplit", "--n", str(NONSPLIT_CAP + 1), "--cn", "1"]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cannot evaluate: block index must be between 1 and %d\n" % NONSPLIT_CAP
 
     def test_weighted(self, capsys):
         code = run_cli(

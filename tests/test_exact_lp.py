@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from twistlab.exact_lp import solve_lp, solve_lp_ineq
+from twistlab.exact_lp import solve_lp
 
 scipy_linprog = pytest.importorskip("scipy.optimize").linprog
 
@@ -34,17 +34,23 @@ def test_redundant_rows():
     assert res.objective == 3
 
 
+def with_slacks(c, A):
+    """The equality form of A x <= b: one identity slack column per row."""
+    m = len(A)
+    return list(c) + [0] * m, [list(row) + [int(i == r) for i in range(m)] for r, row in enumerate(A)]
+
+
 def test_degenerate_does_not_cycle():
     # classic degenerate vertex: multiple constraints meet at the optimum
-    res = solve_lp_ineq(
+    c, A = with_slacks(
         [-Fraction(3, 4), 150, -Fraction(1, 50), 6],
-        A_ub=[
+        [
             [Fraction(1, 4), -60, -Fraction(1, 25), 9],
             [Fraction(1, 2), -90, -Fraction(1, 50), 3],
             [0, 0, 1, 0],
         ],
-        b_ub=[0, 0, 1],
     )
+    res = solve_lp(c, A, [0, 0, 1])
     assert res.status == "optimal"
     assert res.objective == Fraction(-1, 20)
 
@@ -56,7 +62,7 @@ def test_matches_scipy_on_random_instances():
         c = [Fraction(rng.randint(-5, 5)) for _ in range(n)]
         A = [[Fraction(rng.randint(-4, 4)) for _ in range(n)] for _ in range(m)]
         b = [Fraction(rng.randint(0, 8)) for _ in range(m)]
-        mine = solve_lp_ineq(c, A_ub=A, b_ub=b)
+        mine = solve_lp(*with_slacks(c, A), b)
         ref = scipy_linprog(
             [float(v) for v in c],
             A_ub=[[float(v) for v in row] for row in A],

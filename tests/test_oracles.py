@@ -87,6 +87,51 @@ class TestCrossPolytope:
             assert float(res.value) <= float(g) + 1e-12
             assert float(g) - float(res.value) <= lip * 3 / 16 + 1e-9
 
+    def test_orthant_lps_match_highs_k4_to_k6(self):
+        # overlapping families past the grid tests' reach, against one float
+        # HiGHS LP per sign orthant: min sum u s.t. -u <= V sigma t <= u,
+        # sum t = 1, t >= 0
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        rng = random.Random(41)
+        for trial in range(40):
+            k = 4 + trial % 3
+            ys = []
+            for j in range(k):
+                # a private coordinate, and two of three shared ones so any
+                # two vectors overlap; sometimes no private one, so that
+                # dependent families (minimum 0) come up too
+                shared = rng.sample((1, 2, 3), 2)
+                entries = {p: Fraction(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(1, 3)) for p in shared}
+                if rng.random() < 0.8:
+                    entries[10 + j] = Fraction(rng.randint(1, 4), rng.choice((1, 2, 4)))
+                ys.append(FinSeq(entries))
+            assert not disjoint_supports(*ys)
+            res = min_crosspolytope_norm(ys)
+            assert res.method == "exact"
+            coords = sorted(set().union(*(y.support for y in ys)))
+            d = len(coords)
+            ref = math.inf
+            for signs in itertools.product((1, -1), repeat=k - 1):
+                V = [[float(s * y[c]) for s, y in zip((1,) + signs, ys)] for c in coords]
+                eye = [[-float(i == r) for i in range(d)] for r in range(d)]
+                out = linprog(
+                    [0.0] * k + [1.0] * d,
+                    A_ub=[row + e for row, e in zip(V, eye)] + [[-v for v in row] + e for row, e in zip(V, eye)],
+                    b_ub=[0.0] * (2 * d),
+                    A_eq=[[1.0] * k + [0.0] * d],
+                    b_eq=[1.0],
+                    bounds=[(0, None)] * (k + d),
+                    method="highs",
+                )
+                assert out.status == 0
+                ref = min(ref, out.fun)
+            assert float(res.value) == pytest.approx(ref, abs=1e-9)
+            assert sum(abs(a) for a in res.minimizer) == 1
+            combo = FinSeq()
+            for a, y in zip(res.minimizer, ys):
+                combo = combo + y * a
+            assert combo.norm() == res.value
+
     def test_heuristic_above_nine(self):
         # overlapping chain forces the subgradient path; sanity: positive and
         # no better than the best vertex value
