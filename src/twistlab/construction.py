@@ -137,8 +137,7 @@ def basis_constant(ys: list, space=None) -> Fraction:
     Disjointly supported l1 vectors give the exact optimum 1/min ||y_i||;
     anything else takes the cross-polytope minimizer's value rounded up with
     a 10% safety margin.  Dependent input is rejected: no finite M exists.
-    Nonzero vectors with disjoint supports are independent, so only the other
-    families pay for the dense rank.
+    Nonzero disjointly supported vectors are independent and skip the rank.
     """
     if not ys:
         raise ValueError("empty family")

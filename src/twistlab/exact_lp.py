@@ -1,16 +1,19 @@
-"""Two-phase simplex over exact rationals.
+"""Exact linear algebra on integer rows, and a two-phase simplex.
 
-Dense Fraction tableaus with Bland's anti-cycling rule.  The one entry
-point, ``solve_lp``, takes the standard equality form min c.x s.t. A x = b,
-x >= 0; a caller with inequalities writes its own slack columns.  Meant for
-the desk-scale certification problems in this package (tens of variables
-and constraints), not for serious LP workloads.
+A row of ints stands for itself over its entry in its basis column, kept
+positive (the reduced-cost row over an implicit positive factor).  A pivot
+forms ``line * pc - f * prow`` on the pivot row's nonzero columns and divides
+by the gcd, fraction-free as in Bareiss (Math. Comp. 22, 1968): Bland's rule
+sees a ``Fraction`` tableau's values and takes its pivots.  ``solve_lp``
+takes the equality form min c.x s.t. A x = b, x >= 0; callers write their
+own slack columns.  Meant for desk-scale problems, not LP workloads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 
 @dataclass
@@ -20,40 +23,63 @@ class LPResult:
     x: list[Fraction] | None
 
 
-def _pivot(T, basis, row, col):
-    piv = T[row][col]
-    inv = 1 / piv
-    T[row] = [v * inv for v in T[row]]
-    prow = T[row]
-    for i, line in enumerate(T):
-        if i == row:
-            continue
+def _integer_row(values) -> list[int]:
+    """The rationals ``values`` times the lcm of their denominators."""
+    fracs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    scale = lcm(*(v.denominator for v in fracs))
+    return [v.numerator * (scale // v.denominator) for v in fracs]
+
+
+def pivot_rows(rows, r, col) -> None:
+    """Make rows[r][col] = pc positive, negating row r if needed, and replace
+    every other row with f = line[col] != 0 by ``line * pc - f * rows[r]``
+    over its gcd, subtracting on row r's nonzero columns only."""
+    prow = rows[r]
+    if prow[col] < 0:
+        prow = rows[r] = [-v for v in prow]
+    nonzero = [j for j, v in enumerate(prow) if v]
+    for i, line in enumerate(rows):
         f = line[col]
-        if f:
-            T[i] = [a - f * b for a, b in zip(line, prow)]
+        if i == r or not f:
+            continue
+        g = gcd(prow[col], f)
+        pc, f = prow[col] // g, f // g
+        if pc != 1:
+            line = [v * pc for v in line]
+        for j in nonzero:
+            line[j] -= f * prow[j]
+        g = gcd(*line)
+        rows[i] = [v // g for v in line] if g > 1 else line
+
+
+def _pivot(T, basis, row, col):
+    pivot_rows(T, row, col)
     basis[row] = col
+
+
+def _price(T, basis, costs):
+    """Append the reduced-cost row of ``costs``: pivoting again on each basic
+    column changes only the new row, as the basic columns are unit columns."""
+    T.append(_integer_row(costs + [0]))
+    for i, col in enumerate(basis):
+        pivot_rows(T, i, col)
 
 
 def _run_simplex(T, basis, m, n):
     """Iterate on an (m+1) x (n+1) tableau whose last row holds reduced costs
-    (minimization, optimal when none are negative).  Bland's rule throughout."""
+    (minimization, optimal when none are negative).  Bland's rule throughout;
+    the ratio test cross-multiplies, as the row denominators cancel."""
     while True:
-        col = None
         cost = T[m]
-        for j in range(n):
-            if cost[j] < 0:
-                col = j
-                break
+        col = next((j for j in range(n) if cost[j] < 0), None)
         if col is None:
             return "optimal"
         row = None
-        best = None
         for i in range(m):
             a = T[i][col]
             if a > 0:
-                ratio = T[i][n] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[row]):
-                    best = ratio
+                d = 1 if row is None else T[row][n] * a - T[i][n] * T[row][col]
+                if d > 0 or (d == 0 and basis[i] < basis[row]):
                     row = i
         if row is None:
             return "unbounded"
@@ -64,33 +90,20 @@ def solve_lp(c, A, b) -> LPResult:
     """Minimize c.x subject to A x = b, x >= 0 (all entries rational)."""
     m = len(A)
     n = len(c)
+    if len(b) != m or any(len(line) != n for line in A):
+        raise ValueError("A must have one row per entry of b and one column per entry of c")
     c = [Fraction(v) for v in c]
-    rows = []
-    rhs = []
-    for i in range(m):
-        line = [Fraction(v) for v in A[i]]
-        bi = Fraction(b[i])
-        if bi < 0:
-            line = [-v for v in line]
-            bi = -bi
-        rows.append(line)
-        rhs.append(bi)
 
     # Phase 1: artificial basis, cost = sum of artificials.
     T = []
     for i in range(m):
-        art = [Fraction(0)] * m
-        art[i] = Fraction(1)
-        T.append(rows[i] + art + [rhs[i]])
-    zrow = [Fraction(0)] * (n + m + 1)
-    for i in range(m):
-        for j in range(n):
-            zrow[j] -= T[i][j]
-        zrow[n + m] -= T[i][n + m]
-    T.append(zrow)
+        *line, scale, bi = _integer_row([*A[i], 1, b[i]])
+        sign = -1 if bi < 0 else 1
+        T.append([sign * v for v in line] + [scale * (j == i) for j in range(m)] + [sign * bi])
     basis = [n + i for i in range(m)]
+    _price(T, basis, [0] * n + [1] * m)
     _run_simplex(T, basis, m, n + m)
-    if -T[m][n + m] != 0:
+    if T[m][n + m] != 0:
         return LPResult("infeasible", None, None)
 
     # Drive any lingering artificials out of the basis; drop redundant rows.
@@ -102,23 +115,16 @@ def solve_lp(c, A, b) -> LPResult:
                 continue  # redundant constraint
             _pivot(T, basis, i, piv)
         keep.append(i)
-    T = [[T[i][j] for j in range(n)] + [T[i][n + m]] for i in keep]
+    T = [T[i][:n] + [T[i][n + m]] for i in keep]
     basis = [basis[i] for i in keep]
     m = len(T)
 
     # Phase 2: true costs, reduced against the current basis.
-    zrow = list(c) + [Fraction(0)]
-    for i in range(m):
-        cb = c[basis[i]]
-        if cb:
-            zrow = [a - cb * v for a, v in zip(zrow, T[i])]
-    T.append(zrow)
-    status = _run_simplex(T, basis, m, n)
-    if status == "unbounded":
+    _price(T, basis, c)
+    if _run_simplex(T, basis, m, n) == "unbounded":
         return LPResult("unbounded", None, None)
     x = [Fraction(0)] * n
     for i in range(m):
-        x[basis[i]] = T[i][n]
+        x[basis[i]] = Fraction(T[i][n], T[i][basis[i]])
     obj = sum((ci * xi for ci, xi in zip(c, x)), Fraction(0))
     return LPResult("optimal", obj, x)
-

@@ -108,8 +108,8 @@ def _orthant_lp_min(ys: list[FinSeq]):
         A = [[sigma[j] * ys[j][c] for j in range(k)] + e + [-v for v in e] for c, e in zip(coords, eye)]
         A.append([1] * k + [0] * (2 * d))
         res = solve_lp([0] * k + [1] * (2 * d), A, [0] * d + [1])
-        if res.status != "optimal":
-            continue
+        if res.status != "optimal":  # t = e_1 is feasible and the objective is >= 0
+            raise RuntimeError("orthant LP %r returned %s" % (sigma, res.status))
         if best is None or res.objective < best:
             best = res.objective
             best_alpha = [sigma[j] * res.x[j] for j in range(k)]

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
+from .exact_lp import pivot_rows
 from .seqspace import (
     FinSeq,
     MixedSeq,
@@ -213,43 +214,36 @@ def normalize_constant(F: QuasiFunctional) -> Scaled:
 # --- exact linear algebra on the span ---------------------------------------
 
 
-def _eliminate(cols, tgt):
-    positions = sorted(set().union(*cols, tgt) if cols else set(tgt))
-    k = len(cols)
-    rows = [[col.get(p, F0) for col in cols] + [tgt.get(p, F0)] for p in positions]
+def _eliminate(vectors, target):
+    """Gauss-Jordan over the numerators: one row per position, one column per
+    vector (its values times its ``den``) and target last, on ``exact_lp``'s
+    integer rows; row i < len(pivots) is over its entry in pivots[i]."""
+    cols = [*vectors, target]
+    rows = [[v.nums.get(p, 0) for v in cols] for p in sorted(set().union(*(v.nums for v in cols)))]
     pivots = []
-    r = 0
-    for c in range(k):
+    for c in range(len(vectors)):
+        r = len(pivots)
         pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = prow = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
-        pivots.append(c)
-        r += 1
-    return rows, pivots, k
+        if pr is not None:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            pivot_rows(rows, r, c)
+            pivots.append(c)
+    return rows, pivots
 
 
 def solve_in_span(basis, target) -> list[Fraction]:
     """Exact coordinates of target in the span of basis, or ValueError."""
-    rows, pivots, k = _eliminate([dict(b.items()) for b in basis], dict(target.items()))
-    for i in range(len(pivots), len(rows)):
-        if rows[i][k]:
-            raise ValueError("vector is not in the span of the basis")
-    sol = [F0] * k
-    for i, c in enumerate(pivots):
-        sol[c] = rows[i][k]
+    rows, pivots = _eliminate(basis, target)
+    if any(row[-1] for row in rows[len(pivots):]):
+        raise ValueError("vector is not in the span of the basis")
+    sol = [F0] * len(basis)
+    for row, c in zip(rows, pivots):
+        sol[c] = Fraction(row[-1] * basis[c].den, row[c] * target.den)
     return sol
 
 
 def rank(vectors) -> int:
-    _, pivots, _ = _eliminate([dict(v.items()) for v in vectors], {})
-    return len(pivots)
+    return len(_eliminate(vectors, FinSeq())[1])
 
 
 # --- splitting maps ----------------------------------------------------------

@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 
 import twistlab as tl
-from twistlab import FinSeq, MixedSeq
+from twistlab import FinSeq, MixedSeq, oracles
+from twistlab.exact_lp import LPResult
 from twistlab.oracles import (
+    EXACT_ORTHANT_CAP,
     INTERIOR,
     PATTERN_CAP,
     OracleReport,
@@ -131,6 +133,37 @@ class TestCrossPolytope:
             for a, y in zip(res.minimizer, ys):
                 combo = combo + y * a
             assert combo.norm() == res.value
+
+    def test_exact_at_the_orthant_cap(self):
+        # 8 overlapping vectors (128 orthant LPs); the value and minimizer are
+        # those the dense Fraction simplex returned on this family
+        rows = [
+            {1: 4, 9: "3/4", 10: "-3/8"},
+            {2: "3/2", 9: 3, 10: "-7/8"},
+            {3: 6, 10: 1, 11: 5},
+            {4: 2, 9: "3/4", 10: 5},
+            {5: "1/8", 9: "1/4", 10: "3/8"},
+            {6: "3/2", 10: "-7/8", 11: "3/2"},
+            {7: "7/8", 9: -1, 10: "-7/4"},
+            {8: 3, 10: -1, 11: -1},
+        ]
+        ys = [FinSeq({p: Fraction(v) for p, v in row.items()}) for row in rows]
+        assert len(ys) == EXACT_ORTHANT_CAP
+        res = min_crosspolytope_norm(ys)
+        assert res.method == "exact"
+        assert res.value == Fraction(521, 1928)
+        assert res.minimizer == [Fraction(v) for v in ("0", "2/241", "0", "0", "-196/241", "0", "-43/241", "0")]
+        combo = FinSeq()
+        for a, y in zip(res.minimizer, ys):
+            combo = combo + y * a
+        assert combo.norm() == res.value
+
+    def test_orthant_lp_failure_is_raised(self, monkeypatch):
+        # every orthant LP is feasible and bounded, so any other status is a
+        # solver fault that must not drop the orthant from an exact minimum
+        monkeypatch.setattr(oracles, "solve_lp", lambda c, A, b: LPResult("infeasible", None, None))
+        with pytest.raises(RuntimeError, match="orthant LP"):
+            min_crosspolytope_norm([FinSeq({1: 1, 2: 1}), FinSeq({2: 1, 3: 1})])
 
     def test_heuristic_above_nine(self):
         # overlapping chain forces the subgradient path; sanity: positive and

@@ -295,7 +295,74 @@ class TestIteratedDefect:
             assert holds, (lhs, rhs)
 
 
+def reference_eliminate(cols, tgt):
+    """The dense Fraction Gauss-Jordan elimination that the integer rows
+    replaced, on dicts of position to value."""
+    positions = sorted(set().union(*cols, tgt))
+    k = len(cols)
+    rows = [[col.get(p, Fraction(0)) for col in cols] + [tgt.get(p, Fraction(0))] for p in positions]
+    pivots = []
+    for c in range(k):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = prow = [v * inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
+        pivots.append(c)
+    return rows, pivots
+
+
+def reference_solve_in_span(basis, target):
+    rows, pivots = reference_eliminate([dict(b.items()) for b in basis], dict(target.items()))
+    if any(row[-1] for row in rows[len(pivots):]):
+        return None
+    sol = [Fraction(0)] * len(basis)
+    for row, c in zip(rows, pivots):
+        sol[c] = row[-1]
+    return sol
+
+
+def random_sparse_family(rng, mixed=False):
+    """Up to 6 sparse vectors on few positions, some made dependent."""
+    def vec():
+        if mixed:
+            return MixedSeq({n: [Fraction(rng.randint(-4, 4), rng.choice((1, 3))) for _ in range(n)] for n in rng.sample(range(1, 4), rng.randint(0, 2))})
+        return FinSeq({rng.randint(1, 8): Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 8))) for _ in range(rng.randint(0, 4))})
+
+    family = [vec() for _ in range(rng.randint(0, 6))]
+    if len(family) >= 2 and rng.random() < 0.4:
+        family.append(family[0] * Fraction(rng.randint(-3, 3), 2) + family[-1])
+    rng.shuffle(family)
+    return family
+
+
 class TestExactLinearAlgebra:
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_matches_dense_fraction_reference(self, mixed):
+        rng = random.Random(5 + mixed)
+        solvable = 0
+        for _ in range(1500):
+            family = random_sparse_family(rng, mixed)
+            assert rank(family) == len(reference_eliminate([dict(v.items()) for v in family], {})[1])
+            target = random_sparse_family(rng, mixed)[:1]
+            if family and rng.random() < 0.5:
+                target = [family[0] * 3 + family[-1] * Fraction(-1, 2)]
+            target = target[0] if target else (MixedSeq() if mixed else FinSeq())
+            expected = reference_solve_in_span(family, target)
+            if expected is None:
+                with pytest.raises(ValueError):
+                    solve_in_span(family, target)
+            else:
+                assert solve_in_span(family, target) == expected
+                solvable += 1
+        assert 300 < solvable < 1200
+
     def test_rank(self):
         assert rank([FinSeq.unit(1), FinSeq.unit(2)]) == 2
         assert rank([FinSeq.unit(1), FinSeq({1: 2})]) == 1
