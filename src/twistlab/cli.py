@@ -55,7 +55,7 @@ from .quasilinear import (
     weighted_ribe_eval,
 )
 from .seqspace import FinSeq, james_norm, vector_from_json
-from .sumsets import base_axioms_check
+from .sumsets import SumCertificate, base_axioms_check
 from .twisted import TwistedVec, ball_radius, quasi_norm
 
 EXIT_OK = 0
@@ -217,8 +217,6 @@ def cmd_verify(args) -> int:
         witness = fuzz.witness or {}
         if witness.get("kind", "").startswith("chain"):
             # full transcript of the thinnest-margin replay, for inspection
-            from .sumsets import SumCertificate
-
             transcript = verify_chain(state, F, SumCertificate.from_json(witness["certificate"]))
             _write_atomic(out / "transcript.json", _dump_json(transcript.to_json()))
 

@@ -353,14 +353,21 @@ class ChainStep:
 
 
 def _step(name, level, lhs, rhs, *, strict=True, note="") -> ChainStep:
-    """Record a comparison.  Rational lhs/rhs compare exactly; anything float
-    compares as given, and a strict pass inside the interior margin is flagged
-    as a tolerance band rather than a clean pass."""
+    """Record a comparison, made on cross-multiplied integer ratios: exact,
+    as Python's mixed int/Fraction/float comparisons are, without their
+    Fraction arithmetic.  A strict pass within the interior margin below the
+    float rhs is flagged as a tolerance band rather than a clean pass."""
     exact = isinstance(lhs, (Fraction, int)) and isinstance(rhs, (Fraction, int))
-    passed = (lhs < rhs) if strict else (lhs <= rhs)
-    band = bool(passed and strict and not (lhs < rhs - STRICT_MARGIN))
-    lhs, rhs = float(lhs), float(rhs)
-    return ChainStep(name, level, lhs, rhs, bool(passed), exact, band, rhs - lhs, note)
+    try:
+        (a, b), (c, d) = lhs.as_integer_ratio(), rhs.as_integer_ratio()
+        lhs_f, rhs_f = a / b, c / d  # what float() of an int, Fraction or float returns
+        e, f = (rhs_f - STRICT_MARGIN).as_integer_ratio()
+    except (OverflowError, ValueError):  # an infinite or NaN side compares as itself
+        lhs_f, rhs_f = float(lhs), float(rhs)
+        (a, b), (c, d), (e, f) = (lhs, 1), (rhs, 1), (rhs_f - STRICT_MARGIN, 1)
+    passed = (a * d < c * b) if strict else (a * d <= c * b)
+    band = passed and strict and not a * f < e * b
+    return ChainStep(name, level, lhs_f, rhs_f, passed, exact, band, rhs_f - lhs_f, note)
 
 
 @dataclass
@@ -377,17 +384,6 @@ class ChainTranscript:
 
     def to_json(self):
         return asdict(self)
-
-
-def _finish(steps, top, norm_repr, f_value) -> ChainTranscript:
-    return ChainTranscript(
-        steps=steps,
-        top_level=top,
-        value_norm=str(norm_repr),
-        f_value=f_value,
-        passed=all(s.passed for s in steps),
-        min_margin=min((s.margin for s in steps), default=float("inf")),
-    )
 
 
 def verify_chain(state: ConstructionState, F: QuasiFunctional, cert: SumCertificate) -> ChainTranscript:
@@ -407,25 +403,26 @@ def verify_chain(state: ConstructionState, F: QuasiFunctional, cert: SumCertific
     if problems:
         raise CertificateError("certificate invalid at level 1: %s" % problems[0])
     space = state.space
-    merged: dict[int, dict[int, Fraction]] = {}
-    for t in cert.terms:
-        lv = merged.setdefault(t.block, {})
-        lv[t.gen] = lv.get(t.gen, F0) + t.coeff
-    merged = {i: {j: r for j, r in d.items() if r} for i, d in merged.items()}
+    merged: dict[int, dict[int, int]] = {}
+    for i, j, n in cert.terms:
+        lv = merged.setdefault(i, {})
+        lv[j] = lv.get(j, 0) + n
+    merged = {i: {j: n for j, n in d.items() if n} for i, d in merged.items()}
     top = max((i for i, d in merged.items() if d), default=0)
 
     # one bottom-up pass: per level the prefix below it and its norm, the
-    # level's vector, coefficient sum, mass and generators used; the prefix
+    # level's vector, coefficient sum, mass and generators used, each from
+    # the merged numerators over the certificate's denominator; the prefix
     # after the top level is the certificate's value
+    den = cert.den
     zero = space.zero()
     rows = []
     x, nx = zero, space.norm(zero)
     for i in range(1, top + 1):
-        coeffs = merged.get(i, {})
-        vec = zero
-        for j, r in coeffs.items():
-            vec = vec + state.G[i][j] * r
-        rows.append((x, nx, vec, sum(coeffs.values(), F0), sum(map(abs, coeffs.values()), F0), len(coeffs)))
+        nums = merged.get(i, {})
+        vec = space.vector.combination(((state.G[i][j], n) for j, n in nums.items()), den)
+        r_i = Fraction(sum(nums.values()), den)
+        rows.append((x, nx, vec, r_i, Fraction(sum(map(abs, nums.values())), den), len(nums)))
         if vec:
             x = x + vec
             nx = space.norm(x)
@@ -479,7 +476,14 @@ def verify_chain(state: ConstructionState, F: QuasiFunctional, cert: SumCertific
     split_rhs = f_unit + f_span + float(space.norm(unit_total)) + float(span_norm)
     steps.append(_step("f_split", None, abs(f_value), split_rhs + STRICT_MARGIN, strict=False, note="one additivity application"))
     steps.append(_step("f_total", None, abs(f_value), 9.0))
-    return _finish(steps, top, nx, f_value)
+    return ChainTranscript(
+        steps=steps,
+        top_level=top,
+        value_norm=str(nx),
+        f_value=f_value,
+        passed=all(s.passed for s in steps),
+        min_margin=min((s.margin for s in steps), default=float("inf")),
+    )
 
 
 @dataclass

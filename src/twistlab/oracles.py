@@ -37,7 +37,6 @@ from .seqspace import (
 )
 from .sumsets import (
     SumCertificate,
-    CertTerm,
     certificate_value,
     random_certificate,
     scale_certificate,
@@ -678,7 +677,8 @@ def _coordinate_ascent(state, F, fam, cert: SumCertificate):
     move.  The value is kept alongside the certificate and updated exactly: a
     step of delta on one term adds delta times its generator, and the
     rescale multiplies the sum.  Moves that push a coefficient past 1 are
-    skipped, and only an accepted move builds its certificate."""
+    skipped (the largest other numerator is rescanned only when the moved
+    term holds it), and only an accepted move builds its certificate."""
     space = state.space
     best = cert
     v_best = certificate_value(fam, cert)
@@ -687,22 +687,29 @@ def _coordinate_ascent(state, F, fam, cert: SumCertificate):
     step = Fraction(1, 64)
     for _ in range(3):
         improved = False
+        top = max((abs(n) for _, _, n in best.terms), default=0)
         for idx in range(len(best.terms)):
             for delta in (step, -step):
-                t = best.terms[idx]
-                raw = v_best + fam.gen(t.block, t.gen) * delta
+                i, j, n = best.terms[idx]
+                raw = v_best + fam.gen(i, j) * delta
                 nv = space.norm(raw)
                 if not nv:
                     continue
                 factor = _exact_scale(target, nv)
-                terms = list(best.terms)
-                terms[idx] = CertTerm(t.block, t.gen, t.coeff + delta)
-                if max(abs(u.coeff) for u in terms) * abs(factor) > 1:
+                # the moved coefficient n / den + delta (delta = +-1/64) over den * 64
+                den, moved = best.den * 64, n * 64 + best.den * delta.numerator
+                rest = top
+                if abs(n) == top:  # the moved term holds the largest numerator
+                    rest = max((abs(m) for k, (_, _, m) in enumerate(best.terms) if k != idx), default=0)
+                if max(rest * 64, abs(moved)) * abs(factor.numerator) > den * factor.denominator:
                     continue
                 v_cand = raw * factor
                 f_val = abs(evaluate(F, v_cand))
                 if f_val > f_best:
-                    best = scale_certificate(SumCertificate(tuple(terms)), factor)
+                    terms = [(a, b, m * 64) for a, b, m in best.terms]
+                    terms[idx] = (i, j, moved)
+                    best = scale_certificate(SumCertificate(tuple(terms), den), factor)
+                    top = max(abs(m) for _, _, m in best.terms)
                     v_best, f_best = v_cand, f_val
                     improved = True
         if not improved:

@@ -84,6 +84,20 @@ class FinSeq:
         out.nums, out.den = nums, den
         return out
 
+    @classmethod
+    def combination(cls, pairs: Iterable[tuple["FinSeq", int]], den: int = 1) -> "FinSeq":
+        """sum n v / den over (v, n) pairs, n an int: one integer combination
+        over den times the lcm of the vectors' denominators, reduced once."""
+        pairs = list(pairs)
+        lcm = math.lcm(*(v.den for v, _ in pairs))
+        acc: dict[int, int] = {}
+        get = acc.get
+        for v, n in pairs:
+            f = n * (lcm // v.den)
+            for i, a in v.nums.items():
+                acc[i] = get(i, 0) + f * a
+        return cls._raw({i: a for i, a in acc.items() if a}, lcm * den)._reduced()
+
     def _reduced(self) -> "FinSeq":
         """Divide out the common factor of ``den`` and the numerators, in place."""
         g = math.gcd(self.den, *self.nums.values())

@@ -10,6 +10,7 @@ manipulate sums they constructed themselves.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,35 +18,41 @@ from typing import Callable
 
 from .exact_lp import solve_lp
 from .quasilinear import rank
-from .seqspace import as_fraction, frac_str
-
-F0 = Fraction(0)
-F1 = Fraction(1)
-
-
-@dataclass(frozen=True)
-class CertTerm:
-    block: int  # generator-set index i (1-based)
-    gen: int  # index into the block's generator list (0-based)
-    coeff: Fraction
-
-    def to_json(self):
-        return {"i": self.block, "j": self.gen, "r": frac_str(self.coeff)}
+from .seqspace import FinSeq, as_fraction, ratio_str
 
 
 @dataclass(frozen=True)
 class SumCertificate:
-    terms: tuple[CertTerm, ...]
+    """Stored the way ``FinSeq`` stores a vector: per term (block i, 1-based;
+    generator index j, 0-based; int numerator) over one positive ``den``,
+    kept reduced (``den`` is the lcm of the coefficients' least denominators)
+    so that equal certificates compare equal."""
+
+    terms: tuple[tuple[int, int, int], ...] = ()
+    den: int = 1
+
+    def __post_init__(self):
+        g = math.gcd(self.den, *(n for _, _, n in self.terms))
+        if g != 1:
+            object.__setattr__(self, "terms", tuple((i, j, n // g) for i, j, n in self.terms))
+            object.__setattr__(self, "den", self.den // g)
 
     @classmethod
     def of(cls, triples) -> "SumCertificate":
-        return cls(tuple(CertTerm(int(i), int(j), as_fraction(r)) for i, j, r in triples))
+        rs = [(int(i), int(j), as_fraction(r)) for i, j, r in triples]
+        den = math.lcm(*(r.denominator for _, _, r in rs))
+        return cls(tuple((i, j, r.numerator * (den // r.denominator)) for i, j, r in rs), den)
 
-    def __len__(self):
-        return len(self.terms)
+    def joined(self, other: "SumCertificate") -> "SumCertificate":
+        """Every term of both certificates; the value is the sum of theirs."""
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        return SumCertificate(
+            tuple((i, j, n * a) for i, j, n in self.terms) + tuple((i, j, n * b) for i, j, n in other.terms), den
+        )
 
     def to_json(self):
-        return [t.to_json() for t in self.terms]
+        return [{"i": i, "j": j, "r": ratio_str(n, self.den)} for i, j, n in self.terms]
 
     @classmethod
     def from_json(cls, obj) -> "SumCertificate":
@@ -83,30 +90,26 @@ def family_zero(fam: SumFamily):
     for gens in fam.generators.values():
         for g in gens:
             return g * 0
-    from .seqspace import FinSeq
-
     return FinSeq()
 
 
 def certificate_value(fam: SumFamily, cert: SumCertificate):
-    """Exact value sum r * generator; raises IndexError on a bad reference."""
-    total = family_zero(fam)
-    for t in cert.terms:
-        total = total + fam.gen(t.block, t.gen) * t.coeff
-    return total
+    """Exact value sum r * generator, one integer combination of the
+    generators; raises IndexError on a bad reference."""
+    return type(family_zero(fam)).combination(((fam.gen(i, j), n) for i, j, n in cert.terms), cert.den)
 
 
 def _violations(fam: SumFamily, cert: SumCertificate, level: int, counts: Callable[[int], int] | None):
     counts = counts or level_counts(level)
     per_block: dict[int, int] = {}
-    for t in cert.terms:
-        if abs(t.coeff) > 1:
-            yield "coefficient %s exceeds 1 in absolute value" % t.coeff
-        if t.block < level:
-            yield "block %d lies below level %d" % (t.block, level)
-        if t.block not in fam.generators or not 0 <= t.gen < len(fam.generators[t.block]):
-            yield "dangling generator reference (%d, %d)" % (t.block, t.gen)
-        per_block[t.block] = per_block.get(t.block, 0) + 1
+    for i, j, n in cert.terms:
+        if abs(n) > cert.den:
+            yield "coefficient %s exceeds 1 in absolute value" % Fraction(n, cert.den)
+        if i < level:
+            yield "block %d lies below level %d" % (i, level)
+        if i not in fam.generators or not 0 <= j < len(fam.generators[i]):
+            yield "dangling generator reference (%d, %d)" % (i, j)
+        per_block[i] = per_block.get(i, 0) + 1
     for i, used in sorted(per_block.items()):
         budget = counts(i)
         if used > budget:
@@ -126,10 +129,10 @@ def scale_certificate(cert: SumCertificate, s) -> SumCertificate:
     coefficient must stay within [-1, 1] (always so for |s| <= 1 on a valid
     certificate), so validity at the same level is preserved."""
     s = as_fraction(s)
-    terms = tuple(CertTerm(t.block, t.gen, t.coeff * s) for t in cert.terms)
-    if any(abs(t.coeff) > 1 for t in terms):
+    p, den = s.numerator, cert.den * s.denominator
+    if max((abs(n) for _, _, n in cert.terms), default=0) * abs(p) > den:
         raise ValueError("scaled coefficient exceeds 1 in absolute value")
-    return SumCertificate(terms)
+    return SumCertificate(tuple((i, j, n * p) for i, j, n in cert.terms), den)
 
 
 def merge_certificates(fam: SumFamily, c1: SumCertificate, c2: SumCertificate, level: int) -> SumCertificate:
@@ -139,7 +142,7 @@ def merge_certificates(fam: SumFamily, c1: SumCertificate, c2: SumCertificate, l
         problems = certificate_problems(fam, cert, level)
         if problems:
             raise ValueError("input invalid at level %d: %s" % (level, problems[0]))
-    return SumCertificate(c1.terms + c2.terms)
+    return c1.joined(c2)
 
 
 def random_certificate(fam: SumFamily, level: int, rng: random.Random) -> SumCertificate:
@@ -159,8 +162,8 @@ def random_certificate(fam: SumFamily, level: int, rng: random.Random) -> SumCer
             if rng.random() > 0.7:
                 continue
             num = rng.randint(-64, 64) or 64
-            terms.append(CertTerm(i, rng.randrange(n_gens), Fraction(num, 64)))
-    return SumCertificate(tuple(terms))
+            terms.append((i, rng.randrange(n_gens), num))
+    return SumCertificate(tuple(terms), 64)
 
 
 # --- neighborhood-base axioms -------------------------------------------------
@@ -221,18 +224,16 @@ def base_axioms_check(
     for n in range(1, depth):
         sub_counts = counts_fn(n + 1)
         super_counts = counts_fn(n)
-        # exact at-budget case: both certificates saturate every block budget
-        saturated = []
-        for cert_idx in range(2):
-            terms = []
-            for i in fam.blocks:
-                if i < n + 1:
-                    continue
-                n_gens = len(fam.generators[i])
-                for kk in range(min(sub_counts(i), 4 * n_gens)):
-                    terms.append(CertTerm(i, kk % n_gens, F1 if cert_idx else -F1))
-            saturated.append(SumCertificate(tuple(terms)))
-        merged = SumCertificate(saturated[0].terms + saturated[1].terms)
+        # exact at-budget case: a certificate saturating every budget, and its negative
+        full = SumCertificate(
+            tuple(
+                (i, kk % len(fam.generators[i]), 1)
+                for i in fam.blocks
+                if i > n
+                for kk in range(min(sub_counts(i), 4 * len(fam.generators[i])))
+            )
+        )
+        merged = scale_certificate(full, -1).joined(full)
         problems = certificate_problems(fam, merged, n, super_counts)
         checks.append(
             AxiomCheck(
@@ -246,7 +247,7 @@ def base_axioms_check(
         for _ in range(trials):
             c1 = random_certificate(fam, n + 1, rng)
             c2 = random_certificate(fam, n + 1, rng)
-            merged = SumCertificate(c1.terms + c2.terms)
+            merged = c1.joined(c2)
             if not certificate_valid(fam, merged, n, super_counts):
                 bad += 1
             s = Fraction(rng.randint(-4, 4), 4)
@@ -286,31 +287,10 @@ def hull_membership(point, points: list) -> HullCertificate:
     if rank(diffs + [shifted]) != rank(diffs):
         return HullCertificate([], False, "point lies outside the affine hull (exact rank check)")
     coords = sorted(set().union(*(p.support for p in points + [point])) or {1})
-    A = [[F1] * len(points)]
-    b = [F1]
-    for c in coords:
-        A.append([p[c] for p in points])
-        b.append(point[c])
-    res = solve_lp([F0] * len(points), A, b)
+    A = [[1] * len(points)] + [[p[c] for p in points] for c in coords]
+    b = [1] + [point[c] for c in coords]
+    res = solve_lp([0] * len(points), A, b)
     if res.status != "optimal":
         return HullCertificate([], False, "no nonnegative convex weights exist (exact phase-1 simplex)")
     return HullCertificate(res.x, True)
 
-
-__all__ = [
-    "CertTerm",
-    "SumCertificate",
-    "SumFamily",
-    "level_counts",
-    "family_zero",
-    "certificate_value",
-    "certificate_valid",
-    "certificate_problems",
-    "scale_certificate",
-    "merge_certificates",
-    "random_certificate",
-    "base_axioms_check",
-    "AxiomReport",
-    "HullCertificate",
-    "hull_membership",
-]

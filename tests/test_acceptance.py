@@ -55,13 +55,18 @@ def sample_mean_zero(rng, lo):
     return FinSeq(entries)
 
 
+MIXED_UNITS = {n: [MixedSeq.unit(n, i) for i in range(1, n + 1)] for n in range(1, 6)}
+
+
 def sample_mixed(rng):
+    """One to three blocks of up to 5 sixteenths each, a block drawn twice
+    adding up: the numerators are summed as ints and combined once."""
     blocks = {}
     for _ in range(rng.randint(1, 3)):
         n = rng.randint(1, 5)
-        vec = [Fraction(rng.randint(-16, 16), 16) for _ in range(n)]
-        blocks[n] = [a + b for a, b in zip(blocks.get(n, [Fraction(0)] * n), vec)]
-    return MixedSeq({n: v for n, v in blocks.items() if any(v)})
+        vec = [rng.randint(-16, 16) for _ in range(n)]
+        blocks[n] = [a + b for a, b in zip(blocks[n], vec)] if n in blocks else vec
+    return MixedSeq.combination(((u, a) for n, v in blocks.items() for u, a in zip(MIXED_UNITS[n], v)), 16)
 
 
 def test_criterion_1_ribe_identities():

@@ -46,6 +46,14 @@ GOLDEN_CHAIN = {
     ),
 }
 
+# the same pair from ``verify --trials 100 --seed 0`` on the ``construct --case
+# a --depth 8 --seed 1`` state, the benchmark's case-a verify: unlike the
+# depth-6 runs it takes the coordinate ascent through accepted moves
+GOLDEN_CHAIN_A8 = (
+    "a0da9da95b8872af27b11e5397d8625d5a5dfdabc3f7ef6be868441cbeff7c67",
+    "d65192b2890dc78e8252d103e04bd7bfcb9cbb0ed3a27e1207a3f715e6d38036",
+)
+
 # sha256 of the whole verify-report.json written by ``verify --trials 20
 # --seed 0`` on the same states, its "state" path replaced by "state.json"
 GOLDEN_REPORT = {
@@ -333,19 +341,26 @@ class TestVerify:
         digest = hashlib.sha256(json.dumps(entries, sort_keys=True).encode()).hexdigest()
         assert digest == GOLDEN_LEVEL_MASS[case]
 
-    @pytest.mark.parametrize("case", sorted(GOLDEN_CHAIN))
-    def test_golden_chain(self, tmp_path, case):
-        out = tmp_path / case
-        assert run_cli(["construct", "--case", case, "--depth", "6", "--seed", "0", "--out", str(out)]) == 0
+    @staticmethod
+    def chain_digests(out, case, depth, construct_seed, trials):
+        """(transcript.json, chain_fuzzer entry) digests of ``verify --seed 0``."""
+        args = ["construct", "--case", case, "--depth", str(depth), "--seed", str(construct_seed), "--out", str(out)]
+        assert run_cli(args) == 0
         state = str(out / "state.json")
-        assert run_cli(["verify", "--state", state, "--trials", "20", "--seed", "0", "--out", str(out)]) == 0
+        assert run_cli(["verify", "--state", state, "--trials", str(trials), "--seed", "0", "--out", str(out)]) == 0
         report = json.loads((out / "verify-report.json").read_text())
         [entry] = [e for e in report["entries"] if e["source"] == "chain_fuzzer"]
-        digests = (
+        return (
             hashlib.sha256((out / "transcript.json").read_bytes()).hexdigest(),
             hashlib.sha256(json.dumps(entry, sort_keys=True).encode()).hexdigest(),
         )
-        assert digests == GOLDEN_CHAIN[case]
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_CHAIN))
+    def test_golden_chain(self, tmp_path, case):
+        assert self.chain_digests(tmp_path / case, case, 6, 0, 20) == GOLDEN_CHAIN[case]
+
+    def test_golden_chain_at_benchmark_size(self, tmp_path):
+        assert self.chain_digests(tmp_path / "a8", "a", 8, 1, 100) == GOLDEN_CHAIN_A8
 
     @pytest.mark.parametrize("case", sorted(GOLDEN_REPORT))
     def test_golden_report(self, tmp_path, case):

@@ -1,12 +1,17 @@
 import json
+import math
 import random
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 import twistlab as tl
 from twistlab import FinSeq, MixedSeq, SumCertificate, TwistedVec
 from twistlab.construction import (
+    STRICT_MARGIN,
+    _step,
     functional_of_state,
     levels_csv_rows,
     state_from_json,
@@ -325,3 +330,72 @@ class TestFinalBound:
             rep = tl.final_bound_check(state4, ribe_normalized, u, cert)
             assert rep.passed
             assert rep.chain is not None and rep.chain.passed
+
+
+def reference_step(lhs, rhs, strict):
+    """(passed, band) from Python's own mixed comparisons, as ``_step`` made them
+    before it compared integer ratios."""
+    passed = (lhs < rhs) if strict else (lhs <= rhs)
+    return bool(passed), bool(passed and strict and not (lhs < rhs - STRICT_MARGIN))
+
+
+exact_or_float = st.one_of(
+    st.integers(-5, 5),
+    st.fractions(min_value=-5, max_value=5, max_denominator=10 ** 12),
+    st.floats(min_value=-5, max_value=5),
+)
+
+
+class TestStepReference:
+    def check(self, lhs, rhs, strict):
+        step = _step("x", None, lhs, rhs, strict=strict)
+        assert (step.passed, step.tolerance_band) == reference_step(lhs, rhs, strict), (lhs, rhs, strict)
+        if math.isfinite(float(lhs)) and math.isfinite(float(rhs)):
+            assert (step.lhs, step.rhs, step.margin) == (float(lhs), float(rhs), float(rhs) - float(lhs))
+
+    @given(exact_or_float, exact_or_float, st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_mixed_types(self, lhs, rhs, strict):
+        self.check(lhs, rhs, strict)
+
+    @given(st.fractions(min_value=-3, max_value=3, max_denominator=10 ** 9), st.integers(-2, 2), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_at_the_band_edge(self, rhs, ulps, strict):
+        # lhs within a few ulps of the float rhs - STRICT_MARGIN, as a float
+        # and as its exact Fraction, against Fraction, float and int rhs
+        edge = float(rhs) - STRICT_MARGIN
+        for _ in range(abs(ulps)):
+            edge = math.nextafter(edge, math.copysign(math.inf, ulps))
+        for lhs in (edge, Fraction(edge)):
+            for r in (rhs, float(rhs), round(rhs)):
+                self.check(lhs, r, strict)
+
+    @pytest.mark.parametrize(
+        "lhs, rhs",
+        [
+            (Fraction(1, 3), Fraction(1, 3)),
+            (2, 2),
+            (2, 2.0),
+            (Fraction(1, 2), 0.5),
+            (0.1, Fraction(1, 10)),
+            (Fraction(1, 10), 0.1),
+            (1 - 1e-9, 1),
+            (Fraction(1 - 1e-9), Fraction(1)),
+            (0, 1),
+            (True, Fraction(1)),
+        ],
+    )
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_equal_and_boundary_values(self, lhs, rhs, strict):
+        self.check(lhs, rhs, strict)
+
+    @pytest.mark.parametrize(
+        "lhs, rhs", [(math.inf, 1), (1, math.inf), (-math.inf, Fraction(1, 3)), (math.nan, 1), (1, math.nan)]
+    )
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_non_finite_floats(self, lhs, rhs, strict):
+        self.check(lhs, rhs, strict)
+
+    def test_exact_flag(self):
+        assert _step("x", None, Fraction(1, 3), 1).exact
+        assert not _step("x", None, Fraction(1, 3), 1.0).exact

@@ -593,3 +593,57 @@ class TestChainFuzzer:
         assert best != cert
         assert f_best == abs(tl.evaluate(ribe_normalized, value))
         assert value.norm() == start.norm()
+
+
+def reference_coordinate_ascent(state, F, fam, cert):
+    """The ascent as it ran on Fraction coefficients, scanning every
+    coefficient for each candidate move."""
+    space = state.space
+    coeffs = [(i, j, Fraction(n, cert.den)) for i, j, n in cert.terms]
+    v_best = tl.certificate_value(fam, cert)
+    target = space.norm(v_best)
+    f_best = abs(tl.evaluate(F, v_best))
+    step = Fraction(1, 64)
+    for _ in range(3):
+        improved = False
+        for idx in range(len(coeffs)):
+            for delta in (step, -step):
+                i, j, r = coeffs[idx]
+                raw = v_best + fam.gen(i, j) * delta
+                nv = space.norm(raw)
+                if not nv:
+                    continue
+                factor = oracles._exact_scale(target, nv)
+                cand = list(coeffs)
+                cand[idx] = (i, j, r + delta)
+                if max(abs(c) for _, _, c in cand) * abs(factor) > 1:
+                    continue
+                v_cand = raw * factor
+                f_val = abs(tl.evaluate(F, v_cand))
+                if f_val > f_best:
+                    coeffs = [(a, b, c * factor) for a, b, c in cand]
+                    v_best, f_best = v_cand, f_val
+                    improved = True
+        if not improved:
+            break
+    return tl.SumCertificate.of(coeffs), f_best
+
+
+class TestAscentAgainstReference:
+    @pytest.mark.parametrize("case", ["a", "c"])
+    def test_same_moves_and_certificate(self, case, state4, ribe_normalized):
+        if case == "a":
+            state, F = state4, ribe_normalized
+        else:
+            xs, ds, weights = tl.make_case_c_inputs(3, 2)
+            F = tl.normalize_constant(tl.WeightedRibe(weights, 2))
+            state = tl.run_construction(F, xs, ds, 3)
+        fam = tl.fn_family(state)
+        for seed in range(80):
+            rng = random.Random(seed)
+            cert = random_certificate(fam, 1, rng)
+            # unscaled draws hold coefficients of +-1, where the cap on the
+            # rescaled coefficients decides moves (on case a, seeds 34 and 69
+            # move the one largest coefficient down to a legal move)
+            for start in (cert, tl.scale_certificate(cert, Fraction(rng.randint(1, 64), 64))):
+                assert _coordinate_ascent(state, F, fam, start) == reference_coordinate_ascent(state, F, fam, start)

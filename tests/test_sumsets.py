@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import twistlab as tl
-from twistlab import FinSeq, SumCertificate, SumFamily
+from twistlab import FinSeq, MixedSeq, SumCertificate, SumFamily
+from twistlab.seqspace import frac_str
 from twistlab.sumsets import (
     certificate_problems,
     family_zero,
@@ -86,7 +88,7 @@ class TestScale:
             tl.scale_certificate(SumCertificate.of([(1, 0, 1)]), 2)
         # the bound is on the scaled coefficients, not on the factor
         doubled = tl.scale_certificate(SumCertificate.of([(1, 0, Fraction(1, 2))]), 2)
-        assert doubled.terms[0].coeff == 1
+        assert doubled == SumCertificate.of([(1, 0, 1)])
 
     @given(st.integers(-8, 8))
     @settings(max_examples=40, deadline=None)
@@ -97,11 +99,108 @@ class TestScale:
         assert tl.certificate_value(fam, tl.scale_certificate(c, s)) == tl.certificate_value(fam, c) * s
 
 
+    @pytest.mark.parametrize(
+        "r, s",
+        [(Fraction(1, 2), 2), (Fraction(-3, 7), Fraction(-7, 3)), (Fraction(2, 3), Fraction(3, 2)), (1, -1)],
+    )
+    def test_unit_product_accepted(self, r, s):
+        scaled = tl.scale_certificate(SumCertificate.of([(1, 0, r), (2, 1, Fraction(1, 5))]), s)
+        assert scaled == SumCertificate.of([(1, 0, r * s), (2, 1, Fraction(1, 5) * s)])
+        assert abs(r * s) == 1
+
+    @pytest.mark.parametrize(
+        "r, s",
+        [
+            (Fraction(1, 2), Fraction(2 * 10 ** 12 + 1, 10 ** 12)),
+            (Fraction(-3, 7), Fraction(-7 * 10 ** 9 - 1, 3 * 10 ** 9)),
+            (1, Fraction(10 ** 15 + 1, 10 ** 15)),
+            (Fraction(-1, 64), -65),
+        ],
+    )
+    def test_just_past_one_rejected(self, r, s):
+        assert abs(r * s) > 1
+        with pytest.raises(ValueError):
+            tl.scale_certificate(SumCertificate.of([(2, 1, Fraction(1, 5)), (1, 0, r)]), s)
+
+
+triples = st.lists(
+    st.tuples(
+        st.integers(1, 4),
+        st.integers(0, 2),
+        st.fractions(min_value=-1, max_value=1, max_denominator=10 ** 6),
+    ),
+    max_size=8,
+)
+
+
+class TestIntegerForm:
+    """Certificates store integer numerators over one reduced denominator;
+    every kernel must agree with the same sum taken in Fractions."""
+
+    @given(triples)
+    @settings(max_examples=100, deadline=None)
+    def test_json_roundtrip_and_reduced_strings(self, ts):
+        c = SumCertificate.of(ts)
+        assert SumCertificate.from_json(c.to_json()) == c
+        assert [t["r"] for t in c.to_json()] == [frac_str(Fraction(r)) for _, _, r in ts]
+        assert math.gcd(c.den, *(n for _, _, n in c.terms)) == 1
+
+    @given(triples, triples)
+    @settings(max_examples=100, deadline=None)
+    def test_joined_and_equality_match_fractions(self, ts, us):
+        c, d = SumCertificate.of(ts), SumCertificate.of(us)
+        assert c.joined(d) == SumCertificate.of(ts + us)
+        assert (c == d) == ([(i, j, Fraction(r)) for i, j, r in ts] == [(i, j, Fraction(r)) for i, j, r in us])
+
+    @given(triples, st.fractions(min_value=-2, max_value=2, max_denominator=1000))
+    @settings(max_examples=100, deadline=None)
+    def test_scale_matches_fractions(self, ts, s):
+        c = SumCertificate.of(ts)
+        if any(abs(r * s) > 1 for _, _, r in ts):
+            with pytest.raises(ValueError):
+                tl.scale_certificate(c, s)
+        else:
+            assert tl.scale_certificate(c, s) == SumCertificate.of((i, j, r * s) for i, j, r in ts)
+
+    @given(triples, st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_value_matches_fraction_sum(self, ts, blocks):
+        # generators with unlike denominators, as FinSeqs or as block vectors
+        if blocks:
+            make = lambda i, j: MixedSeq({j + 1: [Fraction(k - i, 3 * j + i) for k in range(j + 1)]})  # noqa: E731
+        else:
+            make = lambda i, j: FinSeq({j + 1: Fraction(1, i + j), i + 4: Fraction(j - 1, 7)})  # noqa: E731
+        gens = {i: [make(i, j) for j in range(3)] for i in range(1, 5)}
+        fam = SumFamily(gens)
+        ref = family_zero(fam)
+        for i, j, r in ts:
+            ref = ref + gens[i][j] * r
+        assert tl.certificate_value(fam, SumCertificate.of(ts)) == ref
+
+    def test_random_draws_match_fraction_draws(self, fam):
+        # the numerators over 64 take the same rng calls as Fraction(num, 64) did
+        for seed in range(40):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for level in (1, 2, 3):
+                drawn = random_certificate(fam, level, rng)
+                triples = []
+                for i in fam.blocks:
+                    if i < level or not len(fam.generators[i]):
+                        continue
+                    for _ in range(ref.randint(0, level_counts(level)(i))):
+                        if ref.random() > 0.7:
+                            continue
+                        num = ref.randint(-64, 64) or 64
+                        triples.append((i, ref.randrange(len(fam.generators[i])), Fraction(num, 64)))
+                assert drawn == SumCertificate.of(triples)
+            assert rng.random() == ref.random()
+
+
 class TestMerge:
     def test_empty_merge(self, fam):
         m = tl.merge_certificates(fam, SumCertificate(()), SumCertificate(()), 2)
         assert tl.certificate_valid(fam, m, 1)
-        assert len(m) == 0
+        assert not m.terms
 
     def test_at_budget(self, fam):
         # block 3 at level 3: budget 1 each; merged: 2 = budget at level 2
