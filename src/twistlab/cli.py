@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -19,6 +20,7 @@ import os
 import sys
 from dataclasses import asdict
 from fractions import Fraction
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 
 from .construction import (
@@ -85,8 +87,38 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+_NESTED = (dict, list, tuple)
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+@functools.lru_cache(maxsize=None)
+def _flat_encoder(sep: str):
+    """json's C encoder for sorted keys and item separator ``sep``."""
+    return c_make_encoder(None, None, encode_basestring_ascii, None, ": ", sep, True, False, True)
+
+
 def _dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2)`` and a newline."""
+    return _json_text(obj, "\n") + "\n"
+
+
+def _json_text(obj, pad: str) -> str:
+    """The text ``json.dumps(obj, sort_keys=True, indent=2)`` gives a value
+    nested behind ``pad`` (a newline and its indent).  A dict or list of
+    scalars (a vector, a block row) takes one call to json's C encoder, which
+    writes the same tokens between the separators it is given; the Python
+    encoder that ``indent`` selects makes a chunk per token."""
+    if not (isinstance(obj, _NESTED) and obj):
+        return json.dumps(obj)
+    inner = pad + "  "
+    sep = "," + inner
+    if c_make_encoder and _SCALARS.issuperset(map(type, obj.values() if isinstance(obj, dict) else obj)):
+        text = "".join(_flat_encoder(sep)(obj, 0))
+        return text[0] + inner + text[1:-1] + pad + text[-1]
+    if isinstance(obj, dict):  # json.dumps of {key: 0} holds a key's text
+        items = [(json.dumps({k: 0})[1:-4], v) for k, v in sorted(obj.items())]
+        return "{" + inner + sep.join([k + ": " + _json_text(v, inner) for k, v in items]) + pad + "}"
+    return "[" + inner + sep.join([_json_text(v, inner) for v in obj]) + pad + "]"
 
 
 def _load_json_arg(value: str):

@@ -56,8 +56,9 @@ F1 = Fraction(1)
 STRICT_MARGIN = 1e-9  # interior margin for strict inequalities on float values
 
 # largest depth ``construct`` accepts: the case inputs are built eagerly,
-# 2^(depth + 2) kernel vectors and, for case c, as many weights 2^(1-n); they
-# take about 40 MB at depth 12 and 320 MB at depth 14
+# 2^(depth + 2) kernel vectors and, for case c, as many weights 2^(1-n); by
+# tracemalloc, case a's take 5.4 MB at depth 12 and 22 MB at depth 14, case
+# c's 24 MB and 302 MB (mostly the weights' denominators)
 MAX_DEPTH = 12
 # case c's state.json grows 4x per level, since a level-n vector is written
 # as a dense block of about 2^n coordinates: depth 10 writes 200 MB at a
@@ -145,8 +146,9 @@ def basis_constant(ys: list, space=None) -> Fraction:
     if not disjoint and rank(ys) != len(ys):
         raise ValueError("basis constant needs linearly independent vectors")
     space = space or SeqSpace()
-    if disjoint and isinstance(space, SeqSpace):
-        return 1 / min(y.norm() for y in ys)
+    if disjoint and isinstance(space, SeqSpace):  # 1 / min ||y||, on numerators over G
+        G = math.lcm(*(y.den for y in ys))
+        return Fraction(G, min(sum(map(abs, y.nums.values())) * (G // y.den) for y in ys))
     from .oracles import min_crosspolytope_norm
 
     res = min_crosspolytope_norm(ys, space=space)
@@ -196,8 +198,8 @@ class ConstructionState:
     def level_z(self, n: int) -> list:
         """The stretched vectors of level n, recovered from the stored
         generators so tampering with G is what gets certified."""
-        e_n = self.e_vector(n)
-        return [w - e_n for w in self.G[n]]
+        neg = -self.e_vector(n)
+        return [w + neg for w in self.G[n]]
 
 
 def fn_family(state: ConstructionState) -> SumFamily:
@@ -207,10 +209,8 @@ def fn_family(state: ConstructionState) -> SumFamily:
 def level_generators(space, e_n, xs_n: list, m_n: int) -> list:
     """The generator set of a level: e_n + m_n x for each kernel vector x,
     then e_n - m_n (sum of the x), which balances the sum to (#G) e_n."""
-    balance = space.zero()
-    for x in xs_n:
-        balance = balance + x
-    return [e_n + x * m_n for x in xs_n + [-balance]]
+    balance = space.vector.combination((x, -1) for x in xs_n)
+    return [e_n + x * m_n for x in xs_n + [balance]]
 
 
 def build_level(
@@ -317,7 +317,7 @@ def make_case_a_inputs(depth: int, generators: int = 3):
     """Desk-scale inputs for the sparse l1 case: consecutive disjoint
     mean-zero pairs (unit l1 norm) and the first few unit vectors."""
     supply = 2 ** (depth + 2)
-    xs = [(FinSeq.unit(2 * i - 1) - FinSeq.unit(2 * i)) / 2 for i in range(1, supply + 1)]
+    xs = [FinSeq._raw({2 * i - 1: 1, 2 * i: -1}, 2) for i in range(1, supply + 1)]
     ds = [FinSeq.unit(j) for j in range(1, generators + 1)]
     return xs, ds
 
@@ -600,10 +600,7 @@ def static_state_checks(state: ConstructionState, F: QuasiFunctional) -> list[Ch
         mono = all(a < b for a, b in zip(state.ell[n], state.ell[n][1:]))
         right = all(x.is_right_of(state.s[n]) for x in xs_n)
         checks.append(_step("enumeration", n, 0 if (mono and right) else 1, F1))
-        lam = Fraction(1, len(gens))
-        combo = space.zero()
-        for g in gens:
-            combo = combo + g * lam
+        combo = space.vector.combination([(g, 1) for g in gens], len(gens) or 1)  # an empty G[n] fails g_size
         checks.append(_step("e_hull", n, 0 if combo == e_n else 1, F1))
     for j, d in enumerate(state.d_generators):
         nd = space.norm(d)

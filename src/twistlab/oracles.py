@@ -257,11 +257,13 @@ def _analyze_negsum(zs):
     has exactly two owners, one of them d; when two vectors qualify, d is
     the smaller index."""
     owners: dict[int, list[int]] = {}
-    total: dict[int, Fraction] = {}
+    total: dict[int, int] = {}  # the family's sum, numerators over lcm
+    lcm = math.lcm(*(z.den for z in zs))
     for j, z in enumerate(zs):
-        for p, v in z.items():
+        f = lcm // z.den
+        for p, v in z.nums.items():
             owners.setdefault(p, []).append(j)
-            total[p] = total.get(p, F0) + v
+            total[p] = total.get(p, 0) + f * v
     shared = [js for js in owners.values() if len(js) > 1]
     if not shared:
         return ("disjoint", None)
@@ -284,6 +286,15 @@ def _omitted_sets(N: int, r: int):
             return
         c[i] -= 1
         c[i + 1 :] = range(N - r + i + 1, N)
+
+
+def _float_ratio(x: float) -> tuple[int, int]:
+    """A positive mass x as an integer ratio that cross-multiplies as x
+    compares with a Fraction: inf is (1, 0) and nan (0, 0)."""
+    try:
+        return x.as_integer_ratio()
+    except (OverflowError, ValueError):
+        return (int(x > 0), 0)
 
 
 def lemma5_adversary(zs: list, k: int, eta, *, space=None, seed: int = 0) -> OracleReport:
@@ -327,6 +338,7 @@ def lemma5_adversary(zs: list, k: int, eta, *, space=None, seed: int = 0) -> Ora
     N = len(zs)
     k = min(k, N)
     budget = NORM_CAP - INTERIOR
+    Bn, Bd, fbudget = budget.numerator, budget.denominator, float(budget)
     if k == 0 or N == 0:
         return OracleReport(
             "level_mass", float(-eta), 0.0, float(eta), {"pattern": [], "coefficients": []}, 0, seed, "exact", "no nonzeros allowed"
@@ -338,36 +350,41 @@ def lemma5_adversary(zs: list, k: int, eta, *, space=None, seed: int = 0) -> Ora
     shape_kind, d = _analyze_negsum(zs)
     exact_space = isinstance(space, SeqSpace)
     # gauges: the exact l1 norms, also the coordinate-l1 relaxation of the
-    # mixed norm; `order` lists the indices by (gauge, index)
+    # mixed norm, as numerators over one denominator G; `order` lists the
+    # indices by (gauge, index)
     if exact_space or shape_kind == "negsum":
-        gauges = [z.norm() for z in zs]
+        G = math.lcm(*(z.den for z in zs))
+        gauges = [sum(map(abs, z.nums.values())) * (G // z.den) for z in zs]
         order = sorted(range(N), key=gauges.__getitem__)
     if shape_kind == "negsum" and not exact_space:
         # every position of the family is shared with d, so a pattern keeping
         # d meets all of d's blocks, whatever else it keeps
         n_blocks = len(block_entries(zs[d])) or 1
-        q = float(space.p) / (float(space.p) - 1.0)
+        shrink = n_blocks ** (-1.0 / (float(space.p) / (float(space.p) - 1.0)))
+    saturated = (Fraction(1, k),) * k
 
-    # (omitted, indices, coefficients) of the running best; indices None
-    # stands for every kept vector
+    # best: (omitted, indices, coefficients, num, den) of the running best,
+    # indices None standing for every kept vector; best_mass its mass
     best_mass = best = None
     methods = set()
     count = 0
     for omitted in _omitted_sets(N, N - k):
         count += 1
         keeps_d = shape_kind == "negsum" and d not in omitted
+        # the pattern minimum is num / den: ints on exact patterns, a float
+        # over 1 otherwise
         if exact_space and shape_kind != "generic" and not keeps_d:
             j0 = next(j for j in order if j not in omitted)
-            mn, spec = gauges[j0], ((j0,), (F1,))
+            num, den, spec = gauges[j0], G, ((j0,), (F1,))
             methods.add("exact")
         elif keeps_d:
             j0 = next((j for j in order if j != d and j not in omitted), None)
-            # A / (K + 1) with K + 1 = k
-            saturated = sum((gauges[j] for j in omitted), F0) / k
-            if j0 is not None and gauges[j0] <= saturated:
-                mn, spec = gauges[j0], ((j0,), (F1,))
+            # A / (K + 1) with K + 1 = k is s / (G k)
+            s = sum(gauges[j] for j in omitted)
+            if j0 is not None and gauges[j0] * k <= s:
+                num, den, spec = gauges[j0], G, ((j0,), (F1,))
             else:
-                mn, spec = saturated, (None, (Fraction(1, k),) * k)
+                num, den, spec = s, G * k, (None, saturated)
             if exact_space:
                 methods.add("exact")
             else:
@@ -376,21 +393,24 @@ def lemma5_adversary(zs: list, k: int, eta, *, space=None, seed: int = 0) -> Ora
                 # the exact closed form, so the mass estimate is a sound upper
                 # bound (never an undershoot); the stored witness is feasible
                 # but may not attain it
-                mn = float(mn) * n_blocks ** (-1.0 / q)
+                num, den = num / den * shrink, 1
                 methods.add("bounded")
         else:
             kept = [j for j in range(N) if j not in omitted]
             res = min_crosspolytope_norm([zs[j] for j in kept], space=space, seed=seed)
-            mn, spec = res.value, (kept, res.minimizer)
+            num, den = res.value.as_integer_ratio() if isinstance(res.value, Fraction) else (res.value, 1)
+            spec = (kept, res.minimizer)
             methods.add(res.method)
-        if mn == 0:
-            best_mass, best = None, (omitted, *spec)
+        if num == 0:
+            best_mass, best = None, (omitted, *spec, num, den)
             break
-        mass = budget / mn if isinstance(mn, Fraction) else float(budget) / mn
-        if best_mass is None or mass > best_mass:
-            best_mass, best = mass, (omitted, *spec)
+        # the mass budget / minimum as an integer ratio, compared by cross
+        # multiplying; a float mass compares as its exact value
+        mass = _float_ratio(fbudget / num) if isinstance(num, float) else (Bn * den, Bd * num)
+        if best_mass is None or mass[0] * best_mass[1] > best_mass[0] * mass[1]:
+            best_mass, best = mass, (omitted, *spec, num, den)
 
-    omitted, indices, coefficients = best
+    omitted, indices, coefficients, num, den = best
     pattern = [j for j in range(N) if j not in omitted]
     best_alpha = [F0] * N
     for j, a in zip(pattern if indices is None else indices, coefficients):
@@ -408,23 +428,24 @@ def lemma5_adversary(zs: list, k: int, eta, *, space=None, seed: int = 0) -> Ora
             "exact" if exact_space else "heuristic",
             "combined vector vanished: coefficient mass is unbounded",
         )
+    best_mass = fbudget / num if isinstance(num, float) else budget / Fraction(num, den)
     # witness scaled to the budget surface by its true combined norm, so it
     # is always feasible; on exact patterns its mass equals the reported one
-    combined = space.zero()
     alpha_exact = [a if isinstance(a, Fraction) else Fraction(a) for a in best_alpha]
-    for a, z in zip(alpha_exact, zs):
-        if a:
-            combined = combined + z * a
-    wnorm = space.norm(combined)
+    lcm = math.lcm(*(a.denominator for a in alpha_exact))
+    nums = [a.numerator * (lcm // a.denominator) for a in alpha_exact]
+    wnorm = space.norm(space.vector.combination(((z, n) for z, n in zip(zs, nums) if n), lcm))
     if isinstance(wnorm, Fraction):
         wscale = budget / wnorm if wnorm else F1
     else:
-        wscale = Fraction(float(budget) / wnorm) * (1 - Fraction(1, 2 ** 30)) if wnorm else F1
-    r = [a * wscale for a in alpha_exact]
+        wscale = Fraction(fbudget / wnorm) * (1 - Fraction(1, 2 ** 30)) if wnorm else F1
+    # the coefficients are n * scale, each distinct one formatted once
+    scale = wscale / lcm
+    text = {n: "%s" % (n * scale) for n in set(nums)}
     witness = {
         "pattern": pattern,
-        "coefficients": ["%s" % c for c in r],
-        "mass": float(sum((abs(c) for c in r), F0)),
+        "coefficients": [text[n] for n in nums],
+        "mass": float(scale * sum(map(abs, nums))),
     }
     method = "exact" if methods <= {"exact"} else "bounded" if methods <= {"exact", "bounded"} else "heuristic"
     return OracleReport(

@@ -21,11 +21,14 @@ level's running sums over thousands of generators quadratic.
 from __future__ import annotations
 
 import math
+import re
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence, Union
 
-RationalLike = Union[int, str, Fraction]
+RationalLike = int | str | Fraction
+
+_ASCII_RATIO = re.compile(r"-?[0-9]+/[0-9]+").fullmatch
 
 
 def as_fraction(value) -> Fraction:
@@ -55,24 +58,29 @@ class FinSeq:
     __slots__ = ("nums", "den")
 
     def __init__(self, entries: Mapping[int, RationalLike] | Iterable[tuple[int, RationalLike]] | None = None):
-        data: dict[int, Fraction] = {}
+        data: dict[int, tuple[int, int]] = {}  # least (numerator, denominator) by position
         if entries:
             items = entries.items() if isinstance(entries, Mapping) else entries
             for idx, val in items:
                 idx = int(idx)
                 if idx < 1:
                     raise ValueError("indices are positive integers, got %d" % idx)
-                val = as_fraction(val)
-                if not val:
-                    continue
+                if type(val) is str and _ASCII_RATIO(val):  # the JSON form, parsed without Fraction
+                    n, d = map(int, val.split("/"))
+                    if not d:
+                        raise ZeroDivisionError("Fraction(%d, 0)" % n)
+                else:
+                    n, d = as_fraction(val).as_integer_ratio()
                 if idx in data:
-                    val += data[idx]
-                    if not val:
+                    m, e = data[idx]
+                    n, d = n * e + m * d, d * e
+                    if not n:
                         del data[idx]
-                        continue
-                data[idx] = val
-        self.den = den = math.lcm(*(v.denominator for v in data.values()))
-        self.nums = {i: v.numerator * (den // v.denominator) for i, v in data.items()}
+                if n:
+                    g = math.gcd(n, d)
+                    data[idx] = (n // g, d // g)
+        self.den = den = math.lcm(*(d for _, d in data.values()))
+        self.nums = {i: n * (den // d) for i, (n, d) in data.items()}
 
     @classmethod
     def unit(cls, index: int) -> "FinSeq":
@@ -159,11 +167,10 @@ class FinSeq:
         return self + (-other)
 
     def __mul__(self, scalar) -> "FinSeq":
-        s = as_fraction(scalar)
-        if not s:
+        p, q = (scalar, 1) if type(scalar) is int else as_fraction(scalar).as_integer_ratio()
+        if not p:
             return self._raw({}, 1)
-        p = s.numerator
-        return self._raw({i: n * p for i, n in self.nums.items()}, self.den * s.denominator)._reduced()
+        return self._raw({i: n * p for i, n in self.nums.items()}, self.den * q)._reduced()
 
     __rmul__ = __mul__
 

@@ -4,9 +4,12 @@ import math
 import subprocess
 import sys
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 import twistlab as tl
+from twistlab import cli
 from twistlab.cli import main
 from twistlab.construction import state_to_json
 from twistlab.quasilinear import NONSPLIT_CAP
@@ -398,6 +401,19 @@ class TestVerify:
         lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("VIOLATION")]
         assert lines[:2] == ["VIOLATION static:g_shape level 2", "VIOLATION static:e_hull level 2"]
 
+    def test_emptied_level_exits_three(self, tmp_path, capsys):
+        # an empty G[n] has no uniform hull: e_hull fails instead of dividing by 0
+        out = tmp_path / "run"
+        assert run_cli(["construct", "--case", "a", "--depth", "2", "--out", str(out)]) == 0
+        state = json.loads((out / "state.json").read_text())
+        state["G"]["1"] = []
+        p = tmp_path / "state.json"
+        p.write_text(json.dumps(state))
+        capsys.readouterr()
+        assert run_cli(["verify", "--state", str(p), "--trials", "0", "--out", str(tmp_path)]) == 3
+        lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("VIOLATION")]
+        assert lines[:3] == ["VIOLATION static:g_size level 1", "VIOLATION static:g_shape level 1", "VIOLATION static:e_hull level 1"]
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -407,6 +423,11 @@ class TestVerify:
             pytest.param(("a", "d_generators", {"1": ["1/1"]}), id="block_vector_in_case_a"),
             pytest.param(("c", "xs", {"1": "1/1"}), id="sparse_vector_in_case_c"),
             pytest.param(("c", "xs", {"1": "7"}), id="string_row_in_case_c"),
+            # rationals the "num/den" fast path splits, or hands on to Fraction
+            pytest.param(("a", "xs", {"1": "1/0"}), id="zero_denominator"),
+            pytest.param(("a", "xs", {"1": "0/0"}), id="zero_over_zero"),
+            pytest.param(("a", "xs", {"1": "1/-2"}), id="signed_denominator"),
+            pytest.param(("c", "xs", {"1": ["1/0"]}), id="zero_denominator_in_a_row"),
         ],
     )
     def test_malformed_state_is_usage(self, tmp_path, text):
@@ -546,3 +567,53 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0"
+
+
+# --- the state writer ------------------------------------------------------------
+
+json_strings = st.text(max_size=6) | st.sampled_from(["", '"', "\\", "\n\t", "\u00e9", "\u2028", "\ud800", "\U0001f600", "1/2", "-0/1"])
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**30), 10**30)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([0.0, -0.0, 1e16, 5e-324, math.inf, -math.inf, math.nan])
+    | json_strings
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(json_strings, max_size=5).map(tuple)
+    | st.dictionaries(json_strings, inner, max_size=5)
+    | st.dictionaries(st.integers(-20, 20), inner, max_size=5),
+    max_leaves=30,
+)
+
+
+def indent_dumps(obj):
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+class TestDumpJson:
+    @given(json_values)
+    @settings(max_examples=600, deadline=None)
+    def test_matches_json_dumps(self, obj):
+        assert cli._dump_json(obj) == indent_dumps(obj)
+
+    def test_other_keys_and_errors_match_json_dumps(self):
+        for obj in ({1.5: 1, -2.0: [1]}, {math.inf: "x"}, {True: {}}, {None: []}, {"a": {}, "b": [[], {}]}, 3, "s", None, []):
+            assert cli._dump_json(obj) == indent_dumps(obj)
+        for bad in ({(1, 2): 1}, {1: 1, "a": 2}, {"a": object()}, [object()], object()):
+            with pytest.raises(TypeError):
+                indent_dumps(bad)
+            with pytest.raises(TypeError):
+                cli._dump_json(bad)
+
+    def test_without_the_c_encoder(self, monkeypatch):
+        obj = {"xs": [{"1": "1/2", "2": "-1/2"}], "ell": {"1": [1, 2]}, "f": [1.5, math.inf, None, True]}
+        monkeypatch.setattr(cli, "c_make_encoder", None)
+        assert cli._dump_json(obj) == indent_dumps(obj)
+
+    def test_state_json_matches_json_dumps(self, state4):
+        obj = state_to_json(state4)
+        assert cli._dump_json(obj) == indent_dumps(obj)

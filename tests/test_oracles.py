@@ -3,7 +3,9 @@ import math
 import random
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 import twistlab as tl
 from twistlab import FinSeq, MixedSeq, oracles
@@ -15,6 +17,7 @@ from twistlab.oracles import (
     OracleReport,
     _analyze_negsum,
     _coordinate_ascent,
+    _float_ratio,
     _omitted_sets,
     min_crosspolytope_norm,
     replay_lemma5,
@@ -461,6 +464,27 @@ def random_negsum_family(rng, mixed=False, balance=True):
     return zs
 
 
+def block_disjoint_negsum_family(rng, zero=False):
+    """Mixed vectors each in blocks of its own, then (inserted at random) the
+    vector d balancing them to zero; with ``zero`` a zero vector joins too."""
+    blocks = list(range(1, 11))
+    rng.shuffle(blocks)
+    zs = []
+    for _ in range(rng.randint(1, 5)):
+        vec = {}
+        for n in [blocks.pop() for _ in range(rng.randint(1, 2))]:
+            vec[n] = [rng.choice([0, 1, -1, 2, Fraction(1, 2)]) for _ in range(n)]
+            vec[n][rng.randrange(n)] = rng.choice([1, -3])
+        zs.append(MixedSeq(vec))
+    total = MixedSeq()
+    for z in zs:
+        total = total + z
+    zs.insert(rng.randint(0, len(zs)), -total)
+    if zero:
+        zs.insert(rng.randint(0, len(zs)), MixedSeq())
+    return zs
+
+
 def outcome(search, *args, **kwargs):
     """The report's JSON, or the error raised (a mixed pattern with a zero
     vector has no cross-polytope minimum)."""
@@ -519,6 +543,71 @@ class TestLemma5AgainstReference:
             zs = state4.level_z(n)
             got = tl.lemma5_adversary(zs, 2 ** n, state4.c[n])
             assert got.to_json() == reference_lemma5(zs, 2 ** n, state4.c[n]).to_json()
+
+    def test_mixed_bounded_families(self):
+        # vectors in blocks of their own, balanced by d across all of them:
+        # patterns keeping d are bounded, the others take the block-disjoint
+        # closed form, so every mass is a float
+        rng = random.Random(5)
+        methods = set()
+        for trial in range(40):
+            zs = block_disjoint_negsum_family(rng)
+            space = MixedSpace([Fraction(3, 2), 2, 3][trial % 3])
+            self.check(zs, range(len(zs) + 1), space, trial)
+            methods.update(tl.lemma5_adversary(zs, k, Fraction(1, 16), space=space).method for k in range(1, len(zs)))
+        # (k = N keeps the whole dependent family: unbounded mass)
+        assert methods == {"bounded"}
+
+    def test_generic_family_with_float_minima(self, monkeypatch):
+        # with the orthant cap lowered to 2, overlapping patterns of three
+        # vectors are heuristic floats and disjoint ones exact Fractions, so
+        # exact and float masses compete in one search
+        monkeypatch.setattr(oracles, "EXACT_ORTHANT_CAP", 2)
+        rng = random.Random(9)
+        methods = set()
+        for trial in range(6):
+            zs = [FinSeq({2 * i + 1: rng.choice([1, 2, Fraction(1, 3)]), 2 * i + 2: rng.choice([-1, 3])}) for i in range(4)]
+            zs.insert(rng.randint(0, 4), FinSeq({rng.choice([1, 2]): 1, rng.choice([3, 4]): -2, 9: Fraction(1, 2)}))
+            assert _analyze_negsum(zs) == ("generic", None)
+            got = tl.lemma5_adversary(zs, 3, Fraction(1, 16), seed=trial)
+            assert got.to_json() == reference_lemma5(zs, 3, Fraction(1, 16), seed=trial).to_json()
+            methods.add(got.method)
+        assert methods == {"heuristic"}
+
+    def test_tied_gauges(self):
+        # equal gauges everywhere; with three unit vectors and k = 2 a
+        # pattern keeping d has its single vector (gauge 1) tie the
+        # saturated cost (2 / 2), and the single vector wins the tie
+        d_first = [FinSeq({1: -1, 2: 1, 3: -1}), FinSeq({3: 1}), FinSeq({1: 1}), FinSeq({2: -1})]
+        for zs in (
+            [FinSeq({1: 1}), FinSeq({2: -1}), FinSeq({3: 1}), FinSeq({1: -1, 2: 1, 3: -1})],
+            d_first,
+            [FinSeq({2 * i - 1: Fraction(1, 2), 2 * i: Fraction(-1, 2)}) for i in range(1, 6)],
+        ):
+            self.check(zs, range(len(zs) + 2), SeqSpace(), 0)
+        got = tl.lemma5_adversary(d_first, 2, Fraction(1, 16))
+        assert got.witness["pattern"] == [0, 1] and got.witness["coefficients"][:2] == ["0", "2999999999/1000000000"]
+
+    def test_zero_gauges(self):
+        # a zero vector makes its patterns' minimum 0: the search stops there
+        # with unbounded mass, whether or not the pattern keeps d
+        for zs in (
+            [FinSeq(), FinSeq({1: 1}), FinSeq({1: -1})],
+            [FinSeq({1: 1}), FinSeq({1: -1}), FinSeq(), FinSeq({2: 3}), FinSeq({2: -3})],
+            [FinSeq({1: 2}), FinSeq(), FinSeq({2: 1}), FinSeq({1: -2, 2: -1})],
+            [FinSeq(), FinSeq()],
+        ):
+            self.check(zs, range(len(zs) + 1), SeqSpace(), 0)
+        rng = random.Random(13)
+        for trial in range(8):
+            zs = block_disjoint_negsum_family(rng, zero=True)
+            self.check(zs, range(len(zs) + 1), MixedSpace(2), trial)
+
+    @given(st.sampled_from([0.0, 1e-300, 0.5, 3.0, 1e300, math.inf, math.nan]) | st.floats(0, 1e9) | st.fractions(0, 10 ** 6), st.sampled_from([0.0, 0.5, math.inf, math.nan]) | st.floats(0, 1e9) | st.fractions(0, 10 ** 6))
+    @settings(max_examples=300, deadline=None)
+    def test_float_ratio_compares_as_python_does(self, a, b):
+        ra, rb = (_float_ratio(v) if isinstance(v, float) else v.as_integer_ratio() for v in (a, b))
+        assert (ra[0] * rb[1] > rb[0] * ra[1]) == (a > b)
 
     def test_omitted_sets_follow_combinations_order(self):
         for N in range(8):

@@ -20,6 +20,37 @@ from twistlab.seqspace import MixedSpace, SeqSpace, block_entries, block_of, blo
 from .strategies import finseqs, small_scalar
 
 
+RATIO_EDGE_STRINGS = [
+    "1/2", "-3/4", "2/4", "-6/4", "007/3", "-0/5", "0/1", "12345678901234567890123/7",
+    "1/0", "-1/0", "0/0", "1/-2", "-1/-2", "--1/2", "+1/2", " 1/2", "1/2 ", "1/2\n", "1 / 2",
+    "1_0/3", "1/1_0", "0.5", "7", "-7", "1e3", "inf", "nan", "/5", "5/", "", "-", "1//2",
+    "\u0661/\u0662", "1/\u0662", "\u00b2/3", "\uff11/2",
+]
+
+
+def parse_or_error(make):
+    try:
+        return make()
+    except Exception as exc:  # the exception class is what must agree
+        return type(exc)
+
+
+def reference_entries(pairs):
+    """The Fraction constructor's entries: values summed by position in
+    first-seen order, zeros dropped."""
+    data = {}
+    for i, v in pairs:
+        v = Fraction(v)
+        if i in data:
+            v += data[i]
+            if not v:
+                del data[i]
+                continue
+        if v:
+            data[i] = v
+    return data
+
+
 class TestFinSeqBasics:
     def test_canonical_no_zeros(self):
         x = FinSeq({1: 1, 2: 0, 3: Fraction(0)})
@@ -193,6 +224,29 @@ class TestSerialization:
     def test_mixed_roundtrip(self):
         x = MixedSeq({2: [Fraction(1, 2), 0], 3: [0, 1, -1]})
         assert MixedSeq.from_json(x.to_json()) == x
+
+    @pytest.mark.parametrize("text", RATIO_EDGE_STRINGS)
+    def test_ratio_strings_parse_as_fraction(self, text):
+        # "num/den" in ASCII digits is split into two ints, anything else goes
+        # through Fraction: both give Fraction's value or its exception class
+        want = parse_or_error(lambda: Fraction(text))
+        assert parse_or_error(lambda: FinSeq({1: text})[1]) == want
+        assert parse_or_error(lambda: FinSeq([(3, "1/6"), (1, text)])[1]) == want
+        assert parse_or_error(lambda: MixedSeq({2: ["0/1", text]})[3]) == want
+        if isinstance(want, Fraction):
+            x, y = FinSeq({3: "1/6", 1: text}), FinSeq({3: Fraction(1, 6), 1: want})
+            assert (x.nums, x.den) == (y.nums, y.den)
+
+    @given(st.lists(st.tuples(st.integers(1, 6), st.integers(-(10**20), 10**20), st.integers(1, 10**6)), max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_ratio_strings_match_the_fraction_constructor(self, triples):
+        # repeated positions sum in place, a cancelled one is dropped, and the
+        # numerators stand over the lcm of the least denominators
+        pairs = [(i, "%d/%d" % (n, d)) for i, n, d in triples]
+        model = reference_entries(pairs)
+        x = FinSeq(pairs)
+        assert list(x.items()) == list(model.items())
+        assert x.den == math.lcm(*(v.denominator for v in model.values()))
 
     def test_space_roundtrip(self):
         from twistlab.seqspace import space_from_json
