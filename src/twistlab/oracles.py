@@ -24,7 +24,7 @@ from .construction import (
     verify_chain,
 )
 from .exact_lp import solve_lp
-from .quasilinear import QuasiFunctional, Scaled, UserLinear, WeightedRibe, evaluate, quasi_defect
+from .quasilinear import QuasiFunctional, Scaled, UserLinear, WeightedRibe, evaluate, quasi_defects
 from .seqspace import (
     FinSeq,
     MixedSeq,
@@ -476,43 +476,44 @@ def replay_lemma5(zs: list, witness: dict, space=None) -> tuple[float, float]:
 
 
 def seq_sampler(rng: random.Random) -> FinSeq:
-    """Bounded random sparse rational vector (dyadic denominators)."""
-    entries = {}
+    """Bounded random sparse rational vector (dyadic denominators up to 2^6,
+    drawn as numerators over 64)."""
+    nums = {}
     for _ in range(rng.randint(1, 5)):
         idx = rng.randint(1, 12)
         num = rng.randint(-64, 64)
         if num:
-            entries[idx] = entries.get(idx, F0) + Fraction(num, 1 << rng.randint(0, 6))
-    return FinSeq(entries)
+            nums[idx] = nums.get(idx, 0) + (num << (6 - rng.randint(0, 6)))
+    return FinSeq._raw({i: n for i, n in nums.items() if n}, 64)._reduced()
 
 
 def mixed_sampler_over(block_pool):
+    """Block vectors: one to three blocks drawn from the pool, each entry a
+    numerator over 16, a block drawn twice adding up."""
     block_pool = tuple(block_pool)
 
     def sample(rng: random.Random) -> MixedSeq:
-        blocks = {}
+        nums = {}
         for _ in range(rng.randint(1, 3)):
             n = rng.choice(block_pool)
-            vec = [Fraction(rng.randint(-16, 16), 16) for _ in range(n)]
-            blocks[n] = [a + b for a, b in zip(blocks.get(n, [F0] * n), vec)]
-        return MixedSeq({n: v for n, v in blocks.items() if any(v)})
+            for p in range(n * (n - 1) // 2 + 1, n * (n + 1) // 2 + 1):
+                nums[p] = nums.get(p, 0) + rng.randint(-16, 16)
+        return MixedSeq._raw({p: a for p, a in nums.items() if a}, 16)._reduced()
 
     return sample
 
 
 def _shift_right(x: FinSeq, offset: int) -> FinSeq:
-    return FinSeq({i + offset: v for i, v in x.items()})
+    return FinSeq._raw({i + offset: n for i, n in x.nums.items()}, x.den)
 
 
 def span_sampler(basis):
     """Random rational combinations of a fixed basis (for linear extensions,
-    whose domain is only the span)."""
+    whose domain is only the span): coefficients num / 2^k, k <= 5."""
+    vector = type(basis[0]) if basis else FinSeq
 
     def sample(rng: random.Random):
-        total = basis[0] * 0 if basis else FinSeq()
-        for b in basis:
-            total = total + b * Fraction(rng.randint(-32, 32), 1 << rng.randint(0, 5))
-        return total
+        return vector.combination([(b, rng.randint(-32, 32) << (5 - rng.randint(0, 5))) for b in basis], 32)
 
     return sample
 
@@ -520,7 +521,8 @@ def span_sampler(basis):
 def quasi_constant_adversary(F: QuasiFunctional, trials: int = 2000, seed: int = 0) -> OracleReport:
     """Empirical maximum of the normalized additivity defect over random pairs
     plus structured families (disjoint shifts, nested truncations, sign flips,
-    near-collinear pairs).  The assumed constant must dominate the maximum."""
+    near-collinear pairs).  The assumed constant must dominate the maximum.
+    Every pair of a trial shares its x, so F(x) and ||x|| are taken once."""
     core = F
     while isinstance(core, Scaled):
         core = core.inner
@@ -528,7 +530,7 @@ def quasi_constant_adversary(F: QuasiFunctional, trials: int = 2000, seed: int =
     if span_only:
         sampler = span_sampler(core.basis)
     elif isinstance(core, WeightedRibe):
-        sampler = mixed_sampler_over(sorted(core.weights)[:6] or [1])
+        sampler = mixed_sampler_over(sorted(core.weights)[:6])
     else:
         sampler = seq_sampler
     rng = random.Random(seed)
@@ -538,21 +540,20 @@ def quasi_constant_adversary(F: QuasiFunctional, trials: int = 2000, seed: int =
     for _ in range(max(1, trials)):
         x = sampler(rng)
         y = sampler(rng)
-        pairs = [(x, y)]
+        ys = [y]
         if not isinstance(x, MixedSeq) and not span_only:
-            pairs.append((x, _shift_right(y, x.max_support())))
-            half = FinSeq({i: v for i, v in x.items() if i <= (x.max_support() + 1) // 2})
-            pairs.append((x, half))
-        pairs.append((x, -x + y * Fraction(1, 8)))
-        pairs.append((x, x * Fraction(3, 2) + y * Fraction(1, 16)))
-        for a, b in pairs:
-            if not a and not b:
-                continue
-            count += 1
-            d = quasi_defect(F, a, b)
+            m = x.max_support()
+            ys.append(_shift_right(y, m))
+            ys.append(FinSeq._raw({i: n for i, n in x.nums.items() if i <= (m + 1) // 2}, x.den))
+        ys.append(-x + y * Fraction(1, 8))
+        ys.append(x * Fraction(3, 2) + y * Fraction(1, 16))
+        if not x:
+            ys = [b for b in ys if b]
+        count += len(ys)
+        for b, d in zip(ys, quasi_defects(F, x, ys)):
             if d > best:
                 best = d
-                witness = {"x": a.to_json(), "y": b.to_json()}
+                witness = {"x": x.to_json(), "y": b.to_json()}
     bound = float(F.assumed_constant)
     return OracleReport(
         target="quasi_constant",

@@ -32,9 +32,14 @@ from .seqspace import (
     block_entries,
     frac_str,
     in_hyperplane_H,
+    lp_of_blocks,
 )
 
 F0 = Fraction(0)
+
+# the largest block a weighted functional or nonsplit_witness takes: block n
+# holds n entries
+NONSPLIT_CAP = 2 ** 16
 
 
 # --- the functional kinds ---------------------------------------------------
@@ -70,7 +75,8 @@ class WeightedRibe:
     Ribe constant K into K ||c||_q, so ||c||_q takes K <= 1, while the proven
     K is 2 ln 2 (see ``Ribe``).  K <= 1 rests on the oracle sweeps (the
     measured Ribe supremum is about 0.8814) and on acceptance criterion 3,
-    which checks the weighted defect against ||c||_q on 10^5 pairs."""
+    which checks the weighted defect against ||c||_q on 10^5 pairs.
+    Weights and p are read-only: the evaluator keeps their floats."""
 
     weights: dict[int, Fraction]
     p: Fraction
@@ -79,11 +85,17 @@ class WeightedRibe:
 
     def __post_init__(self):
         self.weights = {int(n): as_fraction(c) for n, c in self.weights.items()}
+        if not self.weights:
+            raise ValueError("weights must name at least one block")
+        if not all(1 <= n <= NONSPLIT_CAP for n in self.weights):
+            raise ValueError("weighted block indices must be between 1 and %d" % NONSPLIT_CAP)
         self.p = as_fraction(self.p)
         if self.p <= 1:
             raise ValueError("p must exceed 1")
         if self.assumed_constant is None:
             self.assumed_constant = self.holder_bound()
+        self._pf = float(self.p)
+        self._floats: dict[int, float] = {}
 
     @property
     def q(self) -> Fraction:
@@ -166,14 +178,24 @@ def ribe_eval(x: FinSeq) -> float:
     return _ribe_terms(x.nums.values(), x.den)
 
 
+def _weighted_blocks(x: FinSeq, weights, floats: dict) -> tuple[float, list[int]]:
+    """sum_n c_n * (blockwise Ribe value) and the l1 numerators over ``x.den``
+    of x's nonzero blocks, from one decode; ``floats`` keeps float(c_n)."""
+    den, parts, norms = x.den, [], []
+    for n, blk in block_entries(x).items():
+        c = floats.get(n)
+        if c is None:
+            if n not in weights:
+                raise ValueError("missing weight for nonzero block %d" % n)
+            c = floats[n] = float(weights[n])
+        parts.append(c * _ribe_terms(blk.values(), den))
+        norms.append(sum(map(abs, blk.values())))
+    return math.fsum(parts), norms
+
+
 def weighted_ribe_eval(x: FinSeq, weights) -> float:
     """sum_n c_n * (blockwise Ribe value); every nonzero block needs a weight."""
-    parts = []
-    for n, blk in block_entries(x).items():
-        if n not in weights:
-            raise ValueError("missing weight for nonzero block %d" % n)
-        parts.append(float(weights[n]) * _ribe_terms(blk.values(), x.den))
-    return math.fsum(parts)
+    return _weighted_blocks(x, weights, {})[0]
 
 
 def evaluate(F: QuasiFunctional, x) -> float:
@@ -184,17 +206,40 @@ def evaluate(F: QuasiFunctional, x) -> float:
         return float(F(x))
     if isinstance(F, Ribe):
         return ribe_eval(x)
-    return weighted_ribe_eval(x, F.weights)
+    return _weighted_blocks(x, F.weights, F._floats)[0]
+
+
+def _value_and_norm(F: QuasiFunctional, x):
+    """(``evaluate(F, x)``, ``space_of(F).norm(x)``) to the bit, the weighted
+    kind taking both from one decode of x; an l1 norm stays a Fraction."""
+    if isinstance(F, Scaled):
+        value, norm = _value_and_norm(F.inner, x)
+        return float(F.factor) * value, norm
+    if isinstance(F, Ribe):
+        return ribe_eval(x), x.norm()
+    if isinstance(F, WeightedRibe):
+        value, norms = _weighted_blocks(x, F.weights, F._floats)
+        return value, lp_of_blocks(norms, x.den, F._pf)
+    return float(F(x)), F.space.norm(x)
+
+
+def quasi_defects(F: QuasiFunctional, x, ys) -> list[float]:
+    """``quasi_defect(F, x, y)`` for each y of ys, F(x) and ||x|| taken once."""
+    fx, nx = _value_and_norm(F, x)
+    out = []
+    for y in ys:
+        fy, ny = _value_and_norm(F, y)
+        denom = nx + ny
+        if denom == 0:
+            raise ValueError("defect undefined: both arguments are zero")
+        gap = evaluate(F, x + y) - (fx + fy)
+        out.append(abs(gap) / float(denom))
+    return out
 
 
 def quasi_defect(F: QuasiFunctional, x, y) -> float:
     """|F(x+y) - F(x) - F(y)| / (||x|| + ||y||); symmetric in its arguments."""
-    space = space_of(F)
-    denom = space.norm(x) + space.norm(y)
-    if denom == 0:
-        raise ValueError("defect undefined: both arguments are zero")
-    gap = evaluate(F, x + y) - (evaluate(F, x) + evaluate(F, y))
-    return abs(gap) / float(denom)
+    return quasi_defects(F, x, (y,))[0]
 
 
 def homogeneity_residual(F: QuasiFunctional, x, r) -> float:
@@ -306,10 +351,6 @@ def iterated_defect_check(F: QuasiFunctional, us: list, tolerance: float = 1e-9)
     rhs = math.fsum(abs(evaluate(F, u)) for u in us)
     rhs += math.fsum((i + 1) * float(space.norm(u)) for i, u in enumerate(us))
     return lhs <= rhs + tolerance, lhs, rhs
-
-
-# the largest block nonsplit_witness builds: block n holds n entries
-NONSPLIT_CAP = 2 ** 16
 
 
 def nonsplit_witness(n: int, cn) -> tuple[MixedSeq, float]:

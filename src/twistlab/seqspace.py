@@ -327,8 +327,12 @@ def norm_mixed(x: FinSeq, p) -> float:
     p = as_fraction(p)
     if p <= 1:
         raise ValueError("norm_mixed requires p > 1")
-    den = x.den
-    norms = [sum(map(abs, blk.values())) for blk in block_entries(x).values()]
+    return lp_of_blocks([sum(map(abs, blk.values())) for blk in block_entries(x).values()], x.den, p)
+
+
+def lp_of_blocks(norms: list[int], den: int, p) -> float:
+    """``norm_mixed`` from the l1 numerators over ``den`` of the nonzero
+    blocks; p (or its float) is converted only for two blocks or more."""
     if not norms:
         return 0.0
     if len(norms) == 1:

@@ -82,6 +82,40 @@ GOLDEN_ORACLE = {
     ),
 }
 
+# the sampler paths the entries above miss: the benchmark's 64-weight
+# functional (block pool 1..6), a scaled Ribe, and user_linear bases on both
+# spaces (random combinations of the basis)
+WEIGHTED_64 = json.dumps({"kind": "weighted_ribe", "weights": {str(n): "1/%d" % 2 ** (n - 1) for n in range(1, 65)}, "p": "2/1"})
+SCALED_RIBE = '{"kind": "scaled", "inner": {"kind": "ribe"}, "factor": "1/4"}'
+LINEAR = (
+    '{"kind": "user_linear", "basis": [{"1": "1/1", "2": "-1/1"}, {"2": "1/2", "3": "1/3"}, {"3": "-1/4", "5": "2/1"}],'
+    ' "values": ["1/1", "-1/3", "5/2"], "assumed_constant": 1.0}'
+)
+LINEAR_MIXED = (
+    '{"kind": "user_linear", "basis": [{"2": ["1/1", "-1/2"]}, {"1": ["1/3"], "3": ["0/1", "1/1", "-1/4"]}],'
+    ' "values": ["1/1", "-2/1"], "space": {"kind": "mixed", "p": "3/1"}, "assumed_constant": 1.0}'
+)
+GOLDEN_ORACLE.update(
+    {
+        "quasi_constant_weighted_64": (
+            ["quasi-constant", "--functional", WEIGHTED_64, "--trials", "300", "--seed", "3"],
+            "4722c72438bcbeef476c27e6a307248f1c1d53726d83498486f2c5324ce9dac9",
+        ),
+        "quasi_constant_scaled_ribe": (
+            ["quasi-constant", "--functional", SCALED_RIBE, "--trials", "300", "--seed", "4"],
+            "bad9319720e87615b5b6c61f6ee725f0ae9bc47f113c0feacb54115794354c96",
+        ),
+        "quasi_constant_user_linear": (
+            ["quasi-constant", "--functional", LINEAR, "--trials", "300", "--seed", "5"],
+            "681eabe2ddc500194075878062909611e0474d7681acd3c6fd0b0ca7707bb9a0",
+        ),
+        "quasi_constant_user_linear_mixed": (
+            ["quasi-constant", "--functional", LINEAR_MIXED, "--trials", "300", "--seed", "6"],
+            "65e94756a6f855f5d5d29841957428e670ac5bda856e06a02f1c5406192c66d2",
+        ),
+    }
+)
+
 
 # tampered copies of a case-a depth-2 state: (tamper, text of the violation)
 TAMPERED = {
@@ -126,6 +160,24 @@ MALFORMED = {
         "--functional",
         '{"kind": "ribe", "assumed_constant": "x"}',
     ],
+    # malformed weights: none at all, a block index below 1, and one past
+    # NONSPLIT_CAP, whose block would be drawn in full before a single pair
+    **{
+        "quasi_constant_weighted_" + name: [
+            "oracle",
+            "quasi-constant",
+            "--functional",
+            '{"kind": "weighted_ribe", "weights": %s, "p": "2/1"}' % weights,
+            "--trials",
+            "1",
+        ]
+        for name, weights in (
+            ("no_weights", "{}"),
+            ("block_zero", '{"0": "1/1"}'),
+            ("negative_block", '{"-3": "1/1", "2": "1/2"}'),
+            ("block_past_cap", '{"1": "1/1", "%d": "1/2"}' % (NONSPLIT_CAP + 1)),
+        )
+    },
     "eval_list": ["eval", "ribe", "--x", "[1]"],
     "eval_zero_denominator": ["eval", "ribe", "--x", '{"1": "1/0"}'],
 }

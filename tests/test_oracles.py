@@ -19,12 +19,17 @@ from twistlab.oracles import (
     _coordinate_ascent,
     _float_ratio,
     _omitted_sets,
+    _shift_right,
     min_crosspolytope_norm,
+    mixed_sampler_over,
     replay_lemma5,
     seq_sampler,
+    span_sampler,
 )
 from twistlab.seqspace import MixedSpace, SeqSpace, block_entries, disjoint_supports
 from twistlab.sumsets import random_certificate
+
+from .test_quasilinear import MIXED_BASIS, SEQ_BASIS
 
 
 def grid_min(ys, step=64):
@@ -651,6 +656,126 @@ class TestQuasiConstant:
         x = FinSeq.from_json(rep.witness["x"])
         y = FinSeq.from_json(rep.witness["y"])
         assert tl.quasi_defect(tl.Ribe(), x, y) == pytest.approx(rep.best_value, abs=1e-12)
+
+
+# --- the samplers and the adversary as they ran on Fraction items ------------
+
+
+def reference_seq_sampler(rng):
+    entries = {}
+    for _ in range(rng.randint(1, 5)):
+        idx = rng.randint(1, 12)
+        num = rng.randint(-64, 64)
+        if num:
+            entries[idx] = entries.get(idx, Fraction(0)) + Fraction(num, 1 << rng.randint(0, 6))
+    return FinSeq(entries)
+
+
+def reference_mixed_sampler_over(block_pool):
+    block_pool = tuple(block_pool)
+
+    def sample(rng):
+        blocks = {}
+        for _ in range(rng.randint(1, 3)):
+            n = rng.choice(block_pool)
+            vec = [Fraction(rng.randint(-16, 16), 16) for _ in range(n)]
+            blocks[n] = [a + b for a, b in zip(blocks.get(n, [Fraction(0)] * n), vec)]
+        return MixedSeq({n: v for n, v in blocks.items() if any(v)})
+
+    return sample
+
+
+def reference_span_sampler(basis):
+    def sample(rng):
+        total = basis[0] * 0 if basis else FinSeq()
+        for b in basis:
+            total = total + b * Fraction(rng.randint(-32, 32), 1 << rng.randint(0, 5))
+        return total
+
+    return sample
+
+
+def reference_quasi_constant(F, trials, seed):
+    """(best, witness, pairs) of the adversary with one ``quasi_defect`` call
+    per pair, every pair evaluating its x afresh."""
+    core = F
+    while isinstance(core, tl.Scaled):
+        core = core.inner
+    span_only = isinstance(core, tl.UserLinear)
+    if span_only:
+        sampler = reference_span_sampler(core.basis)
+    elif isinstance(core, tl.WeightedRibe):
+        sampler = reference_mixed_sampler_over(sorted(core.weights)[:6])
+    else:
+        sampler = reference_seq_sampler
+    rng = random.Random(seed)
+    best, witness, count = -1.0, None, 0
+    for _ in range(max(1, trials)):
+        x = sampler(rng)
+        y = sampler(rng)
+        pairs = [(x, y)]
+        if not isinstance(x, MixedSeq) and not span_only:
+            pairs.append((x, FinSeq({i + x.max_support(): v for i, v in y.items()})))
+            pairs.append((x, FinSeq({i: v for i, v in x.items() if i <= (x.max_support() + 1) // 2})))
+        pairs.append((x, -x + y * Fraction(1, 8)))
+        pairs.append((x, x * Fraction(3, 2) + y * Fraction(1, 16)))
+        for a, b in pairs:
+            if not a and not b:
+                continue
+            count += 1
+            d = tl.quasi_defect(F, a, b)
+            if d > best:
+                best, witness = d, {"x": a.to_json(), "y": b.to_json()}
+    return best, witness, count
+
+
+class TestSamplersAgainstReference:
+    @pytest.mark.parametrize(
+        "name",
+        ["seq", "pool_1_3", "pool_1_6", "pool_sparse", "pool_single", "span_seq", "span_mixed", "span_empty"],
+    )
+    def test_same_vectors_and_rng_state(self, name):
+        new, ref = {
+            "seq": (seq_sampler, reference_seq_sampler),
+            "pool_1_3": (mixed_sampler_over([1, 2, 3]), reference_mixed_sampler_over([1, 2, 3])),
+            "pool_1_6": (mixed_sampler_over(range(1, 7)), reference_mixed_sampler_over(range(1, 7))),
+            "pool_sparse": (mixed_sampler_over([2, 5, 9, 40]), reference_mixed_sampler_over([2, 5, 9, 40])),
+            "pool_single": (mixed_sampler_over([7]), reference_mixed_sampler_over([7])),
+            "span_seq": (span_sampler(SEQ_BASIS), reference_span_sampler(SEQ_BASIS)),
+            "span_mixed": (span_sampler(MIXED_BASIS), reference_span_sampler(MIXED_BASIS)),
+            "span_empty": (span_sampler([]), reference_span_sampler([])),
+        }[name]
+        rng, rng_ref = random.Random(name), random.Random(name)
+        zeros = 0
+        for _ in range(2000):
+            x, want = new(rng), ref(rng_ref)
+            assert type(x) is type(want) and x == want and x.to_json() == want.to_json()
+            assert rng.getstate() == rng_ref.getstate()
+            zeros += not x
+        assert zeros < 2000 or name == "span_empty"
+
+    def test_shift_right(self):
+        rng = random.Random(7)
+        for _ in range(2000):
+            x, offset = seq_sampler(rng), rng.randint(0, 12)
+            assert _shift_right(x, offset) == FinSeq({i + offset: v for i, v in x.items()})
+
+    @pytest.mark.parametrize(
+        "F",
+        [
+            tl.Ribe(),
+            tl.WeightedRibe({n: Fraction(1, 2 ** (n - 1)) for n in range(1, 65)}, 2),
+            tl.WeightedRibe({2: 3, 5: Fraction(-1, 3), 9: Fraction(1, 7)}, Fraction(3, 2)),
+            tl.Scaled(tl.Ribe(), Fraction(1, 4)),
+            tl.UserLinear(SEQ_BASIS, [1, Fraction(-1, 3), Fraction(5, 2)]),
+            tl.UserLinear(MIXED_BASIS, [1, -2], space=MixedSpace(3)),
+        ],
+        ids=["ribe", "weighted_64", "weighted_sparse", "scaled", "linear", "linear_mixed"],
+    )
+    def test_adversary_reuses_x_to_the_bit(self, F):
+        for seed in range(3):
+            rep = tl.quasi_constant_adversary(F, trials=150, seed=seed)
+            assert (rep.best_value, rep.witness, rep.trials) == reference_quasi_constant(F, 150, seed)
 
 
 class TestChainFuzzer:

@@ -7,10 +7,12 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import twistlab as tl
-from twistlab import FinSeq, MixedSeq
-from twistlab.quasilinear import functional_from_json, functional_to_json, rank, solve_in_span
+from twistlab import FinSeq, MixedSeq, MixedSpace, norm_mixed
+from twistlab.quasilinear import NONSPLIT_CAP, functional_from_json, functional_to_json, quasi_defects, rank, solve_in_span
+from twistlab.seqspace import block_of
 
 from .strategies import finseqs, mean_zero_finseqs, mixedseqs, small_scalar
+from .test_seqspace import ref_ribe_terms
 
 LN2 = math.log(2)
 
@@ -119,6 +121,14 @@ class TestWeightedRibe:
     def test_missing_weight(self):
         with pytest.raises(ValueError):
             tl.weighted_ribe_eval(MixedSeq.unit(3, 1), {1: Fraction(1)})
+
+    @pytest.mark.parametrize("weights", [{}, {0: 1}, {-3: 1, 2: 1}, {1: 1, NONSPLIT_CAP + 1: 1}])
+    def test_malformed_weights_rejected(self, weights):
+        with pytest.raises(ValueError, match="weight"):
+            tl.WeightedRibe(weights, 2)
+
+    def test_largest_block_accepted(self):
+        assert tl.WeightedRibe({NONSPLIT_CAP: 1}, 2).assumed_constant == 1.0
 
     def test_holder_constant(self):
         F = tl.WeightedRibe({1: Fraction(1)}, 2)
@@ -293,6 +303,113 @@ class TestIteratedDefect:
                 us.append(FinSeq({rng.randint(1, 10): Fraction(rng.randint(-8, 8), 4) for _ in range(rng.randint(1, 3))}))
             holds, lhs, rhs = tl.iterated_defect_check(F, us)
             assert holds, (lhs, rhs)
+
+
+def reference_blocks(x):
+    """x's nonzero entries as Fractions grouped by block."""
+    out = {}
+    for p, v in x.items():
+        out.setdefault(block_of(p)[0], []).append(v)
+    return out
+
+
+def reference_mixed_norm(x, p):
+    norms = [sum(map(abs, vals), Fraction(0)) for vals in reference_blocks(x).values()]
+    if len(norms) > 1:
+        return math.fsum(float(v) ** float(p) for v in norms) ** (1.0 / float(p))
+    return float(norms[0]) if norms else 0.0
+
+
+def reference_evaluate(F, x):
+    """``evaluate`` before the value-and-norm kernel: a decode and a weight's
+    float per block on every call."""
+    if isinstance(F, tl.Scaled):
+        return float(F.factor) * reference_evaluate(F.inner, x)
+    if isinstance(F, tl.UserLinear):
+        return float(F(x))
+    if isinstance(F, tl.Ribe):
+        return ref_ribe_terms([v for _, v in x.items()])
+    return math.fsum(float(F.weights[n]) * ref_ribe_terms(vals) for n, vals in reference_blocks(x).items())
+
+
+def reference_norm(F, x):
+    while isinstance(F, tl.Scaled):
+        F = F.inner
+    if isinstance(F, tl.WeightedRibe):
+        return reference_mixed_norm(x, F.p)
+    if isinstance(F, tl.UserLinear) and isinstance(F.space, MixedSpace):
+        return reference_mixed_norm(x, F.space.p)
+    return sum((abs(v) for _, v in x.items()), Fraction(0))
+
+
+def reference_quasi_defect(F, x, y):
+    denom = reference_norm(F, x) + reference_norm(F, y)
+    gap = reference_evaluate(F, x + y) - (reference_evaluate(F, x) + reference_evaluate(F, y))
+    return abs(gap) / float(denom)
+
+
+def _seq_vector(rng):
+    return FinSeq({rng.randint(1, 9): Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 8, 12))) for _ in range(rng.randint(0, 5))})
+
+
+def _mixed_vector(rng, blocks=(1, 2, 3, 5, 6)):
+    return MixedSeq({n: [Fraction(rng.randint(-9, 9), rng.choice((1, 4, 6))) for _ in range(n)] for n in rng.sample(blocks, rng.randint(0, 3))})
+
+
+SEQ_BASIS = [FinSeq({1: 1, 2: -1}), FinSeq({2: Fraction(1, 2), 3: Fraction(1, 3)}), FinSeq({3: Fraction(-1, 4), 5: 2})]
+MIXED_BASIS = [MixedSeq({2: [1, Fraction(-1, 2)]}), MixedSeq({1: [Fraction(1, 3)], 3: [0, 1, Fraction(-1, 4)]})]
+
+
+def _span_vector(basis):
+    def draw(rng):
+        out = basis[0] * 0
+        for b in basis:
+            out = out + b * Fraction(rng.randint(-7, 7), rng.choice((1, 2, 5)))
+        return out
+
+    return draw
+
+
+WEIGHTED = tl.WeightedRibe({1: 1, 2: Fraction(1, 2), 3: Fraction(-2, 3), 5: Fraction(1, 7), 6: 3}, Fraction(3, 2))
+KERNEL_CASES = {
+    "ribe": (tl.Ribe(), _seq_vector),
+    "weighted": (WEIGHTED, _mixed_vector),
+    "scaled_ribe": (tl.Scaled(tl.Ribe(), Fraction(3, 7)), _seq_vector),
+    "scaled_weighted": (tl.Scaled(WEIGHTED, Fraction(5, 2)), _mixed_vector),
+    "linear": (tl.UserLinear(SEQ_BASIS, [1, Fraction(-1, 3), Fraction(5, 2)]), _span_vector(SEQ_BASIS)),
+    "linear_mixed": (tl.UserLinear(MIXED_BASIS, [1, -2], space=MixedSpace(3)), _span_vector(MIXED_BASIS)),
+    "scaled_linear": (tl.Scaled(tl.UserLinear(SEQ_BASIS, [2, 0, -1], 0.5), Fraction(1, 3)), _span_vector(SEQ_BASIS)),
+}
+
+
+class TestKernelAgainstReference:
+    @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+    def test_defect_and_value_bit_identical(self, name):
+        F, draw = KERNEL_CASES[name]
+        rng = random.Random(name)
+        checked = 0
+        for _ in range(400):
+            x, ys = draw(rng), [draw(rng) for _ in range(3)]
+            assert tl.evaluate(F, x) == reference_evaluate(F, x)
+            ys = [y for y in ys if x or y]
+            want = [reference_quasi_defect(F, x, y) for y in ys]
+            assert quasi_defects(F, x, ys) == want
+            assert [tl.quasi_defect(F, x, y) for y in ys] == want
+            checked += len(ys)
+        assert checked > 1000
+
+    def test_weighted_eval_and_norm_bit_identical(self):
+        rng = random.Random(11)
+        W = {n: Fraction(rng.randint(-5, 5), rng.randint(1, 9)) for n in range(1, 41)}
+        for _ in range(1000):
+            x = _mixed_vector(rng, blocks=(1, 2, 7, 11, 30, 40))
+            assert tl.weighted_ribe_eval(x, W) == reference_evaluate(tl.WeightedRibe(W, 2), x)
+            for p in (Fraction(2), Fraction(3, 2), 5):
+                assert norm_mixed(x, p) == reference_mixed_norm(x, p)
+
+    def test_missing_weight_through_the_kernel(self):
+        with pytest.raises(ValueError, match="missing weight for nonzero block 4"):
+            tl.quasi_defect(WEIGHTED, MixedSeq.unit(1, 1), MixedSeq.unit(4, 2))
 
 
 def reference_eliminate(cols, tgt):
