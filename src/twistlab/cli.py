@@ -329,7 +329,7 @@ def cmd_oracle(args) -> int:
             ys = _load_json_arg(args.ys)
             if not isinstance(ys, list):
                 raise ValueError("expected a JSON list of vectors")
-            res = min_crosspolytope_norm([vector_from_json(v) for v in ys], seed=args.seed)
+            res = min_crosspolytope_norm([vector_from_json(v) for v in ys])
         except INPUT_ERRORS as exc:
             return _usage_fail("cannot use --ys: %s" % exc)
         rep = OracleReport(

@@ -135,9 +135,12 @@ def tail_index(k_generators: list, e_n) -> int:
 def basis_constant(ys: list, space=None) -> Fraction:
     """Rational M with  sum |a_i| <= M || sum a_i y_i ||  for all tuples.
 
-    Disjointly supported l1 vectors give the exact optimum 1/min ||y_i||;
-    anything else takes the cross-polytope minimizer's value rounded up with
-    a 10% safety margin.  Dependent input is rejected: no finite M exists.
+    Disjointly supported l1 vectors give the exact optimum 1/min ||y_i||.
+    Past the orthant cap an l1 family gets ||L||, the l1 operator norm of
+    its least-squares left inverse L (``oracles._left_inverse_min``): a
+    proven constant, since ||a||_1 = ||L V a||_1 <= ||L|| ||V a||_1.
+    Anything else takes 1.1 over the cross-polytope minimum, rounded up to
+    a multiple of 2^-20.  Dependent input is rejected: no finite M exists.
     Nonzero disjointly supported vectors are independent and skip the rank.
     """
     if not ys:
@@ -152,6 +155,8 @@ def basis_constant(ys: list, space=None) -> Fraction:
     from .oracles import min_crosspolytope_norm
 
     res = min_crosspolytope_norm(ys, space=space)
+    if res.method == "bounded" and isinstance(res.value, Fraction):
+        return 1 / res.value
     val = float(res.value)
     if val <= 0:
         raise ValueError("cross-polytope minimum vanished on independent input")

@@ -52,6 +52,22 @@ def pivot_rows(rows, r, col) -> None:
         rows[i] = [v // g for v in line] if g > 1 else line
 
 
+def gauss_jordan(rows, ncols) -> list[int]:
+    """Reduce ``rows`` in place on their first ``ncols`` columns, left to
+    right, pivoting on the first remaining row with a nonzero entry.  Returns
+    the pivot columns; row i < len(pivots) is over its entry in pivots[i],
+    which is positive, and the other rows are zero in those columns."""
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is not None:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            pivot_rows(rows, r, c)
+            pivots.append(c)
+    return pivots
+
+
 def _pivot(T, basis, row, col):
     pivot_rows(T, row, col)
     basis[row] = col

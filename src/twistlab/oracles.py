@@ -4,8 +4,10 @@ inequality the construction relies on.
 Design rule: each oracle reports the extremal input it found (the witness)
 in replayable form, and strict inequalities are attacked with a small
 interior margin so floating-point boundary noise cannot manufacture
-violations.  Exact modes use rational arithmetic end to end; search modes
-are tagged heuristic.
+violations.  Exact modes use rational arithmetic end to end; ``bounded``
+modes report a proven bound that their witness need not attain; search
+modes are ``heuristic`` and certify nothing; an oversized search is
+``refused``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .construction import (
     fn_family,
     verify_chain,
 )
-from .exact_lp import solve_lp
+from .exact_lp import gauss_jordan, solve_lp
 from .quasilinear import QuasiFunctional, Scaled, UserLinear, WeightedRibe, evaluate, quasi_defects
 from .seqspace import (
     FinSeq,
@@ -32,7 +34,6 @@ from .seqspace import (
     SeqSpace,
     as_fraction,
     block_entries,
-    block_of,
     disjoint_supports,
 )
 from .sumsets import (
@@ -77,9 +78,11 @@ class OracleReport:
 
 @dataclass
 class CrossPolytopeResult:
-    value: object  # Fraction in exact mode, float otherwise
-    minimizer: list
-    method: str  # "exact" | "heuristic"
+    value: object  # a Fraction on l1 families and for an exact 0, else a float
+    minimizer: list  # unit coefficient mass
+    # "exact": the minimizer attains the value; "bounded": the value is a
+    # proven lower bound on the minimum, which the minimizer need not attain
+    method: str
 
 
 EXACT_ORTHANT_CAP = 8
@@ -115,92 +118,61 @@ def _orthant_lp_min(ys: list[FinSeq]):
     return best, best_alpha
 
 
-def _float_coords(ys, space):
-    """Dense float coordinate rows, plus block labels for the mixed norm."""
-    positions = sorted(set().union(*(y.support for y in ys)) or {1})
-    rows = [[float(y[p]) for y in ys] for p in positions]
-    if isinstance(space, MixedSpace):
-        return rows, [block_of(p)[0] for p in positions], float(space.p)
-    return rows, None, None
-
-
-def _float_norm(rows, labels, p, alpha):
-    vals = [math.fsum(r * a for r, a in zip(row, alpha)) for row in rows]
-    if labels is None:
-        return math.fsum(abs(v) for v in vals)
-    per_block: dict[int, float] = {}
-    for lab, v in zip(labels, vals):
-        per_block[lab] = per_block.get(lab, 0.0) + abs(v)
-    return math.fsum(b ** p for b in per_block.values()) ** (1.0 / p)
-
-
-def _subgradient_min(ys, space, *, seed=0):
-    rng = random.Random(seed)
+def _left_inverse_min(ys: list[FinSeq]) -> CrossPolytopeResult:
+    """1/||L|| for the least-squares left inverse L = (V^T V)^(-1) V^T, a
+    proven lower bound on the l1 minimum at any family size:
+    ||a||_1 = ||L V a||_1 <= ||L|| ||V a||_1 with ||L|| the largest column l1
+    norm (Boyd and Vandenberghe, *Convex Optimization*, 6.1).  Gauss-Jordan
+    on the integer rows [N^T N | N^T], N the numerators of V over D, leaves
+    L_ij = D row_i[k + j] / row_i[i].  The minimizer, L's largest column over
+    its norm, need not attain the bound.  A dependent family has the exact
+    minimum 0, at a null vector read off the same rows."""
     k = len(ys)
-    rows, labels, p = _float_coords(ys, space)
-
-    def project(alpha):
-        s = math.fsum(abs(a) for a in alpha)
-        if s == 0:
-            alpha = [1.0] + [0.0] * (k - 1)
-            s = 1.0
-        return [a / s for a in alpha]
-
-    def grad(alpha):
-        vals = [math.fsum(r * a for r, a in zip(row, alpha)) for row in rows]
-        if labels is None:
-            return [math.fsum(math.copysign(1.0, v) * row[j] if v else 0.0 for v, row in zip(vals, rows)) for j in range(k)]
-        per_block: dict[int, float] = {}
-        for lab, v in zip(labels, vals):
-            per_block[lab] = per_block.get(lab, 0.0) + abs(v)
-        total = math.fsum(b ** p for b in per_block.values())
-        if total == 0:
-            return [0.0] * k
-        outer = total ** (1.0 / p - 1.0)
-        g = []
-        for j in range(k):
-            acc = 0.0
-            for lab, v, row in zip(labels, vals, rows):
-                if v and per_block[lab]:
-                    acc += per_block[lab] ** (p - 1.0) * math.copysign(1.0, v) * row[j]
-            g.append(outer * acc)
-        return g
-
-    # the k unit vectors, then 8 random restarts, each descended 300 steps
-    starts = []
-    for j in range(k):
-        e = [0.0] * k
-        e[j] = 1.0
-        starts.append(e)
-    for _ in range(8):
-        starts.append(project([rng.uniform(-1, 1) for _ in range(k)]))
-    best_val = None
-    best_alpha = None
-    for alpha in starts:
-        val = _float_norm(rows, labels, p, alpha)
-        if best_val is None or val < best_val:
-            best_val, best_alpha = val, list(alpha)
-        cur = list(alpha)
-        for it in range(1, 301):
-            g = grad(cur)
-            gn = math.fsum(abs(v) for v in g)
-            if gn == 0:
-                break
-            step = 0.5 / (gn * math.sqrt(it))
-            cur = project([a - step * v for a, v in zip(cur, g)])
-            val = _float_norm(rows, labels, p, cur)
-            if val < best_val:
-                best_val, best_alpha = val, list(cur)
-    return best_val, best_alpha
+    D = math.lcm(*(y.den for y in ys))
+    cols = [{p: v * (D // y.den) for p, v in y.nums.items()} for y in ys]
+    coords = sorted(set().union(*cols))
+    rows = [[sum(v * b.get(p, 0) for p, v in a.items()) for b in cols] + [a.get(p, 0) for p in coords] for a in cols]
+    pivots = gauss_jordan(rows, k)
+    if len(pivots) < k:
+        # x_c = 1 on the first free column c solves N^T N x = 0, so N x = 0
+        c = next(j for j in range(k) if j not in pivots)
+        x = [F0] * k
+        x[c] = F1
+        for row, j in zip(rows, pivots):
+            x[j] = Fraction(-row[c], row[j])
+        mass = sum(map(abs, x))
+        return CrossPolytopeResult(F0, [a / mass for a in x], "exact")
+    # the column sums of L as numerators over P / D
+    P = math.lcm(*(rows[i][i] for i in range(k)))
+    scaled = [[row[k + j] * (P // row[i]) for j in range(len(coords))] for i, row in enumerate(rows)]
+    sums = [sum(abs(line[j]) for line in scaled) for j in range(len(coords))]
+    j = max(range(len(coords)), key=sums.__getitem__)
+    return CrossPolytopeResult(Fraction(P, D * sums[j]), [Fraction(line[j], sums[j]) for line in scaled], "bounded")
 
 
-def min_crosspolytope_norm(ys: list, *, space=None, seed=0) -> CrossPolytopeResult:
+def _l1_min(ys: list[FinSeq]) -> CrossPolytopeResult:
+    k = len(ys)
+    if disjoint_supports(*ys):
+        norms = [y.norm() for y in ys]
+        j = min(range(k), key=lambda i: norms[i])
+        alpha = [F0] * k
+        alpha[j] = F1
+        return CrossPolytopeResult(norms[j], alpha, "exact")
+    if k <= EXACT_ORTHANT_CAP:
+        return CrossPolytopeResult(*_orthant_lp_min(ys), "exact")
+    return _left_inverse_min(ys)
+
+
+def min_crosspolytope_norm(ys: list, *, space=None) -> CrossPolytopeResult:
     """Minimize || sum a_i y_i || over coefficient vectors with sum |a_i| = 1.
 
     Disjointly supported l1 families and block-disjoint mixed families have
-    closed forms; other l1 families up to 8 vectors get exact sign-orthant
-    LPs; everything else falls back to projected subgradient descent with
-    restarts and is tagged heuristic.
+    closed forms; other l1 families get exact sign-orthant LPs up to
+    ``EXACT_ORTHANT_CAP`` vectors and the left-inverse bound beyond
+    (``bounded``).  Other mixed families take the l1 minimum times
+    B^(-1/q) over the B blocks they touch, since the norm dominates that
+    multiple of the coordinate-l1 norm (Hoelder over B blocks): ``bounded``
+    too, unless the l1 minimum is an exact 0.
     """
     if not ys:
         raise ValueError("empty input")
@@ -210,28 +182,20 @@ def min_crosspolytope_norm(ys: list, *, space=None, seed=0) -> CrossPolytopeResu
         if isinstance(ys[0], MixedSeq):
             raise ValueError("mixed vectors need an explicit space (for the norm's p)")
         space = SeqSpace()
-    k = len(ys)
     if isinstance(space, SeqSpace):
-        if disjoint_supports(*ys):
-            norms = [y.norm() for y in ys]
-            j = min(range(k), key=lambda i: norms[i])
-            alpha = [F0] * k
-            alpha[j] = F1
-            return CrossPolytopeResult(norms[j], alpha, "exact")
-        if k <= EXACT_ORTHANT_CAP:
-            val, alpha = _orthant_lp_min(ys)
-            return CrossPolytopeResult(val, alpha, "exact")
-        val, alpha = _subgradient_min(ys, space, seed=seed)
-        return CrossPolytopeResult(val, alpha, "heuristic")
+        return _l1_min(ys)
+    q = float(space.p) / (float(space.p) - 1.0)
     if _blocks_disjoint(ys):
-        q = float(space.p) / (float(space.p) - 1.0)
         norms = [space.norm(y) for y in ys]
         s = math.fsum(a ** (-q) for a in norms)
         val = s ** (-1.0 / q)
         weights = [a ** (-q) / s for a in norms]
         return CrossPolytopeResult(val, weights, "exact")
-    val, alpha = _subgradient_min(ys, space, seed=seed)
-    return CrossPolytopeResult(val, alpha, "heuristic")
+    res = _l1_min(ys)
+    if not res.value:
+        return res
+    n_blocks = len(set().union(*(block_entries(y) for y in ys)))
+    return CrossPolytopeResult(float(res.value) * n_blocks ** (-1.0 / q), res.minimizer, "bounded")
 
 
 def _blocks_disjoint(ys: list[MixedSeq]) -> bool:
@@ -304,8 +268,11 @@ def lemma5_adversary(zs: list, k: int, eta, *, space=None, seed: int = 0) -> Ora
     maximal patterns are searched, all of them, each named by the vectors it
     omits; each reduces to a cross-polytope minimum via mass = cap / min, and
     the strictly largest mass wins (the first in ``itertools.combinations``
-    order on a tie).  Past ``PATTERN_CAP`` patterns the family is refused
-    unsearched, with violation inf and no witness: a failure to every caller.
+    order on a tie).  A pattern whose combination can vanish ends the search
+    with infinite mass, ``exact`` in either space.  Past ``PATTERN_CAP``
+    patterns the family is ``refused`` unsearched, with violation inf and no
+    witness: a failure to every caller.  Generic patterns take
+    ``min_crosspolytope_norm``, so the search is ``exact`` or ``bounded``.
 
     Disjoint l1 families are minimized by the kept vector of least norm.  On
     the construction's own shape (a disjoint family plus the vector d
@@ -346,7 +313,7 @@ def lemma5_adversary(zs: list, k: int, eta, *, space=None, seed: int = 0) -> Ora
     n_patterns = math.comb(N, k)
     if n_patterns > PATTERN_CAP:
         notes = "refused: %d support patterns exceed the cap of %d" % (n_patterns, PATTERN_CAP)
-        return OracleReport("level_mass", float("inf"), None, float(eta), None, 0, seed, "heuristic", notes)
+        return OracleReport("level_mass", float("inf"), None, float(eta), None, 0, seed, "refused", notes)
     shape_kind, d = _analyze_negsum(zs)
     exact_space = isinstance(space, SeqSpace)
     # gauges: the exact l1 norms, also the coordinate-l1 relaxation of the
@@ -397,7 +364,7 @@ def lemma5_adversary(zs: list, k: int, eta, *, space=None, seed: int = 0) -> Ora
                 methods.add("bounded")
         else:
             kept = [j for j in range(N) if j not in omitted]
-            res = min_crosspolytope_norm([zs[j] for j in kept], space=space, seed=seed)
+            res = min_crosspolytope_norm([zs[j] for j in kept], space=space)
             num, den = res.value.as_integer_ratio() if isinstance(res.value, Fraction) else (res.value, 1)
             spec = (kept, res.minimizer)
             methods.add(res.method)
@@ -425,7 +392,7 @@ def lemma5_adversary(zs: list, k: int, eta, *, space=None, seed: int = 0) -> Ora
             {"pattern": pattern, "coefficients": [str(a) for a in best_alpha]},
             count,
             seed,
-            "exact" if exact_space else "heuristic",
+            "exact",
             "combined vector vanished: coefficient mass is unbounded",
         )
     best_mass = fbudget / num if isinstance(num, float) else budget / Fraction(num, den)
@@ -447,7 +414,6 @@ def lemma5_adversary(zs: list, k: int, eta, *, space=None, seed: int = 0) -> Ora
         "coefficients": [text[n] for n in nums],
         "mass": float(scale * sum(map(abs, nums))),
     }
-    method = "exact" if methods <= {"exact"} else "bounded" if methods <= {"exact", "bounded"} else "heuristic"
     return OracleReport(
         target="level_mass",
         best_violation=float(best_mass - eta) if isinstance(best_mass, Fraction) else float(best_mass) - float(eta),
@@ -456,7 +422,7 @@ def lemma5_adversary(zs: list, k: int, eta, *, space=None, seed: int = 0) -> Ora
         witness=witness,
         trials=count,
         seed=seed,
-        method=method,
+        method="exact" if methods <= {"exact"} else "bounded",
         notes="patterns exhaustive, budget %s" % float(budget),
     )
 

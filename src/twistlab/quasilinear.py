@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
-from .exact_lp import pivot_rows
+from .exact_lp import gauss_jordan
 from .seqspace import (
     FinSeq,
     MixedSeq,
@@ -265,15 +265,7 @@ def _eliminate(vectors, target):
     integer rows; row i < len(pivots) is over its entry in pivots[i]."""
     cols = [*vectors, target]
     rows = [[v.nums.get(p, 0) for v in cols] for p in sorted(set().union(*(v.nums for v in cols)))]
-    pivots = []
-    for c in range(len(vectors)):
-        r = len(pivots)
-        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pr is not None:
-            rows[r], rows[pr] = rows[pr], rows[r]
-            pivot_rows(rows, r, c)
-            pivots.append(c)
-    return rows, pivots
+    return rows, gauss_jordan(rows, len(vectors))
 
 
 def solve_in_span(basis, target) -> list[Fraction]:

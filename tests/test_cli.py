@@ -11,8 +11,11 @@ from hypothesis import given, settings
 import twistlab as tl
 from twistlab import cli
 from twistlab.cli import main
-from twistlab.construction import state_to_json
+from twistlab.construction import state_from_json, state_to_json
 from twistlab.quasilinear import NONSPLIT_CAP
+from twistlab.seqspace import disjoint_supports
+
+from .test_oracles import left_inverse_norm
 
 # sha256 of (state.json, levels.csv) from ``construct --depth 6 --seed 0``:
 # a refactor that changes a single output byte fails here
@@ -335,6 +338,26 @@ class TestConstruct:
     def test_custom_needs_inputs(self, tmp_path):
         assert run_cli(["construct", "--case", "custom", "--depth", "2", "--out", str(tmp_path)]) == 64
 
+    def test_custom_overlapping_kernel_certifies_with_the_bound(self, tmp_path):
+        # levels 1-3 draw 15 disjoint mean-zero pairs; level 4 draws 16
+        # overlapping vectors {3i+1: 1, 3i+2: -1, 3i+4: 1/2}, past the orthant
+        # cap, so its M is the left-inverse norm and its mass search bounded
+        xs = [{str(2 * i + 1): "1", str(2 * i + 2): "-1"} for i in range(15)]
+        xs += [{str(3 * i + 1): "1", str(3 * i + 2): "-1", str(3 * i + 4): "1/2"} for i in range(10, 34)]
+        (tmp_path / "f.json").write_text(json.dumps({"kind": "ribe", "assumed_constant": 4.0}))
+        (tmp_path / "xs.json").write_text(json.dumps(xs))
+        (tmp_path / "ds.json").write_text(json.dumps([{str(j): "1"} for j in (1, 2, 3)]))
+        out = tmp_path / "run"
+        args = ["--functional", str(tmp_path / "f.json"), "--xs", str(tmp_path / "xs.json"), "--ds", str(tmp_path / "ds.json")]
+        assert run_cli(["construct", "--case", "custom", "--depth", "4", "--out", str(out), *args]) == 0
+        state = state_from_json(json.loads((out / "state.json").read_text()))
+        level4 = state.level_x(4)
+        assert min(x.support[0] for x in level4) > 30 and not disjoint_supports(*level4)
+        assert state.M[4] == left_inverse_norm(level4)
+        assert run_cli(["verify", "--state", str(out / "state.json"), "--trials", "0", "--out", str(out)]) == 0
+        report = json.loads((out / "verify-report.json").read_text())
+        assert [e["method"] for e in report["entries"] if e["source"] == "level_mass"] == ["exact"] * 3 + ["bounded"]
+
 
 class TestVerify:
     def test_healthy(self, tmp_path):
@@ -559,7 +582,7 @@ class TestOracle:
         p.write_text(json.dumps(state))
         assert run_cli(["oracle", "lemma5", "--state", str(p), "--level", "2", "--out", str(tmp_path)]) == 3
         rep = json.loads((tmp_path / "oracle-report.json").read_text())
-        assert rep["trials"] == 0 and rep["witness"] is None and rep["method"] != "exact"
+        assert rep["trials"] == 0 and rep["witness"] is None and rep["method"] == "refused"
         assert "refused: 4845 support patterns exceed the cap of 4097" in capsys.readouterr().out
         assert run_cli(["verify", "--state", str(p), "--trials", "0", "--out", str(tmp_path)]) == 3
         assert "VIOLATION level_mass: level 2 refused: 4845 support patterns exceed the cap" in capsys.readouterr().out

@@ -18,6 +18,21 @@ from twistlab.construction import (
     state_to_json,
     static_state_checks,
 )
+
+CROSS_12 = [
+    {1: "3/2", 14: "3/4", 15: "6"},
+    {2: "-7", 13: "1", 15: "-1/2"},
+    {3: "8", 14: "3/2", 15: "2"},
+    {4: "2", 13: "-1/2", 14: "-2"},
+    {5: "-3", 13: "1/2", 14: "-8"},
+    {6: "-7/2", 13: "5/8", 15: "1/2"},
+    {7: "7", 13: "1/2", 15: "-7/2"},
+    {8: "-1/2", 13: "5/8", 14: "-3/2"},
+    {9: "-3/8", 13: "4", 15: "-2"},
+    {10: "1/4", 14: "-3/4", 15: "7/8"},
+    {11: "1/2", 14: "7", 15: "5/8"},
+    {12: "8", 13: "5", 15: "-4"},
+]
 from twistlab.seqspace import MixedSpace
 from twistlab.sumsets import certificate_value, random_certificate, scale_certificate
 
@@ -90,6 +105,13 @@ class TestIngredients:
             combo = ys[0] * a[0] + ys[1] * a[1]
             mass = sum(abs(v) for v in a)
             assert mass <= M * combo.norm() or combo.norm() == 0 and mass == 0
+
+    def test_basis_constant_sound_past_the_orthant_cap(self):
+        # the benchmark's cross_family(1, 12, 0): its exact cross-polytope
+        # minimum is 3717/8888 (all 2048 orthant LPs), so no M below
+        # 8888/3717 is a basis constant; a float search once gave 2.1712
+        ys = [FinSeq({p: Fraction(v) for p, v in row.items()}) for row in CROSS_12]
+        assert tl.basis_constant(ys) >= Fraction(8888, 3717)
 
     def test_basis_constant_dependent_rejected(self):
         with pytest.raises(ValueError):

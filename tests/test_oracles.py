@@ -18,6 +18,8 @@ from twistlab.oracles import (
     _analyze_negsum,
     _coordinate_ascent,
     _float_ratio,
+    _left_inverse_min,
+    _orthant_lp_min,
     _omitted_sets,
     _shift_right,
     min_crosspolytope_norm,
@@ -50,6 +52,62 @@ def grid_min(ys, step=64):
             if best is None or v < best:
                 best = v
     return best
+
+
+def fraction_left_inverse(ys):
+    """(V^T V)^(-1) V^T in Fractions, by textbook Gauss-Jordan on the rows
+    [V^T V | V^T]; the columns of V are the vectors, its rows the positions
+    in ``coords``.  Returns (L, V)."""
+    coords = sorted(set().union(*(y.support for y in ys)))
+    k = len(ys)
+    V = [[y[c] for y in ys] for c in coords]
+    rows = [[sum(line[i] * line[j] for line in V) for j in range(k)] + [line[i] for line in V] for i in range(k)]
+    for c in range(k):
+        p = next(i for i in range(c, k) if rows[i][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for i in range(k):
+            if i != c and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    return [row[k:] for row in rows], V
+
+
+def left_inverse_norm(ys):
+    """The largest column l1 norm of the left inverse, checked to be one."""
+    L, V = fraction_left_inverse(ys)
+    k = len(ys)
+    assert [[sum(L[i][r] * V[r][j] for r in range(len(V))) for j in range(k)] for i in range(k)] == [
+        [int(i == j) for j in range(k)] for i in range(k)
+    ]
+    return max(sum(abs(L[i][j]) for i in range(k)) for j in range(len(V)))
+
+
+def overlapping_family(rng, k, private=0.8):
+    """k sparse vectors on two of three shared coordinates, so any two
+    overlap, most with a private coordinate too; without one the family can
+    be dependent."""
+    ys = []
+    for j in range(k):
+        entries = {p: Fraction(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(1, 3)) for p in rng.sample((1, 2, 3), 2)}
+        if rng.random() < private:
+            entries[10 + j] = Fraction(rng.randint(1, 4), rng.choice((1, 2, 4)))
+        ys.append(FinSeq(entries))
+    return ys
+
+
+def combine(ys, coefficients, space):
+    combo = space.zero()
+    for a, y in zip(coefficients, ys):
+        combo = combo + y * a
+    return space.norm(combo)
+
+
+def unit_mass(rng, k):
+    a = [Fraction(rng.randint(-16, 16), rng.randint(1, 4)) for _ in range(k)]
+    a[rng.randrange(k)] += 1
+    mass = sum(map(abs, a))
+    return [v / mass for v in a]
 
 
 class TestCrossPolytope:
@@ -173,13 +231,73 @@ class TestCrossPolytope:
         with pytest.raises(RuntimeError, match="orthant LP"):
             min_crosspolytope_norm([FinSeq({1: 1, 2: 1}), FinSeq({2: 1, 3: 1})])
 
-    def test_heuristic_above_nine(self):
-        # overlapping chain forces the subgradient path; sanity: positive and
-        # no better than the best vertex value
+    def test_bounded_above_the_cap(self):
+        # an overlapping chain of 9 vectors takes the left-inverse bound:
+        # positive, and no more than the value 2 of any single vector
         ys = [FinSeq({i: 1, i + 1: 1}) for i in range(1, 10)]
         res = min_crosspolytope_norm(ys)
-        assert res.method == "heuristic"
-        assert 0 < res.value <= 2.0 + 1e-9
+        assert res.method == "bounded"
+        assert isinstance(res.value, Fraction) and 0 < res.value <= 2
+        assert sum(map(abs, res.minimizer)) == 1
+
+    def test_left_inverse_bound_below_the_orthant_minimum(self):
+        # on families the orthant LPs solve exactly, the left-inverse bound
+        # is 1/||L|| for L = (V^T V)^(-1) V^T and never above the minimum
+        rng = random.Random(23)
+        dependent = 0
+        for trial in range(42):
+            ys = overlapping_family(rng, 2 + trial % 7, private=0.5)
+            exact, _ = _orthant_lp_min(ys)
+            res = _left_inverse_min(ys)
+            assert res.value <= exact
+            assert sum(map(abs, res.minimizer)) == 1
+            assert combine(ys, res.minimizer, SeqSpace()) >= res.value
+            if res.method == "exact":
+                dependent += 1
+                assert res.value == exact == 0
+            else:
+                assert res.value == 1 / left_inverse_norm(ys)
+        assert dependent
+
+    def test_bounded_below_sampled_norms(self):
+        # past the orthant cap (l1) and on mixed families that share blocks
+        # (either side of the cap), the value is below every sampled
+        # unit-mass combination, the reported minimizer's included
+        rng = random.Random(31)
+        for trial in range(12):
+            k = 9 + trial % 4
+            ys = overlapping_family(rng, k, private=1)
+            res = min_crosspolytope_norm(ys)
+            assert res.method == "bounded" and isinstance(res.value, Fraction)
+            for a in [res.minimizer] + [unit_mass(rng, k) for _ in range(30)]:
+                assert res.value <= combine(ys, a, SeqSpace())
+        for trial in range(24):
+            k = 2 + trial % 11
+            space = MixedSpace([Fraction(3, 2), 2, 3][trial % 3])
+            # two of blocks 1-5 each, one entry pinned nonzero
+            ys = []
+            for _ in range(k):
+                blocks = {n: [Fraction(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(n)] for n in rng.sample(range(1, 6), 2)}
+                blocks[min(blocks)][0] = rng.choice((-1, 1))
+                ys.append(MixedSeq(blocks))
+            assert not oracles._blocks_disjoint(ys)
+            res = min_crosspolytope_norm(ys, space=space)
+            assert res.method == "bounded" and isinstance(res.value, float)
+            for a in [res.minimizer] + [unit_mass(rng, k) for _ in range(30)]:
+                assert res.value <= combine(ys, a, space) * (1 + 1e-12)
+
+    def test_dependent_family_above_the_cap(self):
+        # 10 overlapping vectors, the last a combination of three others:
+        # the left-inverse path finds the exact minimum 0 and a null vector
+        rng = random.Random(4)
+        ys = overlapping_family(rng, 9, private=1)
+        ys.append(ys[0] - ys[3] * 2 + ys[7] / 2)
+        for space in (SeqSpace(), MixedSpace(2)):
+            vecs = ys if isinstance(space, SeqSpace) else [MixedSeq._raw(dict(y.nums), y.den) for y in ys]
+            res = min_crosspolytope_norm(vecs, space=space)
+            assert res.method == "exact" and res.value == 0
+            assert sum(map(abs, res.minimizer)) == 1
+            assert combine(vecs, res.minimizer, space) == 0
 
     def test_mixed_block_disjoint_closed_form(self):
         ys = [MixedSeq.unit(1, 1), MixedSeq.unit(2, 1)]
@@ -187,18 +305,6 @@ class TestCrossPolytope:
         assert res.method == "exact"
         assert res.value == pytest.approx(1 / math.sqrt(2), rel=1e-12)
 
-    def test_heuristic_close_to_exact_small(self):
-        rng = random.Random(2)
-        for _ in range(4):
-            ys = [seq_sampler(rng) for _ in range(3)]
-            if any(not y for y in ys):
-                continue
-            exact = min_crosspolytope_norm(ys)
-            from twistlab.oracles import _subgradient_min
-
-            val, _ = _subgradient_min(ys, SeqSpace(), seed=1)
-            assert val >= float(exact.value) - 1e-9
-            assert val <= float(exact.value) * 1.5 + 0.2
 
 
 class TestLemma5Adversary:
@@ -261,7 +367,7 @@ class TestLemma5Adversary:
         assert rep.best_violation == float("inf")
         assert rep.witness is None
         assert rep.trials == 0
-        assert rep.method != "exact"
+        assert rep.method == "refused"
         assert str(math.comb(20, 10)) in rep.notes and str(PATTERN_CAP) in rep.notes
 
     def test_k_zero(self, state4):
@@ -272,8 +378,6 @@ class TestLemma5Adversary:
     def test_structured_nonuniform_matches_lp(self):
         # unequal norms exercise the saturation breakpoints of the closed
         # form; the orthant LP is the independent route
-        from twistlab.oracles import _orthant_lp_min
-
         zs = [FinSeq({1: 2}), FinSeq({2: 1, 3: -2}), FinSeq({5: 4}), FinSeq({7: Fraction(1, 2)})]
         balance = FinSeq()
         for z in zs:
@@ -390,7 +494,7 @@ def reference_lemma5(zs, k, eta, *, space=None, seed=0):
                 mn = float(mn) * (len(blocks) or 1) ** (-1.0 / q)
                 methods.add("bounded")
         else:
-            res = min_crosspolytope_norm([zs[j] for j in pattern], space=space, seed=seed)
+            res = min_crosspolytope_norm([zs[j] for j in pattern], space=space)
             mn = res.value
             for j, a in zip(pattern, res.minimizer):
                 alpha[j] = a
@@ -410,7 +514,7 @@ def reference_lemma5(zs, k, eta, *, space=None, seed=0):
             {"pattern": list(best_pattern), "coefficients": [str(a) for a in best_alpha]},
             count,
             seed,
-            "exact" if exact_space else "heuristic",
+            "exact",
             "combined vector vanished: coefficient mass is unbounded",
         )
     alpha_exact = [Fraction(a) for a in best_alpha]
@@ -522,8 +626,8 @@ class TestLemma5AgainstReference:
         assert kinds == {"negsum", "disjoint"}
 
     def test_random_mixed_families(self):
-        # patterns without the balancing vector take the (slow, unchanged)
-        # subgradient route when blocks are shared, so k stays near N
+        # patterns without the balancing vector take the orthant LPs times
+        # the block relaxation when blocks are shared, so k stays near N
         rng = random.Random(11)
         methods = set()
         for trial in range(12):
@@ -565,8 +669,8 @@ class TestLemma5AgainstReference:
 
     def test_generic_family_with_float_minima(self, monkeypatch):
         # with the orthant cap lowered to 2, overlapping patterns of three
-        # vectors are heuristic floats and disjoint ones exact Fractions, so
-        # exact and float masses compete in one search
+        # vectors take the left-inverse bound and disjoint ones the exact
+        # closed form, so bounded and exact masses compete in one search
         monkeypatch.setattr(oracles, "EXACT_ORTHANT_CAP", 2)
         rng = random.Random(9)
         methods = set()
@@ -577,7 +681,7 @@ class TestLemma5AgainstReference:
             got = tl.lemma5_adversary(zs, 3, Fraction(1, 16), seed=trial)
             assert got.to_json() == reference_lemma5(zs, 3, Fraction(1, 16), seed=trial).to_json()
             methods.add(got.method)
-        assert methods == {"heuristic"}
+        assert methods == {"bounded"}
 
     def test_tied_gauges(self):
         # equal gauges everywhere; with three unit vectors and k = 2 a
