@@ -6,7 +6,10 @@ forms ``line * pc - f * prow`` on the pivot row's nonzero columns and divides
 by the gcd, fraction-free as in Bareiss (Math. Comp. 22, 1968): Bland's rule
 sees a ``Fraction`` tableau's values and takes its pivots.  ``solve_lp``
 takes the equality form min c.x s.t. A x = b, x >= 0; callers write their
-own slack columns.  Meant for desk-scale problems, not LP workloads.
+own slack columns.  Its phase 1 only finds a feasible basis: a caller that
+knows one (the cross-polytope orthant walk in ``oracles``) builds the
+tableau itself, prices it with ``_price`` and runs the same ``_phase2``.
+Meant for desk-scale problems, not LP workloads.
 """
 
 from __future__ import annotations
@@ -137,10 +140,16 @@ def solve_lp(c, A, b) -> LPResult:
 
     # Phase 2: true costs, reduced against the current basis.
     _price(T, basis, c)
+    return _phase2(T, basis, c)
+
+
+def _phase2(T, basis, c) -> LPResult:
+    """Phase 2 on a tableau whose basis is primal feasible and whose last row
+    holds the reduced costs of ``c``; T and basis end at the optimum."""
+    m, n = len(basis), len(c)
     if _run_simplex(T, basis, m, n) == "unbounded":
         return LPResult("unbounded", None, None)
     x = [Fraction(0)] * n
-    for i in range(m):
-        x[basis[i]] = Fraction(T[i][n], T[i][basis[i]])
-    obj = sum((ci * xi for ci, xi in zip(c, x)), Fraction(0))
-    return LPResult("optimal", obj, x)
+    for i, col in enumerate(basis):
+        x[col] = Fraction(T[i][n], T[i][col])
+    return LPResult("optimal", sum((c[j] * x[j] for j in basis), Fraction(0)), x)

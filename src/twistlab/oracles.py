@@ -12,7 +12,6 @@ modes are ``heuristic`` and certify nothing; an oversized search is
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import asdict, dataclass
@@ -25,7 +24,7 @@ from .construction import (
     fn_family,
     verify_chain,
 )
-from .exact_lp import gauss_jordan, solve_lp
+from .exact_lp import _integer_row, _phase2, _price, gauss_jordan, pivot_rows, solve_lp
 from .quasilinear import QuasiFunctional, Scaled, UserLinear, WeightedRibe, evaluate, quasi_defects
 from .seqspace import (
     FinSeq,
@@ -96,26 +95,84 @@ def _orthant_lp_min(ys: list[FinSeq]):
         (V sigma t)_c + p_c - q_c = 0 for each coordinate c,   sum t = 1,
 
     minimizing sum p + sum q, which equals ||V sigma t||_1 at the optimum.
-    The columns run t, then p, then q.  Bland's rule picks among optimal
-    vertices by column order, so this order fixes which minimizer a tie
-    returns; the golden crosspolytope report in the CLI tests pins it."""
+    The columns run t, then p, then q.
+
+    No orthant needs phase 1 (Chvatal, *Linear Programming*, 1983, on
+    starting from a feasible basis): t_1 pivoted into the sum row, with p_c
+    or q_c in row c, whichever keeps its right side -y_1[c] >= 0, is one.
+    The walk goes in reflected Gray-code order (Knuth, *TAOCP* 4A, 7.2.1.1),
+    so each step flips one sign sigma_j.  If t_j is nonbasic the basis stays
+    feasible and only column j changes, by -2 sigma_j (y_j, 0) in A.  As
+    column q_c is -column p_c, every row, the cost row too since
+    rc(p_c) + rc(q_c) = 2, gains sigma_j sum_c y_j[c] (row[q_c] - row[p_c])
+    in column j; negating the column would be wrong, as its sum-row entry
+    stays 1.  If t_j is basic the starting basis is rebuilt.
+
+    Bland's rule from another basis can return another vertex on a tie, but
+    not another value.  So the walk keeps the first orthant in
+    ``itertools.product`` order with the least value and solves only that
+    one again with the cold two-phase ``solve_lp``, whose minimizer the
+    golden crosspolytope report pins."""
     k = len(ys)
     coords = sorted(set().union(*(set(y.support) for y in ys)))
     d = len(coords)
-    eye = [[int(i == r) for i in range(d)] for r in range(d)]
+    n = k + 2 * d
+    costs = [0] * k + [1] * (2 * d)
+    at = {c: i for i, c in enumerate(coords)}
+    scaled = [_integer_row([y[c] for y in ys] + [1]) for c in coords]
+    cols = [(y.den, [(at[c], v) for c, v in y.nums.items()]) for y in ys]
+
+    def start(sigma):
+        T = []
+        for i, (*vals, scale) in enumerate(scaled):
+            line = [s * v for s, v in zip(sigma, vals)] + [0] * (2 * d + 1)
+            line[k + i], line[k + d + i] = scale, -scale
+            T.append(line)
+        T.append([1] * k + [0] * (2 * d) + [1])
+        pivot_rows(T, d, 0)
+        basis = [k + i for i in range(d)] + [0]
+        for i in range(d):
+            if T[i][n] < 0:
+                T[i] = [-v for v in T[i]]
+                basis[i] += d
+        _price(T, basis, costs)
+        return T, basis
+
+    sigma = [1] * k
+    T, basis = start(sigma)
     best = None
-    best_alpha = None
-    for signs in itertools.product((1, -1), repeat=k - 1):
-        sigma = (1,) + signs  # f(-a) = f(a): pin the first sign
-        A = [[sigma[j] * ys[j][c] for j in range(k)] + e + [-v for v in e] for c, e in zip(coords, eye)]
-        A.append([1] * k + [0] * (2 * d))
-        res = solve_lp([0] * k + [1] * (2 * d), A, [0] * d + [1])
+    for g in range(2 ** (k - 1)):
+        gray = g ^ (g >> 1)  # the orthant's index in itertools.product order
+        if g:
+            # sign j is bit k-1-j of gray, and step g flips g's lowest set bit
+            j = k - (g & -g).bit_length()
+            old, sigma[j] = sigma[j], -sigma[j]
+            if j in basis:
+                T, basis = start(sigma)
+            else:
+                den, entries = cols[j]
+                for i, line in enumerate(T):
+                    delta = old * sum(v * (line[k + d + c] - line[k + c]) for c, v in entries)
+                    if delta % den:
+                        line = [v * den for v in line]
+                        line[j] += delta
+                        f = math.gcd(*line)
+                        T[i] = [v // f for v in line] if f > 1 else line
+                    else:
+                        line[j] += delta // den
+        res = _phase2(T, basis, costs)
         if res.status != "optimal":  # t = e_1 is feasible and the objective is >= 0
-            raise RuntimeError("orthant LP %r returned %s" % (sigma, res.status))
-        if best is None or res.objective < best:
-            best = res.objective
-            best_alpha = [sigma[j] * res.x[j] for j in range(k)]
-    return best, best_alpha
+            raise RuntimeError("orthant LP %r returned %s" % (tuple(sigma), res.status))
+        if best is None or (res.objective, gray) < (best, best_g):
+            best, best_g, best_sigma = res.objective, gray, tuple(sigma)
+    sigma = best_sigma
+    eye = [[int(i == r) for i in range(d)] for r in range(d)]
+    A = [[sigma[j] * ys[j][c] for j in range(k)] + e + [-v for v in e] for c, e in zip(coords, eye)]
+    A.append([1] * k + [0] * (2 * d))
+    res = solve_lp(costs, A, [0] * d + [1])
+    if res.status != "optimal" or res.objective != best:
+        raise RuntimeError("orthant LP %r returned %s %s, the walk %s" % (sigma, res.status, res.objective, best))
+    return best, [sigma[j] * res.x[j] for j in range(k)]
 
 
 def _left_inverse_min(ys: list[FinSeq]) -> CrossPolytopeResult:

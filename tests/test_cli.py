@@ -10,7 +10,7 @@ from hypothesis import given, settings
 
 import twistlab as tl
 from twistlab import cli
-from twistlab.cli import main
+from twistlab.cli import MAX_YS_SUPPORT, main
 from twistlab.construction import state_from_json, state_to_json
 from twistlab.quasilinear import NONSPLIT_CAP
 from twistlab.seqspace import disjoint_supports
@@ -154,6 +154,7 @@ MALFORMED = {
             ("block_vector", '[{"1": ["1/1"]}]'),
             ("number", "[1]"),
             ("object", '{"a": 1}'),
+            ("wide_support", json.dumps([{str(c): "1/1" for c in range(1, MAX_YS_SUPPORT + 2)}, {"1": "1/1"}])),
         )
     },
     "quasi_constant_list": ["oracle", "quasi-constant", "--functional", "[1]"],
@@ -606,6 +607,12 @@ class TestOracle:
         code = run_cli(["oracle", "crosspolytope", "--ys", '[{"1": "1/1"}, {"2": "1/2"}]', "--out", str(tmp_path)])
         assert code == 0
         assert capsys.readouterr().out.startswith("min 0.5")
+
+    def test_crosspolytope_at_the_support_bound(self, tmp_path, capsys):
+        # two overlapping vectors spanning exactly MAX_YS_SUPPORT coordinates
+        ys = [{str(c): "1/1" for c in range(1, MAX_YS_SUPPORT + 1)}, {"1": "1/1", str(MAX_YS_SUPPORT): "-1/2"}]
+        assert run_cli(["oracle", "crosspolytope", "--ys", json.dumps(ys), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.startswith("min ")
 
     def test_unknown_target_usage(self):
         assert run_cli(["oracle", "mystery"]) == 64

@@ -1,9 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from twistlab import exact_lp, oracles
+from twistlab import exact_lp
 from twistlab.exact_lp import LPResult, solve_lp
 from twistlab.seqspace import FinSeq
 
@@ -236,19 +237,29 @@ def overlapping_family(rng, k):
     return family
 
 
-def test_orthant_lps_match_dense_fraction_reference(monkeypatch):
-    compared = []
+def orthant_lps(ys):
+    """The sign-orthant LPs of ``oracles._orthant_lp_min`` as (sigma, c, A, b)
+    in ``itertools.product`` order: rows (V sigma t)_c + p_c - q_c = 0 and
+    sum t = 1 over the columns t, p, q, minimizing sum p + sum q."""
+    k = len(ys)
+    coords = sorted(set().union(*(set(y.support) for y in ys)))
+    d = len(coords)
+    eye = [[int(i == r) for i in range(d)] for r in range(d)]
+    for signs in itertools.product((1, -1), repeat=k - 1):
+        sigma = (1,) + signs
+        A = [[sigma[j] * ys[j][c] for j in range(k)] + e + [-v for v in e] for c, e in zip(coords, eye)]
+        A.append([1] * k + [0] * (2 * d))
+        yield sigma, [0] * k + [1] * (2 * d), A, [0] * d + [1]
 
-    def both(c, A, b):
-        res = solve_lp(c, A, b)
-        assert outcome(res) == outcome(reference_solve_lp(c, A, b))
-        compared.append(res.status)
-        return res
 
-    monkeypatch.setattr(oracles, "solve_lp", both)
+def test_orthant_lps_match_dense_fraction_reference():
     rng = random.Random(11)
     # fewer large families: the reference takes about 0.4 s on 6 vectors
     sizes = [2] * 50 + [3] * 50 + [4] * 30 + [5] * 14 + [6] * 6
+    compared = []
     for k in sizes:
-        oracles._orthant_lp_min(overlapping_family(rng, k))
+        for _, c, A, b in orthant_lps(overlapping_family(rng, k)):
+            res = solve_lp(c, A, b)
+            assert outcome(res) == outcome(reference_solve_lp(c, A, b))
+            compared.append(res.status)
     assert len(compared) == sum(2 ** (k - 1) for k in sizes) and set(compared) == {"optimal"}

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 
 import twistlab as tl
-from twistlab import FinSeq, MixedSeq, oracles
-from twistlab.exact_lp import LPResult
+from twistlab import FinSeq, MixedSeq, exact_lp, oracles
+from twistlab.exact_lp import LPResult, solve_lp
 from twistlab.oracles import (
     EXACT_ORTHANT_CAP,
     INTERIOR,
@@ -31,6 +32,7 @@ from twistlab.oracles import (
 from twistlab.seqspace import MixedSpace, SeqSpace, block_entries, disjoint_supports
 from twistlab.sumsets import random_certificate
 
+from .test_exact_lp import orthant_lps
 from .test_quasilinear import MIXED_BASIS, SEQ_BASIS
 
 
@@ -231,6 +233,39 @@ class TestCrossPolytope:
         with pytest.raises(RuntimeError, match="orthant LP"):
             min_crosspolytope_norm([FinSeq({1: 1, 2: 1}), FinSeq({2: 1, 3: 1})])
 
+    def test_warm_orthant_lp_failure_is_raised(self, monkeypatch):
+        # the Gray-code walk runs phase 2 itself: a status other than optimal
+        # there is a solver fault too
+        monkeypatch.setattr(exact_lp, "_run_simplex", lambda T, basis, m, n: "unbounded")
+        with pytest.raises(RuntimeError, match="orthant LP .* unbounded"):
+            min_crosspolytope_norm([FinSeq({1: 1, 2: 1}), FinSeq({2: 1, 3: 1})])
+
+    def test_one_cold_solve_per_minimum(self, monkeypatch):
+        # the walk runs phase 2 only; the two-phase solve_lp runs once, on
+        # the winning orthant
+        calls = []
+        solve = oracles.solve_lp
+        monkeypatch.setattr(oracles, "solve_lp", lambda c, A, b: calls.append(1) or solve(c, A, b))
+        rng = random.Random(8)
+        for k in range(2, EXACT_ORTHANT_CAP + 1):
+            calls.clear()
+            _orthant_lp_min(overlapping_family(rng, k))
+            assert len(calls) == 1
+
+    def test_walk_matches_the_per_orthant_loop(self):
+        rng = random.Random(16)
+        kinds = Counter()
+        for trial in range(161):
+            k = 2 + trial % 7
+            kind, ys = orthant_family(rng, k, trial % 5)
+            got = _orthant_lp_min(ys)
+            *ref, attaining = reference_orthant_min(ys)
+            assert got == tuple(ref), (kind, ys)
+            kinds[kind] += 1
+            kinds["zero minimum"] += got[0] == 0
+            kinds["tied orthant minima"] += attaining > 1
+        assert min(kinds.values()) >= 10, kinds
+
     def test_bounded_above_the_cap(self):
         # an overlapping chain of 9 vectors takes the left-inverse bound:
         # positive, and no more than the value 2 of any single vector
@@ -406,6 +441,51 @@ class TestLemma5Adversary:
             mass = (Fraction(3) - Fraction(1, 10 ** 9)) / res.value
             best = max(best, mass)
         assert rep.best_value == pytest.approx(float(best), rel=1e-12)
+
+
+# --- reference: one cold two-phase LP per sign orthant ------------------------
+
+
+def reference_orthant_min(ys):
+    """The orthant loop the Gray-code walk replaced: every orthant solved
+    from an all-artificial basis, the first least one kept.  Returns the
+    minimum, its minimizer and how many orthants attain it."""
+    best = best_alpha = None
+    attaining = 0
+    for sigma, c, A, b in orthant_lps(ys):
+        res = solve_lp(c, A, b)
+        assert res.status == "optimal"
+        if best is None or res.objective < best:
+            best, attaining = res.objective, 0
+            best_alpha = [s * x for s, x in zip(sigma, res.x)]
+        attaining += res.objective == best
+    return best, best_alpha, attaining
+
+
+def orthant_family(rng, k, kind):
+    """A family of k vectors of one of five kinds, each hard on the walk in
+    its own way: overlapping vectors that are sometimes dependent; a repeated
+    vector, possibly scaled (minimum 0); small integer entries on three
+    coordinates, whose orthant minima tie; a first vector on one coordinate
+    only, so the starting basis has zero right sides; and chains."""
+    if kind == 0:
+        return "overlapping", overlapping_family(rng, k, private=0.5)
+    if kind == 1:
+        ys = overlapping_family(rng, k - 1, private=0.8)
+        ys.insert(rng.randrange(k), ys[rng.randrange(k - 1)] * rng.choice((1, -1, 2, Fraction(-1, 2))))
+        return "duplicate", ys
+    if kind == 2:
+        ys = []
+        while len(ys) < k:
+            y = FinSeq({c: rng.choice((-1, 0, 1, 2)) for c in (1, 2, 3)})
+            if y:
+                ys.append(y)
+        return "ties", ys
+    if kind == 3:
+        ys = overlapping_family(rng, k, private=1)
+        ys[0] = FinSeq({rng.choice((1, 2, 3)): Fraction(rng.randint(1, 5), rng.randint(1, 3))})
+        return "zero right sides", ys
+    return "chain", [FinSeq({i: 1, i + 1: Fraction(rng.randint(-3, 3) or 1, 2)}) for i in range(1, k + 1)]
 
 
 # --- reference: the per-pattern level-mass search, candidate by candidate ----
