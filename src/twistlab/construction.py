@@ -28,7 +28,6 @@ from .quasilinear import (
     evaluate,
     functional_from_json,
     functional_to_json,
-    rank,
     space_of,
 )
 from .seqspace import (
@@ -141,15 +140,14 @@ def basis_constant(ys: list, space=None) -> Fraction:
     proven constant, since ||a||_1 = ||L V a||_1 <= ||L|| ||V a||_1.
     Anything else takes 1.1 over the cross-polytope minimum, rounded up to
     a multiple of 2^-20.  Dependent input is rejected: no finite M exists.
-    Nonzero disjointly supported vectors are independent and skip the rank.
+    The minimum is an exact 0 on exactly the dependent families, as the
+    orthant LPs, the left inverse's singular Gram matrix and the mixed
+    space's l1 relaxation all find a null vector, so no rank is taken.
     """
     if not ys:
         raise ValueError("empty family")
-    disjoint = all(ys) and disjoint_supports(*ys)
-    if not disjoint and rank(ys) != len(ys):
-        raise ValueError("basis constant needs linearly independent vectors")
     space = space or SeqSpace()
-    if disjoint and isinstance(space, SeqSpace):  # 1 / min ||y||, on numerators over G
+    if isinstance(space, SeqSpace) and all(ys) and disjoint_supports(*ys):  # 1 / min ||y||, on numerators over G
         G = math.lcm(*(y.den for y in ys))
         return Fraction(G, min(sum(map(abs, y.nums.values())) * (G // y.den) for y in ys))
     from .oracles import min_crosspolytope_norm
@@ -159,7 +157,7 @@ def basis_constant(ys: list, space=None) -> Fraction:
         return 1 / res.value
     val = float(res.value)
     if val <= 0:
-        raise ValueError("cross-polytope minimum vanished on independent input")
+        raise ValueError("basis constant needs linearly independent vectors")
     scaled = 1.1 / val
     den = 1 << 20
     return Fraction(math.ceil(scaled * den), den)

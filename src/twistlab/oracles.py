@@ -16,6 +16,7 @@ import math
 import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .construction import (
     MAX_DEPTH,
@@ -99,14 +100,17 @@ def _orthant_lp_min(ys: list[FinSeq]):
 
     No orthant needs phase 1 (Chvatal, *Linear Programming*, 1983, on
     starting from a feasible basis): t_1 pivoted into the sum row, with p_c
-    or q_c in row c, whichever keeps its right side -y_1[c] >= 0, is one.
-    The walk goes in reflected Gray-code order (Knuth, *TAOCP* 4A, 7.2.1.1),
-    so each step flips one sign sigma_j.  If t_j is nonbasic the basis stays
-    feasible and only column j changes, by -2 sigma_j (y_j, 0) in A.  As
-    column q_c is -column p_c, every row, the cost row too since
-    rc(p_c) + rc(q_c) = 2, gains sigma_j sum_c y_j[c] (row[q_c] - row[p_c])
-    in column j; negating the column would be wrong, as its sum-row entry
-    stays 1.  If t_j is basic the starting basis is rebuilt.
+    or q_c in row c, whichever keeps its right side -y_1[c] >= 0, is one,
+    and the same one in every orthant, as sigma_1 never flips.  The walk
+    goes in reflected Gray-code order (Knuth, *TAOCP* 4A, 7.2.1.1), so each
+    step flips one sign sigma_j, j > 1.  The right side b is the sum row's
+    unit vector, so the flip turns column A_j = (sigma_j y_j, 1) into
+    2b - A_j, and in any basis B column j of the tableau B^-1 [A | b]
+    becomes twice the right side minus itself; so does its reduced cost, as
+    t_j costs nothing.  The start tableau, built and priced once, takes
+    every flip this way.  If t_j is nonbasic the walk's basis stays feasible
+    and its tableau takes the flip too; if t_j is basic the walk restarts
+    from a copy of the start tableau.
 
     Bland's rule from another basis can return another vertex on a tie, but
     not another value.  So the walk keeps the first orthant in
@@ -118,48 +122,37 @@ def _orthant_lp_min(ys: list[FinSeq]):
     d = len(coords)
     n = k + 2 * d
     costs = [0] * k + [1] * (2 * d)
-    at = {c: i for i, c in enumerate(coords)}
-    scaled = [_integer_row([y[c] for y in ys] + [1]) for c in coords]
-    cols = [(y.den, [(at[c], v) for c, v in y.nums.items()]) for y in ys]
-
-    def start(sigma):
-        T = []
-        for i, (*vals, scale) in enumerate(scaled):
-            line = [s * v for s, v in zip(sigma, vals)] + [0] * (2 * d + 1)
-            line[k + i], line[k + d + i] = scale, -scale
-            T.append(line)
-        T.append([1] * k + [0] * (2 * d) + [1])
-        pivot_rows(T, d, 0)
-        basis = [k + i for i in range(d)] + [0]
-        for i in range(d):
-            if T[i][n] < 0:
-                T[i] = [-v for v in T[i]]
-                basis[i] += d
-        _price(T, basis, costs)
-        return T, basis
+    start = []
+    for i, c in enumerate(coords):
+        *line, scale = _integer_row([y[c] for y in ys] + [1])
+        line += [0] * (2 * d + 1)
+        line[k + i], line[k + d + i] = scale, -scale
+        start.append(line)
+    start.append([1] * k + [0] * (2 * d) + [1])
+    pivot_rows(start, d, 0)
+    start_basis = [k + i for i in range(d)] + [0]
+    for i in range(d):
+        if start[i][n] < 0:
+            start[i] = [-v for v in start[i]]
+            start_basis[i] += d
+    _price(start, start_basis, costs)
 
     sigma = [1] * k
-    T, basis = start(sigma)
+    T, basis = [line[:] for line in start], start_basis[:]
     best = None
     for g in range(2 ** (k - 1)):
         gray = g ^ (g >> 1)  # the orthant's index in itertools.product order
         if g:
             # sign j is bit k-1-j of gray, and step g flips g's lowest set bit
             j = k - (g & -g).bit_length()
-            old, sigma[j] = sigma[j], -sigma[j]
+            sigma[j] = -sigma[j]
+            for line in start:
+                line[j] = 2 * line[n] - line[j]
             if j in basis:
-                T, basis = start(sigma)
+                T, basis = [line[:] for line in start], start_basis[:]
             else:
-                den, entries = cols[j]
-                for i, line in enumerate(T):
-                    delta = old * sum(v * (line[k + d + c] - line[k + c]) for c, v in entries)
-                    if delta % den:
-                        line = [v * den for v in line]
-                        line[j] += delta
-                        f = math.gcd(*line)
-                        T[i] = [v // f for v in line] if f > 1 else line
-                    else:
-                        line[j] += delta // den
+                for line in T:
+                    line[j] = 2 * line[n] - line[j]
         res = _phase2(T, basis, costs)
         if res.status != "optimal":  # t = e_1 is feasible and the objective is >= 0
             raise RuntimeError("orthant LP %r returned %s" % (tuple(sigma), res.status))
@@ -242,7 +235,9 @@ def min_crosspolytope_norm(ys: list, *, space=None) -> CrossPolytopeResult:
     if isinstance(space, SeqSpace):
         return _l1_min(ys)
     q = float(space.p) / (float(space.p) - 1.0)
-    if _blocks_disjoint(ys):
+    blocks = [block_entries(y) for y in ys]
+    touched = set().union(*blocks)
+    if len(touched) == sum(map(len, blocks)):
         norms = [space.norm(y) for y in ys]
         s = math.fsum(a ** (-q) for a in norms)
         val = s ** (-1.0 / q)
@@ -251,18 +246,7 @@ def min_crosspolytope_norm(ys: list, *, space=None) -> CrossPolytopeResult:
     res = _l1_min(ys)
     if not res.value:
         return res
-    n_blocks = len(set().union(*(block_entries(y) for y in ys)))
-    return CrossPolytopeResult(float(res.value) * n_blocks ** (-1.0 / q), res.minimizer, "bounded")
-
-
-def _blocks_disjoint(ys: list[MixedSeq]) -> bool:
-    seen: set[int] = set()
-    for y in ys:
-        for n in block_entries(y):
-            if n in seen:
-                return False
-            seen.add(n)
-    return True
+    return CrossPolytopeResult(float(res.value) * len(touched) ** (-1.0 / q), res.minimizer, "bounded")
 
 
 # --- the level mass adversary ------------------------------------------------------
@@ -292,21 +276,6 @@ def _analyze_negsum(zs):
         return ("generic", None)
     common = set(shared[0]).intersection(*shared[1:])
     return ("negsum", min(common)) if common else ("generic", None)
-
-
-def _omitted_sets(N: int, r: int):
-    """The r-subsets of range(N) in reverse lexicographic order, so that their
-    complements come in ``itertools.combinations(range(N), N - r)`` order.
-    Each step lowers the last entry that can move down and lifts every later
-    entry as high as it goes."""
-    c = list(range(N - r, N))
-    while True:
-        yield set(c)
-        i = next((i for i in reversed(range(r)) if c[i] > (c[i - 1] + 1 if i else 0)), None)
-        if i is None:
-            return
-        c[i] -= 1
-        c[i + 1 :] = range(N - r + i + 1, N)
 
 
 def _float_ratio(x: float) -> tuple[int, int]:
@@ -392,7 +361,7 @@ def lemma5_adversary(zs: list, k: int, eta, *, space=None, seed: int = 0) -> Ora
     best_mass = best = None
     methods = set()
     count = 0
-    for omitted in _omitted_sets(N, N - k):
+    for omitted in map(set, reversed(list(combinations(range(N), N - k)))):
         count += 1
         keeps_d = shape_kind == "negsum" and d not in omitted
         # the pattern minimum is num / den: ints on exact patterns, a float

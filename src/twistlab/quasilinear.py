@@ -62,7 +62,6 @@ class Ribe:
     state and margin."""
 
     assumed_constant: float = 4.0
-    kind = "ribe"
 
 
 @dataclass
@@ -81,7 +80,6 @@ class WeightedRibe:
     weights: dict[int, Fraction]
     p: Fraction
     assumed_constant: float | None = None
-    kind = "weighted_ribe"
 
     def __post_init__(self):
         self.weights = {int(n): as_fraction(c) for n, c in self.weights.items()}
@@ -116,7 +114,6 @@ class UserLinear:
     values: list[Fraction]
     assumed_constant: float = 0.0
     space: object = field(default_factory=SeqSpace)
-    kind = "user_linear"
 
     def __post_init__(self):
         self.values = [Fraction(v) for v in self.values]
@@ -137,7 +134,6 @@ class Scaled:
     inner: "QuasiFunctional"
     factor: Fraction
     assumed_constant: float | None = None
-    kind = "scaled"
 
     def __post_init__(self):
         self.factor = as_fraction(self.factor)

@@ -358,7 +358,6 @@ def vector_from_json(obj):
 class SeqSpace:
     """The finitely supported l1 vectors under the exact l1 norm."""
 
-    kind = "seq"
     vector = FinSeq
 
     def norm(self, x: FinSeq) -> Fraction:
@@ -367,9 +366,6 @@ class SeqSpace:
     def zero(self) -> FinSeq:
         return FinSeq()
 
-    def unit_source(self, j: int) -> FinSeq:
-        return FinSeq.unit(j)
-
     def to_json(self):
         return {"kind": "seq"}
 
@@ -377,7 +373,6 @@ class SeqSpace:
 class MixedSpace:
     """Span of the block unit vectors in the l_p sum of l1 blocks."""
 
-    kind = "mixed"
     vector = MixedSeq
 
     def __init__(self, p):
@@ -391,10 +386,6 @@ class MixedSpace:
 
     def zero(self) -> MixedSeq:
         return MixedSeq()
-
-    def unit_source(self, j: int) -> MixedSeq:
-        # the j-th basis vector in block layout order sits at position j
-        return MixedSeq.unit(*block_of(j))
 
     def to_json(self):
         return {"kind": "mixed", "p": frac_str(self.p)}

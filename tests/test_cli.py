@@ -182,6 +182,22 @@ MALFORMED = {
             ("block_past_cap", '{"1": "1/1", "%d": "1/2"}' % (NONSPLIT_CAP + 1)),
         )
     },
+    "construct_custom_xs_number": [
+        "construct",
+        "--case",
+        "custom",
+        "--depth",
+        "1",
+        "--functional",
+        '{"kind": "ribe"}',
+        "--xs",
+        "[1]",
+        "--ds",
+        '[{"1": "1/1"}]',
+    ],
+    "lemma5_no_state": ["oracle", "lemma5"],
+    "chain_no_state": ["oracle", "chain"],
+    "crosspolytope_no_ys": ["oracle", "crosspolytope"],
     "eval_list": ["eval", "ribe", "--x", "[1]"],
     "eval_zero_denominator": ["eval", "ribe", "--x", '{"1": "1/0"}'],
 }

@@ -114,8 +114,18 @@ class TestIngredients:
         assert tl.basis_constant(ys) >= Fraction(8888, 3717)
 
     def test_basis_constant_dependent_rejected(self):
-        with pytest.raises(ValueError):
-            tl.basis_constant([FinSeq.unit(1), FinSeq({1: 2})])
+        # the cross-polytope minimum is an exact 0 on every dependent family:
+        # from the orthant LPs, from the left inverse past the orthant cap, and
+        # from the l1 relaxation of a mixed family whose blocks overlap
+        chain = [FinSeq({i: 1, i + 1: Fraction(1, 2)}) for i in range(1, 10)]
+        mixed = [MixedSeq({1: [1], 2: [1, -1]}), MixedSeq({2: [2, 3]}), MixedSeq({1: [2], 2: [4, 1]})]
+        for ys, space in (
+            ([FinSeq.unit(1), FinSeq({1: 2})], None),
+            (chain + [chain[0] - chain[4] * 3 + chain[8] / 2], None),
+            (mixed, MixedSpace(2)),
+        ):
+            with pytest.raises(ValueError, match="linearly independent"):
+                tl.basis_constant(ys, space)
 
     def test_choose_m(self):
         assert tl.choose_m(1, 4, Fraction(1, 32)) == 481

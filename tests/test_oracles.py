@@ -21,7 +21,6 @@ from twistlab.oracles import (
     _float_ratio,
     _left_inverse_min,
     _orthant_lp_min,
-    _omitted_sets,
     _shift_right,
     min_crosspolytope_norm,
     mixed_sampler_over,
@@ -315,7 +314,6 @@ class TestCrossPolytope:
                 blocks = {n: [Fraction(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(n)] for n in rng.sample(range(1, 6), 2)}
                 blocks[min(blocks)][0] = rng.choice((-1, 1))
                 ys.append(MixedSeq(blocks))
-            assert not oracles._blocks_disjoint(ys)
             res = min_crosspolytope_norm(ys, space=space)
             assert res.method == "bounded" and isinstance(res.value, float)
             for a in [res.minimizer] + [unit_mass(rng, k) for _ in range(30)]:
@@ -797,12 +795,6 @@ class TestLemma5AgainstReference:
     def test_float_ratio_compares_as_python_does(self, a, b):
         ra, rb = (_float_ratio(v) if isinstance(v, float) else v.as_integer_ratio() for v in (a, b))
         assert (ra[0] * rb[1] > rb[0] * ra[1]) == (a > b)
-
-    def test_omitted_sets_follow_combinations_order(self):
-        for N in range(8):
-            for k in range(N + 1):
-                kept = [tuple(j for j in range(N) if j not in om) for om in _omitted_sets(N, N - k)]
-                assert kept == list(itertools.combinations(range(N), k)), (N, k)
 
     def test_three_owners_are_generic(self):
         zs = [FinSeq({1: 1}), FinSeq({1: 1}), FinSeq({1: -2})]

@@ -177,13 +177,6 @@ class TestMixed:
         assert x.is_right_of(2)
         assert not x.is_right_of(3)
 
-    def test_unit_source_layout(self):
-        space = MixedSpace(2)
-        assert space.unit_source(1) == MixedSeq.unit(1, 1)
-        assert space.unit_source(2) == MixedSeq.unit(2, 1)
-        assert space.unit_source(3) == MixedSeq.unit(2, 2)
-        assert space.unit_source(4) == MixedSeq.unit(3, 1)
-
     def test_arithmetic_cancels_blocks(self):
         x = MixedSeq({2: [1, -1]})
         assert x - x == MixedSeq()
