@@ -56,7 +56,7 @@ from .quasilinear import (
     ribe_eval,
     weighted_ribe_eval,
 )
-from .seqspace import FinSeq, james_norm, vector_from_json
+from .seqspace import FinSeq, MixedSeq, james_norm, vector_from_json
 from .sumsets import SumCertificate, base_axioms_check
 from .twisted import TwistedVec, ball_radius, quasi_norm
 
@@ -65,9 +65,11 @@ EXIT_CONSTRUCTION = 2
 EXIT_VIOLATION = 3
 EXIT_USAGE = 64
 
-# the most coordinates ``oracle crosspolytope --ys`` takes on: the orthant
-# LPs grow about as d^2.5 in the union support d, and 8 dense vectors took
-# 3.0 s on 32 coordinates, 12 s on 48 and 32 s on 64 (2-core Xeon)
+# the most coordinates, and the most vectors, ``oracle crosspolytope --ys``
+# takes on: the orthant LPs grow about as d^2.5 in the union support d, and
+# 8 dense vectors took 3.0 s on 32 coordinates, 12 s on 48 and 32 s on 64
+# (2-core Xeon); past 8 vectors the left inverse grows about as the square of
+# their count k (7.6 s for k = 400), and k > d vectors are dependent anyway
 MAX_YS_SUPPORT = 32
 
 # what malformed JSON input raises on its way into the library: wrong JSON
@@ -109,10 +111,12 @@ def _dump_json(obj) -> str:
 
 def _json_text(obj, pad: str) -> str:
     """The text ``json.dumps(obj, sort_keys=True, indent=2)`` gives a value
-    nested behind ``pad`` (a newline and its indent).  A dict or list of
-    scalars (a vector, a block row) takes one call to json's C encoder, which
-    writes the same tokens between the separators it is given; the Python
-    encoder that ``indent`` selects makes a chunk per token."""
+    nested behind ``pad`` (a newline and its indent), a vector standing for
+    its ``to_json()``.  A dict or list of scalars takes one call to json's C
+    encoder, which writes the same tokens between the separators it is given;
+    the Python encoder that ``indent`` selects makes a chunk per token."""
+    if isinstance(obj, FinSeq):
+        return _vector_text(obj, pad)
     if not (isinstance(obj, _NESTED) and obj):
         return json.dumps(obj)
     inner = pad + "  "
@@ -122,8 +126,25 @@ def _json_text(obj, pad: str) -> str:
         return text[0] + inner + text[1:-1] + pad + text[-1]
     if isinstance(obj, dict):  # json.dumps of {key: 0} holds a key's text
         items = [(json.dumps({k: 0})[1:-4], v) for k, v in sorted(obj.items())]
-        return "{" + inner + sep.join([k + ": " + _json_text(v, inner) for k, v in items]) + pad + "}"
-    return "[" + inner + sep.join([_json_text(v, inner) for v in obj]) + pad + "]"
+        return "{%s%s%s}" % (inner, sep.join([k + ": " + _json_text(v, inner) for k, v in items]), pad)
+    return "[%s%s%s]" % (inner, sep.join([_json_text(v, inner) for v in obj]), pad)
+
+
+def _vector_text(v: FinSeq, pad: str) -> str:
+    """``_json_text(v.to_json(), pad)`` from v's numerators: the entries are
+    formatted once and joined, with no quoting pass.  A block row's quotes
+    go into its separator, which keeps its mostly "0/1" entries shared."""
+    if not v.nums:
+        return "{}"
+    inner = pad + "  "
+    if isinstance(v, MixedSeq):
+        inner2 = inner + "  "
+        quoted = '",' + inner2 + '"'
+        items = ['"%s": [%s"%s"%s]' % (n, inner2, quoted.join(row), inner) for n, row in sorted(v.to_json().items())]
+    else:  # a key's closing quote sorts before any digit, so the entries sort as their keys
+        den = v.den
+        items = sorted(['"%d": "%d/%d"' % (i, n // (g := math.gcd(n, den)), den // g) for i, n in v.nums.items()])
+    return "{" + inner + ("," + inner).join(items) + pad + "}"
 
 
 def _load_json_arg(value: str):
@@ -334,6 +355,8 @@ def cmd_oracle(args) -> int:
             ys = _load_json_arg(args.ys)
             if not isinstance(ys, list):
                 raise ValueError("expected a JSON list of vectors")
+            if len(ys) > MAX_YS_SUPPORT:
+                raise ValueError("%d vectors, more than %d" % (len(ys), MAX_YS_SUPPORT))
             ys = [vector_from_json(v) for v in ys]
             d = len(set().union(*(y.support for y in ys)))
             if d > MAX_YS_SUPPORT:

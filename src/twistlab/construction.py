@@ -60,8 +60,8 @@ STRICT_MARGIN = 1e-9  # interior margin for strict inequalities on float values
 # c's 24 MB and 302 MB (mostly the weights' denominators)
 MAX_DEPTH = 12
 # case c's state.json grows 4x per level, since a level-n vector is written
-# as a dense block of about 2^n coordinates: depth 10 writes 200 MB at a
-# measured 1.25 GB peak RSS, so depth 11 would need about 5 GB
+# as a dense block of about 2^n coordinates: depth 10 writes 200 MB in 2.6 s
+# at a measured 427 MB peak RSS (2-core Xeon), so depth 11 would need 1.7 GB
 MAX_DEPTH_C = 10
 
 
@@ -613,19 +613,23 @@ def static_state_checks(state: ConstructionState, F: QuasiFunctional) -> list[Ch
 
 
 def state_to_json(state: ConstructionState) -> dict:
+    """The state as a JSON tree, except that the vectors of ``d_generators``,
+    ``G`` and ``xs`` stay ``FinSeq``/``MixedSeq`` objects: the CLI writer
+    formats them from their numerators, and ``json.dumps`` takes them with
+    ``default=lambda v: v.to_json()``."""
     return {
         "depth": state.depth,
         "space": state.space.to_json(),
         "functional": state.functional,
         "c": {str(n): frac_str(v) for n, v in sorted(state.c.items())},
-        "d_generators": [d.to_json() for d in state.d_generators],
+        "d_generators": list(state.d_generators),
         "e_idx": state.e_idx,
         "s": {str(n): v for n, v in sorted(state.s.items())},
         "ell": {str(n): v for n, v in sorted(state.ell.items())},
         "m": {str(n): v for n, v in sorted(state.m.items())},
         "M": {str(n): frac_str(v) for n, v in sorted(state.M.items())},
-        "G": {str(n): [g.to_json() for g in gens] for n, gens in sorted(state.G.items())},
-        "xs": [x.to_json() for x in state.xs],
+        "G": {str(n): list(gens) for n, gens in sorted(state.G.items())},
+        "xs": list(state.xs),
         "x_cursor": state.x_cursor,
         "meta": state.meta,
     }

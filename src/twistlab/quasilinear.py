@@ -206,30 +206,34 @@ def evaluate(F: QuasiFunctional, x) -> float:
 
 
 def _value_and_norm(F: QuasiFunctional, x):
-    """(``evaluate(F, x)``, ``space_of(F).norm(x)``) to the bit, the weighted
-    kind taking both from one decode of x; an l1 norm stays a Fraction."""
+    """(``evaluate(F, x)``, a, d) to the bit, where ``space_of(F).norm(x)``
+    is a / d: an l1 norm is its integer numerator over ``x.den``, an l_p norm
+    a float over 1.  The weighted kind takes both from one decode of x."""
     if isinstance(F, Scaled):
-        value, norm = _value_and_norm(F.inner, x)
-        return float(F.factor) * value, norm
-    if isinstance(F, Ribe):
-        return ribe_eval(x), x.norm()
+        value, a, d = _value_and_norm(F.inner, x)
+        return float(F.factor) * value, a, d
     if isinstance(F, WeightedRibe):
         value, norms = _weighted_blocks(x, F.weights, F._floats)
-        return value, lp_of_blocks(norms, x.den, F._pf)
-    return float(F(x)), F.space.norm(x)
+        return value, lp_of_blocks(norms, x.den, F._pf), 1
+    value = ribe_eval(x) if isinstance(F, Ribe) else float(F(x))
+    if isinstance(F, Ribe) or isinstance(F.space, SeqSpace):
+        return value, sum(map(abs, x.nums.values())), x.den
+    return value, F.space.norm(x), 1
 
 
 def quasi_defects(F: QuasiFunctional, x, ys) -> list[float]:
-    """``quasi_defect(F, x, y)`` for each y of ys, F(x) and ||x|| taken once."""
-    fx, nx = _value_and_norm(F, x)
+    """``quasi_defect(F, x, y)`` for each y of ys, F(x) and ||x|| taken once.
+    ||x|| + ||y|| is (a d2 + b d1) / (d1 d2), whose int true division rounds
+    as the float of the Fraction sum does."""
+    fx, a, d1 = _value_and_norm(F, x)
     out = []
     for y in ys:
-        fy, ny = _value_and_norm(F, y)
-        denom = nx + ny
-        if denom == 0:
+        fy, b, d2 = _value_and_norm(F, y)
+        num = a * d2 + b * d1
+        if num == 0:
             raise ValueError("defect undefined: both arguments are zero")
         gap = evaluate(F, x + y) - (fx + fy)
-        out.append(abs(gap) / float(denom))
+        out.append(abs(gap) / (num / (d1 * d2)))
     return out
 
 

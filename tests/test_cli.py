@@ -13,7 +13,7 @@ from twistlab import cli
 from twistlab.cli import MAX_YS_SUPPORT, main
 from twistlab.construction import state_from_json, state_to_json
 from twistlab.quasilinear import NONSPLIT_CAP
-from twistlab.seqspace import disjoint_supports
+from twistlab.seqspace import FinSeq, MixedSeq, block_position, disjoint_supports
 
 from .test_oracles import left_inverse_norm
 
@@ -28,6 +28,13 @@ GOLDEN = {
         "7ac89aa3a61b18ae5298e95b571cd4ad7d990a1cbb0ac515944b4f3a619e493c",
         "a352f1357be39088e5c9b903574b6860a0e1a3d9c711ddbf16f1b58117eb7830",
     ),
+}
+
+# sha256 of state.json from ``construct --seed 1`` at benchmark size: case a
+# at the case-a workload's depth 9, case c at depth 8 (12.6 MB of dense rows)
+GOLDEN_LARGE = {
+    ("a", 9): "1c2a5da84bbcebb15c450e1cb6b2b60724c188179bfcb9e83cac1531145b6d02",
+    ("c", 8): "d63dd601bfd5c586f1edb55e0d0f29c9c916b8d6d60ae38a005bc66f639527c0",
 }
 
 # sha256 of the sort_keys JSON list of the ``level_mass`` entries written by
@@ -155,6 +162,7 @@ MALFORMED = {
             ("number", "[1]"),
             ("object", '{"a": 1}'),
             ("wide_support", json.dumps([{str(c): "1/1" for c in range(1, MAX_YS_SUPPORT + 2)}, {"1": "1/1"}])),
+            ("too_many", json.dumps([{str(c % MAX_YS_SUPPORT + 1): "1/1"} for c in range(MAX_YS_SUPPORT + 1)])),
         )
     },
     "quasi_constant_list": ["oracle", "quasi-constant", "--functional", "[1]"],
@@ -234,6 +242,12 @@ class TestConstruct:
         assert run_cli(["construct", "--case", case, "--depth", "6", "--seed", "0", "--out", str(out)]) == 0
         digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("state.json", "levels.csv"))
         assert digests == GOLDEN[case]
+
+    @pytest.mark.parametrize("case, depth", sorted(GOLDEN_LARGE))
+    def test_golden_bytes_large(self, tmp_path, case, depth):
+        out = tmp_path / case
+        assert run_cli(["construct", "--case", case, "--depth", str(depth), "--seed", "1", "--out", str(out)]) == 0
+        assert hashlib.sha256((out / "state.json").read_bytes()).hexdigest() == GOLDEN_LARGE[case, depth]
 
     def test_depth_zero_usage_error(self, tmp_path):
         assert run_cli(["construct", "--depth", "0", "--out", str(tmp_path)]) == 64
@@ -408,7 +422,7 @@ class TestVerify:
         xs, ds = tl.make_case_a_inputs(2, 2)
         bad = tl.run_construction(ribe_normalized, xs, ds, 2, m_override={2: 1}, verify_levels=False)
         p = tmp_path / "state.json"
-        p.write_text(json.dumps(state_to_json(bad), sort_keys=True))
+        p.write_text(json.dumps(state_to_json(bad), sort_keys=True, default=lambda v: v.to_json()))
         code = run_cli(["verify", "--state", str(p), "--trials", "0", "--out", str(tmp_path)])
         assert code == 3
         report = json.loads((tmp_path / "verify-report.json").read_text())
@@ -586,7 +600,7 @@ class TestOracle:
         xs, ds = tl.make_case_a_inputs(2, 2)
         bad = tl.run_construction(ribe_normalized, xs, ds, 2, m_override={2: 1}, verify_levels=False)
         p = tmp_path / "state.json"
-        p.write_text(json.dumps(state_to_json(bad), sort_keys=True))
+        p.write_text(json.dumps(state_to_json(bad), sort_keys=True, default=lambda v: v.to_json()))
         assert run_cli(["oracle", "lemma5", "--state", str(p), "--level", "2", "--out", str(tmp_path)]) == 3
 
     def test_lemma5_too_many_patterns_exits_three(self, tmp_path, capsys):
@@ -692,6 +706,33 @@ def indent_dumps(obj):
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def vector_dumps(obj):
+    """``indent_dumps`` of a tree whose vectors stand for their ``to_json()``."""
+    return json.dumps(obj, sort_keys=True, indent=2, default=lambda v: v.to_json()) + "\n"
+
+
+# positions and blocks whose string order differs from their numeric order,
+# numerators over a denominator that need not be the least one
+positions = st.sampled_from([1, 2, 9, 10, 11, 99, 100, 101]) | st.integers(1, 300)
+numerators = st.integers(-(10**12), 10**12).filter(bool)
+denominators = st.sampled_from([1, 2, 4, 6, 10, 12]) | st.integers(1, 10**6)
+raw_finseqs = st.builds(FinSeq._raw, st.dictionaries(positions, numerators, max_size=12), denominators)
+raw_mixedseqs = st.builds(
+    lambda entries, den: MixedSeq._raw({block_position(n, i): a for (n, i), a in entries.items()}, den),
+    st.dictionaries(
+        st.sampled_from([1, 2, 3, 9, 10, 11, 12, 100]).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+        numerators,
+        max_size=8,
+    ),
+    denominators,
+)
+vector_trees = st.recursive(
+    raw_finseqs | raw_mixedseqs | st.sampled_from([FinSeq(), MixedSeq(), FinSeq._raw({}, 3)]) | json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_strings, inner, max_size=4),
+    max_leaves=12,
+)
+
+
 class TestDumpJson:
     @given(json_values)
     @settings(max_examples=600, deadline=None)
@@ -712,6 +753,11 @@ class TestDumpJson:
         monkeypatch.setattr(cli, "c_make_encoder", None)
         assert cli._dump_json(obj) == indent_dumps(obj)
 
+    @given(vector_trees)
+    @settings(max_examples=400, deadline=None)
+    def test_vectors_match_their_to_json(self, obj):
+        assert cli._dump_json(obj) == vector_dumps(obj)
+
     def test_state_json_matches_json_dumps(self, state4):
         obj = state_to_json(state4)
-        assert cli._dump_json(obj) == indent_dumps(obj)
+        assert cli._dump_json(obj) == vector_dumps(obj)

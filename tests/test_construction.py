@@ -200,7 +200,7 @@ class TestRunConstruction:
             assert combo == state4.e_vector(n)
 
     def test_state_roundtrip(self, state4):
-        back = state_from_json(json.loads(json.dumps(state_to_json(state4))))
+        back = state_from_json(json.loads(json.dumps(state_to_json(state4), default=lambda v: v.to_json())))
         assert state_to_json(back) == state_to_json(state4)
         assert back.m == state4.m
         assert back.G[2] == state4.G[2]
@@ -248,7 +248,7 @@ class TestMixedConstruction:
     def test_zero_vectors_load_as_block_vectors(self):
         xs, ds, weights = tl.make_case_c_inputs(2, 2)
         F = tl.normalize_constant(tl.WeightedRibe(weights, 2))
-        state = state_from_json(json.loads(json.dumps(state_to_json(tl.run_construction(F, xs, ds, 2)))))
+        state = state_from_json(json.loads(json.dumps(state_to_json(tl.run_construction(F, xs, ds, 2)), default=lambda v: v.to_json())))
         assert state.G[0] == [MixedSeq()]
         # a stored final-bound witness with zero u.x reads back as FinSeq()
         u = TwistedVec.from_json({"r": 0.0, "x": {}})
