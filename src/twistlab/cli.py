@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import json
 import math
@@ -20,7 +19,6 @@ import os
 import sys
 from dataclasses import asdict
 from fractions import Fraction
-from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 
 from .construction import (
@@ -72,10 +70,10 @@ EXIT_USAGE = 64
 # their count k (7.6 s for k = 400), and k > d vectors are dependent anyway
 MAX_YS_SUPPORT = 32
 
-# what malformed JSON input raises on its way into the library: wrong JSON
-# shapes surface as lookups or method calls on the wrong type, a "n/0"
-# rational as ZeroDivisionError
-INPUT_ERRORS = (ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError)
+# what malformed input raises on its way into the library: a file that cannot
+# be read as OSError, wrong JSON shapes as lookups or method calls on the
+# wrong type, a "n/0" rational as ZeroDivisionError
+INPUT_ERRORS = (OSError, ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError)
 
 
 class Parser(argparse.ArgumentParser):
@@ -98,12 +96,6 @@ _NESTED = (dict, list, tuple)
 _SCALARS = frozenset((str, int, float, bool, type(None)))
 
 
-@functools.lru_cache(maxsize=None)
-def _flat_encoder(sep: str):
-    """json's C encoder for sorted keys and item separator ``sep``."""
-    return c_make_encoder(None, None, encode_basestring_ascii, None, ": ", sep, True, False, True)
-
-
 def _dump_json(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)`` and a newline."""
     return _json_text(obj, "\n") + "\n"
@@ -112,17 +104,17 @@ def _dump_json(obj) -> str:
 def _json_text(obj, pad: str) -> str:
     """The text ``json.dumps(obj, sort_keys=True, indent=2)`` gives a value
     nested behind ``pad`` (a newline and its indent), a vector standing for
-    its ``to_json()``.  A dict or list of scalars takes one call to json's C
-    encoder, which writes the same tokens between the separators it is given;
-    the Python encoder that ``indent`` selects makes a chunk per token."""
+    its ``to_json()``.  A dict or list of scalars takes one ``json.dumps``
+    with item separator ``sep``, which json's C encoder runs; with ``indent``
+    the Python encoder would run, making a chunk per token."""
     if isinstance(obj, FinSeq):
         return _vector_text(obj, pad)
     if not (isinstance(obj, _NESTED) and obj):
         return json.dumps(obj)
     inner = pad + "  "
     sep = "," + inner
-    if c_make_encoder and _SCALARS.issuperset(map(type, obj.values() if isinstance(obj, dict) else obj)):
-        text = "".join(_flat_encoder(sep)(obj, 0))
+    if _SCALARS.issuperset(map(type, obj.values() if isinstance(obj, dict) else obj)):
+        text = json.dumps(obj, sort_keys=True, separators=(sep, ": "))
         return text[0] + inner + text[1:-1] + pad + text[-1]
     if isinstance(obj, dict):  # json.dumps of {key: 0} holds a key's text
         items = [(json.dumps({k: 0})[1:-4], v) for k, v in sorted(obj.items())]
@@ -223,22 +215,22 @@ def cmd_construct(args) -> int:
 
 
 def _load_state(path):
-    """The parsed state; exits 64 when it does not parse and 3 when an
-    index in it points outside its own tables."""
+    """The parsed state and its functional; exits 64 when either does not
+    parse and 3 when an index in the state points outside its own tables."""
     try:
         state = state_from_json(json.loads(Path(path).read_text()))
-    except (OSError, *INPUT_ERRORS) as exc:
+        F = functional_of_state(state)
+    except INPUT_ERRORS as exc:
         raise SystemExit(_usage_fail("cannot load state %s: %s" % (path, exc)))
     problem = state_shape_problem(state)
     if problem:
         print("VIOLATION static:state_shape %s" % problem)
         raise SystemExit(EXIT_VIOLATION)
-    return state
+    return state, F
 
 
 def cmd_verify(args) -> int:
-    state = _load_state(args.state)
-    F = functional_of_state(state)
+    state, F = _load_state(args.state)
     out = Path(args.out) if args.out else Path(args.state).parent
     entries = []
     violations = []
@@ -338,7 +330,7 @@ def cmd_oracle(args) -> int:
     elif args.target == "lemma5":
         if not args.state:
             return _usage_fail("oracle lemma5 needs --state")
-        state = _load_state(args.state)
+        state, _ = _load_state(args.state)
         n = args.level
         if not 1 <= n <= state.depth:
             return _usage_fail("--level out of range")
@@ -346,8 +338,8 @@ def cmd_oracle(args) -> int:
     elif args.target == "chain":
         if not args.state:
             return _usage_fail("oracle chain needs --state")
-        state = _load_state(args.state)
-        rep = chain_fuzzer(state, functional_of_state(state), trials=int(args.budget), seed=args.seed)
+        state, F = _load_state(args.state)
+        rep = chain_fuzzer(state, F, trials=int(args.budget), seed=args.seed)
     else:  # crosspolytope
         if not args.ys:
             return _usage_fail("oracle crosspolytope needs --ys")
@@ -408,7 +400,7 @@ def build_parser() -> Parser:
     v.add_argument("--trials", type=int, default=100)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--out")
-    v.add_argument("--tolerance", type=float, default=1e-9, help="interior margin for strict inequalities (reporting only)")
+    v.add_argument("--tolerance", type=float, default=1e-9, help="least ladder margin the fuzzer may find; a smaller one is a violation (exit 3)")
     v.set_defaults(func=cmd_verify)
 
     e = sub.add_parser("eval", help="evaluate a formula once and print 15 significant digits")

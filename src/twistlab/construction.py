@@ -68,14 +68,6 @@ MAX_DEPTH_C = 10
 class ConstructionError(RuntimeError):
     """Raised when a level cannot be built or fails its certification."""
 
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
-
-
-class CertificateError(ValueError):
-    pass
-
 
 # --- level ingredients -------------------------------------------------------
 
@@ -260,11 +252,8 @@ def build_level(
 
         report = lemma5_adversary(state.level_z(n), k, c_n, space=state.space)
         if report.best_violation is None or report.best_violation >= 0:
-            raise ConstructionError(
-                "level %d mass certification failed: best mass %s against budget %s"
-                % (n, report.best_value, float(c_n)),
-                report=report,
-            )
+            msg = "level %d mass certification failed: best mass %s against budget %s"
+            raise ConstructionError(msg % (n, report.best_value, float(c_n)))
 
 
 def _normalized(F: QuasiFunctional) -> bool:
@@ -404,7 +393,7 @@ def verify_chain(state: ConstructionState, F: QuasiFunctional, cert: SumCertific
     fam = fn_family(state)
     problems = certificate_problems(fam, cert, 1)
     if problems:
-        raise CertificateError("certificate invalid at level 1: %s" % problems[0])
+        raise ValueError("certificate invalid at level 1: %s" % problems[0])
     space = state.space
     merged: dict[int, dict[int, int]] = {}
     for i, j, n in cert.terms:
@@ -638,6 +627,8 @@ def state_to_json(state: ConstructionState) -> dict:
 def state_from_json(obj: dict) -> ConstructionState:
     """Parse a state; its vectors load through its space, so the zero vector
     ``{}`` (G[0], for one) gets the space's vector type."""
+    if type(obj["depth"]) is not int:
+        raise ValueError("depth must be an integer, got %r" % (obj["depth"],))
     space = space_from_json(obj["space"])
     vec = space.vector
     return ConstructionState(

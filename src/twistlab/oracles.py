@@ -366,15 +366,12 @@ def lemma5_adversary(zs: list, k: int, eta, *, space=None, seed: int = 0) -> Ora
         keeps_d = shape_kind == "negsum" and d not in omitted
         # the pattern minimum is num / den: ints on exact patterns, a float
         # over 1 otherwise
-        if exact_space and shape_kind != "generic" and not keeps_d:
-            j0 = next(j for j in order if j not in omitted)
-            num, den, spec = gauges[j0], G, ((j0,), (F1,))
-            methods.add("exact")
-        elif keeps_d:
+        if keeps_d or (exact_space and shape_kind != "generic"):
+            # the kept vector of least gauge other than d; without d it is
+            # the minimum, with d it competes with A / (K + 1) = s / (G k)
             j0 = next((j for j in order if j != d and j not in omitted), None)
-            # A / (K + 1) with K + 1 = k is s / (G k)
-            s = sum(gauges[j] for j in omitted)
-            if j0 is not None and gauges[j0] * k <= s:
+            s = sum(gauges[j] for j in omitted) if keeps_d else None
+            if not keeps_d or (j0 is not None and gauges[j0] * k <= s):
                 num, den, spec = gauges[j0], G, ((j0,), (F1,))
             else:
                 num, den, spec = s, G * k, (None, saturated)

@@ -33,6 +33,7 @@ from .seqspace import (
     frac_str,
     in_hyperplane_H,
     lp_of_blocks,
+    space_from_json,
 )
 
 F0 = Fraction(0)
@@ -79,7 +80,7 @@ class WeightedRibe:
 
     weights: dict[int, Fraction]
     p: Fraction
-    assumed_constant: float | None = None
+    assumed_constant: float = field(init=False)
 
     def __post_init__(self):
         self.weights = {int(n): as_fraction(c) for n, c in self.weights.items()}
@@ -90,10 +91,9 @@ class WeightedRibe:
         self.p = as_fraction(self.p)
         if self.p <= 1:
             raise ValueError("p must exceed 1")
-        if self.assumed_constant is None:
-            self.assumed_constant = self.holder_bound()
+        self.assumed_constant = self.holder_bound()
         self._pf = float(self.p)
-        self._floats: dict[int, float] = {}
+        self._floats = {n: float(c) for n, c in self.weights.items()}
 
     @property
     def q(self) -> Fraction:
@@ -133,14 +133,13 @@ class Scaled:
 
     inner: "QuasiFunctional"
     factor: Fraction
-    assumed_constant: float | None = None
+    assumed_constant: float = field(init=False)
 
     def __post_init__(self):
         self.factor = as_fraction(self.factor)
         if self.factor <= 0:
             raise ValueError("scale factor must be positive")
-        if self.assumed_constant is None:
-            self.assumed_constant = float(self.factor * Fraction(self.inner.assumed_constant))
+        self.assumed_constant = float(self.factor * Fraction(self.inner.assumed_constant))
 
 
 QuasiFunctional = Union[Ribe, WeightedRibe, UserLinear, Scaled]
@@ -174,16 +173,14 @@ def ribe_eval(x: FinSeq) -> float:
     return _ribe_terms(x.nums.values(), x.den)
 
 
-def _weighted_blocks(x: FinSeq, weights, floats: dict) -> tuple[float, list[int]]:
+def _weighted_blocks(x: FinSeq, floats: dict) -> tuple[float, list[int]]:
     """sum_n c_n * (blockwise Ribe value) and the l1 numerators over ``x.den``
-    of x's nonzero blocks, from one decode; ``floats`` keeps float(c_n)."""
+    of x's nonzero blocks, from one decode; ``floats`` maps n to float(c_n)."""
     den, parts, norms = x.den, [], []
     for n, blk in block_entries(x).items():
         c = floats.get(n)
         if c is None:
-            if n not in weights:
-                raise ValueError("missing weight for nonzero block %d" % n)
-            c = floats[n] = float(weights[n])
+            raise ValueError("missing weight for nonzero block %d" % n)
         parts.append(c * _ribe_terms(blk.values(), den))
         norms.append(sum(map(abs, blk.values())))
     return math.fsum(parts), norms
@@ -191,7 +188,7 @@ def _weighted_blocks(x: FinSeq, weights, floats: dict) -> tuple[float, list[int]
 
 def weighted_ribe_eval(x: FinSeq, weights) -> float:
     """sum_n c_n * (blockwise Ribe value); every nonzero block needs a weight."""
-    return _weighted_blocks(x, weights, {})[0]
+    return _weighted_blocks(x, {n: float(c) for n, c in weights.items()})[0]
 
 
 def evaluate(F: QuasiFunctional, x) -> float:
@@ -202,18 +199,18 @@ def evaluate(F: QuasiFunctional, x) -> float:
         return float(F(x))
     if isinstance(F, Ribe):
         return ribe_eval(x)
-    return _weighted_blocks(x, F.weights, F._floats)[0]
+    return _weighted_blocks(x, F._floats)[0]
 
 
-def _value_and_norm(F: QuasiFunctional, x):
+def value_and_norm(F: QuasiFunctional, x):
     """(``evaluate(F, x)``, a, d) to the bit, where ``space_of(F).norm(x)``
     is a / d: an l1 norm is its integer numerator over ``x.den``, an l_p norm
     a float over 1.  The weighted kind takes both from one decode of x."""
     if isinstance(F, Scaled):
-        value, a, d = _value_and_norm(F.inner, x)
+        value, a, d = value_and_norm(F.inner, x)
         return float(F.factor) * value, a, d
     if isinstance(F, WeightedRibe):
-        value, norms = _weighted_blocks(x, F.weights, F._floats)
+        value, norms = _weighted_blocks(x, F._floats)
         return value, lp_of_blocks(norms, x.den, F._pf), 1
     value = ribe_eval(x) if isinstance(F, Ribe) else float(F(x))
     if isinstance(F, Ribe) or isinstance(F.space, SeqSpace):
@@ -225,10 +222,10 @@ def quasi_defects(F: QuasiFunctional, x, ys) -> list[float]:
     """``quasi_defect(F, x, y)`` for each y of ys, F(x) and ||x|| taken once.
     ||x|| + ||y|| is (a d2 + b d1) / (d1 d2), whose int true division rounds
     as the float of the Fraction sum does."""
-    fx, a, d1 = _value_and_norm(F, x)
+    fx, a, d1 = value_and_norm(F, x)
     out = []
     for y in ys:
-        fy, b, d2 = _value_and_norm(F, y)
+        fy, b, d2 = value_and_norm(F, y)
         num = a * d2 + b * d1
         if num == 0:
             raise ValueError("defect undefined: both arguments are zero")
@@ -402,8 +399,6 @@ def functional_from_json(obj: dict) -> QuasiFunctional:
             p=Fraction(obj["p"]),
         )
     if kind == "user_linear":
-        from .seqspace import space_from_json
-
         space = space_from_json(obj.get("space", {"kind": "seq"}))
         return UserLinear(
             basis=[space.vector(b) for b in obj["basis"]],

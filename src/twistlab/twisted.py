@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .quasilinear import QuasiFunctional, evaluate, space_of
+from .quasilinear import QuasiFunctional, value_and_norm
 from .seqspace import SeqSpace, vector_from_json
 
 
@@ -43,8 +43,10 @@ class TwistedVec:
 
 
 def quasi_norm(F: QuasiFunctional, w: TwistedVec) -> float:
-    """|r - F(x)| + ||x||."""
-    return abs(float(w.r) - evaluate(F, w.x)) + float(space_of(F).norm(w.x))
+    """|r - F(x)| + ||x||, both terms from one ``value_and_norm``; the norm
+    a / d rounds as the float of ``space_of(F).norm(x)`` does."""
+    value, a, d = value_and_norm(F, w.x)
+    return abs(float(w.r) - value) + a / d
 
 
 def quasi_triangle_ratio(F: QuasiFunctional, w1: TwistedVec, w2: TwistedVec) -> float:

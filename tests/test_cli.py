@@ -210,6 +210,25 @@ MALFORMED = {
     "eval_zero_denominator": ["eval", "ribe", "--x", '{"1": "1/0"}'],
 }
 
+# copies of a case-a depth-2 state whose depth or functional does not parse,
+# given to each command that loads a state, as the tamper in the place of
+# the state path
+UNPARSED_STATES = {
+    "depth_text": lambda s: s.update(depth="6"),
+    "depth_fraction": lambda s: s.update(depth=6.5),
+    "depth_null": lambda s: s.update(depth=None),
+    "functional_text": lambda s: s.update(functional="ribe"),
+    "functional_list": lambda s: s.update(functional=[]),
+    "functional_inner_text": lambda s: s.update(functional={"kind": "scaled", "inner": "ribe", "factor": "1/4"}),
+}
+MALFORMED.update(
+    {
+        "%s_state_%s" % (cmd[-1], name): [*cmd, "--state", tamper]
+        for cmd in (["verify"], ["oracle", "lemma5"], ["oracle", "chain"])
+        for name, tamper in UNPARSED_STATES.items()
+    }
+)
+
 
 def run_cli(args):
     """In-process invocation; SystemExit from usage errors is normalized."""
@@ -654,14 +673,45 @@ class TestOracle:
         assert hashlib.sha256((tmp_path / "oracle-report.json").read_bytes()).hexdigest() == digest
 
 
+@pytest.fixture(scope="module")
+def state2_text():
+    """The ``state.json`` text of a case-a depth-2 construction."""
+    xs, ds = tl.make_case_a_inputs(2, 3)
+    return cli._dump_json(state_to_json(tl.run_construction(tl.normalize_constant(tl.Ribe()), xs, ds, 2)))
+
+
 @pytest.mark.parametrize("name", sorted(MALFORMED))
-def test_malformed_input_is_usage(tmp_path, capsys, name):
+def test_malformed_input_is_usage(tmp_path, capsys, state2_text, name):
     args = MALFORMED[name] + (["--out", str(tmp_path)] if MALFORMED[name][0] == "oracle" else [])
+    for i, arg in enumerate(args):
+        if callable(arg):  # a tamper of the depth-2 state
+            state = json.loads(state2_text)
+            arg(state)
+            args[i] = str(tmp_path / "state.json")
+            (tmp_path / "state.json").write_text(json.dumps(state))
     assert run_cli(args) == 64
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert not (tmp_path / "oracle-report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [(["eval", "ribe", "--x"], "cannot evaluate"), (["oracle", "crosspolytope", "--ys"], "cannot use --ys")],
+    ids=["eval_x", "crosspolytope_ys"],
+)
+def test_unreadable_file_is_usage(tmp_path, capsys, monkeypatch, args, message):
+    # a path that is a file but fails to read, as /proc/self/mem does with EIO
+    path = tmp_path / "x.json"
+    path.write_text('{"1": "1/1"}')
+
+    def read_text(self, *a, **k):
+        raise OSError(5, "Input/output error")
+
+    monkeypatch.setattr(type(path), "read_text", read_text)
+    assert run_cli([*args, str(path), *(["--out", str(tmp_path)] if args[0] == "oracle" else [])]) == 64
+    assert capsys.readouterr().err == "error: %s: [Errno 5] Input/output error\n" % message
 
 
 def test_long_inline_json_is_not_a_path(capsys):
@@ -750,7 +800,7 @@ class TestDumpJson:
 
     def test_without_the_c_encoder(self, monkeypatch):
         obj = {"xs": [{"1": "1/2", "2": "-1/2"}], "ell": {"1": [1, 2]}, "f": [1.5, math.inf, None, True]}
-        monkeypatch.setattr(cli, "c_make_encoder", None)
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
         assert cli._dump_json(obj) == indent_dumps(obj)
 
     @given(vector_trees)

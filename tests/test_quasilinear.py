@@ -7,8 +7,16 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import twistlab as tl
-from twistlab import FinSeq, MixedSeq, MixedSpace, norm_mixed
-from twistlab.quasilinear import NONSPLIT_CAP, functional_from_json, functional_to_json, quasi_defects, rank, solve_in_span
+from twistlab import FinSeq, MixedSeq, MixedSpace, TwistedVec, norm_mixed
+from twistlab.quasilinear import (
+    NONSPLIT_CAP,
+    functional_from_json,
+    functional_to_json,
+    quasi_defects,
+    rank,
+    solve_in_span,
+    space_of,
+)
 from twistlab.seqspace import block_of
 
 from .strategies import finseqs, mean_zero_finseqs, mixedseqs, small_scalar
@@ -280,6 +288,13 @@ class TestNormalizeConstant:
         S = tl.Scaled(tl.Ribe(), Fraction(1, 2))
         assert S.assumed_constant == 2.0
 
+    def test_derived_constants_are_not_arguments(self):
+        # a constant below the derived one would be unsound, so none is taken
+        with pytest.raises(TypeError, match="assumed_constant"):
+            tl.Scaled(tl.Ribe(), Fraction(1, 2), assumed_constant=0.5)
+        with pytest.raises(TypeError, match="assumed_constant"):
+            tl.WeightedRibe({1: Fraction(1)}, 2, assumed_constant=0.5)
+
 
 class TestIteratedDefect:
     def test_single(self):
@@ -397,6 +412,18 @@ class TestKernelAgainstReference:
             assert [tl.quasi_defect(F, x, y) for y in ys] == want
             checked += len(ys)
         assert checked > 1000
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+    def test_quasi_norm_bit_identical(self, name):
+        # quasi_norm reads both terms from one value_and_norm; it keeps the
+        # bits of the evaluate-plus-space-norm formula
+        F, draw = KERNEL_CASES[name]
+        rng = random.Random("quasi_norm " + name)
+        space = space_of(F)
+        for _ in range(400):
+            x = draw(rng)
+            r = rng.choice((0.0, -1.5, Fraction(7, 3), rng.uniform(-4, 4)))
+            assert tl.quasi_norm(F, TwistedVec(r, x)) == abs(float(r) - tl.evaluate(F, x)) + float(space.norm(x))
 
     def test_weighted_eval_and_norm_bit_identical(self):
         rng = random.Random(11)
