@@ -200,12 +200,11 @@ def cmd_construct(args) -> int:
         sys.stderr.write("construction failed: %s\n" % exc)
         return EXIT_CONSTRUCTION
     _write_atomic(out / "state.json", _dump_json(state_to_json(state)))
+    rows = levels_csv_rows(state)
     buf = io.StringIO()
-    writer = csv.writer(buf)
-    for row in levels_csv_rows(state):
-        writer.writerow(row)
+    csv.writer(buf).writerows(rows)
     _write_atomic(out / "levels.csv", buf.getvalue())
-    for row in levels_csv_rows(state):
+    for row in rows:
         print("  ".join(str(v) for v in row))
     print("state written to %s" % (out / "state.json"))
     return EXIT_OK

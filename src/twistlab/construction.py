@@ -542,8 +542,11 @@ def final_bound_check(
 
 def state_shape_problem(state: ConstructionState) -> str | None:
     """The first stored index that points outside the state's own tables (a
-    level missing from a per-level table, an ``e_idx`` or ``ell`` entry out of
-    range), or None.  Every other check assumes there is none."""
+    depth below 1, a level missing from a per-level table, an ``e_idx`` or
+    ``ell`` entry out of range), or None.  Every other check assumes there is
+    none."""
+    if state.depth < 1:
+        return "depth %d is below 1" % state.depth
     if len(state.e_idx) < state.depth:
         return "e_idx has %d entries for depth %d" % (len(state.e_idx), state.depth)
     tables = {"c": state.c, "s": state.s, "ell": state.ell, "m": state.m, "G": state.G}

@@ -30,7 +30,6 @@ from .quasilinear import QuasiFunctional, Scaled, UserLinear, WeightedRibe, eval
 from .seqspace import (
     FinSeq,
     MixedSeq,
-    MixedSpace,
     SeqSpace,
     as_fraction,
     block_entries,
@@ -115,20 +114,18 @@ def _orthant_lp_min(ys: list[FinSeq]):
     Bland's rule from another basis can return another vertex on a tie, but
     not another value.  So the walk keeps the first orthant in
     ``itertools.product`` order with the least value and solves only that
-    one again with the cold two-phase ``solve_lp``, whose minimizer the
-    golden crosspolytope report pins."""
+    one again, on the same rows A and b with sigma applied, with the cold
+    two-phase ``solve_lp``, whose minimizer the golden crosspolytope report
+    pins."""
     k = len(ys)
     coords = sorted(set().union(*(set(y.support) for y in ys)))
     d = len(coords)
     n = k + 2 * d
     costs = [0] * k + [1] * (2 * d)
-    start = []
-    for i, c in enumerate(coords):
-        *line, scale = _integer_row([y[c] for y in ys] + [1])
-        line += [0] * (2 * d + 1)
-        line[k + i], line[k + d + i] = scale, -scale
-        start.append(line)
-    start.append([1] * k + [0] * (2 * d) + [1])
+    A = [[y[c] for y in ys] + [int(j == i) - int(j == d + i) for j in range(2 * d)] for i, c in enumerate(coords)]
+    A.append([1] * k + [0] * (2 * d))
+    b = [0] * d + [1]
+    start = [_integer_row(line + [v]) for line, v in zip(A, b)]
     pivot_rows(start, d, 0)
     start_basis = [k + i for i in range(d)] + [0]
     for i in range(d):
@@ -159,10 +156,7 @@ def _orthant_lp_min(ys: list[FinSeq]):
         if best is None or (res.objective, gray) < (best, best_g):
             best, best_g, best_sigma = res.objective, gray, tuple(sigma)
     sigma = best_sigma
-    eye = [[int(i == r) for i in range(d)] for r in range(d)]
-    A = [[sigma[j] * ys[j][c] for j in range(k)] + e + [-v for v in e] for c, e in zip(coords, eye)]
-    A.append([1] * k + [0] * (2 * d))
-    res = solve_lp(costs, A, [0] * d + [1])
+    res = solve_lp(costs, [[s * v for s, v in zip(sigma, line)] + line[k:] for line in A[:d]] + A[d:], b)
     if res.status != "optimal" or res.objective != best:
         raise RuntimeError("orthant LP %r returned %s %s, the walk %s" % (sigma, res.status, res.objective, best))
     return best, [sigma[j] * res.x[j] for j in range(k)]
@@ -278,26 +272,17 @@ def _analyze_negsum(zs):
     return ("negsum", min(common)) if common else ("generic", None)
 
 
-def _float_ratio(x: float) -> tuple[int, int]:
-    """A positive mass x as an integer ratio that cross-multiplies as x
-    compares with a Fraction: inf is (1, 0) and nan (0, 0)."""
-    try:
-        return x.as_integer_ratio()
-    except (OverflowError, ValueError):
-        return (int(x > 0), 0)
-
-
 def lemma5_adversary(zs: list, k: int, eta, *, space=None, seed: int = 0) -> OracleReport:
     """Maximize the coefficient mass sum |r_j| subject to the combined vector
     staying inside norm cap (attacked at cap minus an interior margin) with
     at most k nonzero coefficients.  Monotone in the support pattern, so only
     maximal patterns are searched, all of them, each named by the vectors it
     omits; each reduces to a cross-polytope minimum via mass = cap / min, and
-    the strictly largest mass wins (the first in ``itertools.combinations``
-    order on a tie).  A pattern whose combination can vanish ends the search
-    with infinite mass, ``exact`` in either space.  Past ``PATTERN_CAP``
-    patterns the family is ``refused`` unsearched, with violation inf and no
-    witness: a failure to every caller.  Generic patterns take
+    the least minimum wins (the first in ``itertools.combinations`` order on
+    a tie).  A pattern whose combination can vanish ends the search with
+    infinite mass, ``exact`` in either space.  Past ``PATTERN_CAP`` patterns
+    the family is ``refused`` unsearched, with violation inf and no witness:
+    a failure to every caller.  Generic patterns take
     ``min_crosspolytope_norm``, so the search is ``exact`` or ``bounded``.
 
     Disjoint l1 families are minimized by the kept vector of least norm.  On
@@ -331,7 +316,7 @@ def lemma5_adversary(zs: list, k: int, eta, *, space=None, seed: int = 0) -> Ora
     N = len(zs)
     k = min(k, N)
     budget = NORM_CAP - INTERIOR
-    Bn, Bd, fbudget = budget.numerator, budget.denominator, float(budget)
+    fbudget = float(budget)
     if k == 0 or N == 0:
         return OracleReport(
             "level_mass", float(-eta), 0.0, float(eta), {"pattern": [], "coefficients": []}, 0, seed, "exact", "no nonzeros allowed"
@@ -357,12 +342,10 @@ def lemma5_adversary(zs: list, k: int, eta, *, space=None, seed: int = 0) -> Ora
     saturated = (Fraction(1, k),) * k
 
     # best: (omitted, indices, coefficients, num, den) of the running best,
-    # indices None standing for every kept vector; best_mass its mass
-    best_mass = best = None
+    # indices None standing for every kept vector
+    best = None
     methods = set()
-    count = 0
-    for omitted in map(set, reversed(list(combinations(range(N), N - k)))):
-        count += 1
+    for count, omitted in enumerate(map(set, reversed(list(combinations(range(N), N - k)))), 1):
         keeps_d = shape_kind == "negsum" and d not in omitted
         # the pattern minimum is num / den: ints on exact patterns, a float
         # over 1 otherwise
@@ -391,21 +374,19 @@ def lemma5_adversary(zs: list, k: int, eta, *, space=None, seed: int = 0) -> Ora
             num, den = res.value.as_integer_ratio() if isinstance(res.value, Fraction) else (res.value, 1)
             spec = (kept, res.minimizer)
             methods.add(res.method)
-        if num == 0:
-            best_mass, best = None, (omitted, *spec, num, den)
-            break
-        # the mass budget / minimum as an integer ratio, compared by cross
-        # multiplying; a float mass compares as its exact value
-        mass = _float_ratio(fbudget / num) if isinstance(num, float) else (Bn * den, Bd * num)
-        if best_mass is None or mass[0] * best_mass[1] > best_mass[0] * mass[1]:
-            best_mass, best = mass, (omitted, *spec, num, den)
+        # the mass budget / minimum falls as the minimum grows: the least
+        # minimum wins, and a zero minimum ends the search
+        if best is None or num * best[4] < best[3] * den:
+            best = (omitted, *spec, num, den)
+            if num == 0:
+                break
 
     omitted, indices, coefficients, num, den = best
     pattern = [j for j in range(N) if j not in omitted]
     best_alpha = [F0] * N
     for j, a in zip(pattern if indices is None else indices, coefficients):
         best_alpha[j] = a
-    if best_mass is None:
+    if num == 0:
         # dependent sub-family: unbounded mass
         return OracleReport(
             "level_mass",
@@ -587,8 +568,6 @@ def _random_admissible_decomposition(state, F, z_cert, z, rng):
     z_cert = scale_certificate(z_cert, factor)
     z = z * factor
     zeta = float(space.norm(z))
-    if not 0 < zeta < 2:
-        return None
     lo = max(0.0, 1 - 1 / zeta)
     hi = min(1.0, 1 / zeta)
     lam = Fraction(round((lo + rng.random() * (hi - lo)) * 4096), 4096)
@@ -632,8 +611,6 @@ def chain_fuzzer(state: ConstructionState, F: QuasiFunctional, trials: int = 200
             continue
         factor = _exact_scale(target, nv)
         scaled = scale_certificate(cert, factor)
-        if not space.norm(value * factor) < 1:
-            continue
         tr = verify_chain(state, F, scaled)
         chains += 1
         if not tr.passed:

@@ -24,7 +24,6 @@ import math
 import re
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from itertools import combinations
 
 RationalLike = int | str | Fraction
 
@@ -212,34 +211,26 @@ def disjoint_supports(*vectors: FinSeq) -> bool:
     return True
 
 
-JAMES_SUPPORT_CAP = 16
+JAMES_SUPPORT_CAP = 16  # bounds the input of ``eval james-norm``; the work grows as its square
 
 
 def james_norm(x: FinSeq) -> float:
     """Sup over increasing index tuples drawn from the support plus one index
-    past it, of the root of the summed squared successive differences.
-
-    Exhaustive over subsets of the candidate set; capped at support size
-    JAMES_SUPPORT_CAP to keep the enumeration at desk scale.
-    """
+    past it, of the root of the summed squared successive differences.  A
+    tuple is a path over the support's values v_j and the trailing 0, so the
+    best sum of one ending at j is ends[j] = max over i < j of ends[i] +
+    (v_i - v_j)^2, a longest-path recurrence run in exact arithmetic; the
+    norm is the root of the largest."""
     supp = x.support
     if not supp:
         return 0.0
     if len(supp) > JAMES_SUPPORT_CAP:
-        raise ValueError("james_norm enumerates exhaustively; support is capped at %d" % JAMES_SUPPORT_CAP)
-    candidates = list(supp) + [supp[-1] + 1]
-    vals = [x[i] for i in candidates]
-    best = Fraction(0)
-    n = len(candidates)
-    for size in range(2, n + 1):
-        for tup in combinations(range(n), size):
-            acc = Fraction(0)
-            for a, b in zip(tup, tup[1:]):
-                d = vals[a] - vals[b]
-                acc += d * d
-            if acc > best:
-                best = acc
-    return math.sqrt(best)
+        raise ValueError("james_norm takes a support of at most %d entries" % JAMES_SUPPORT_CAP)
+    vals = [x[i] for i in supp] + [0]
+    ends = []
+    for v in vals:
+        ends.append(max((e + (u - v) ** 2 for u, e in zip(vals, ends)), default=0))
+    return math.sqrt(max(ends))
 
 
 # --- block vectors for the l_p(l1^n) space ---------------------------------

@@ -142,6 +142,9 @@ TAMPERED = {
     },
     "M_table_wrong": (lambda s: s["M"].__setitem__("2", "1000/1"), "static:M_table level 2"),
     "depth_past_tables": (lambda s: s.update(depth=3, e_idx=s["e_idx"] + [1]), "level 3 missing from c, s, ell, m, G"),
+    # no level to check: every per-level loop would pass vacuously
+    "depth_zero": (lambda s: s.update(depth=0), "static:state_shape depth 0 is below 1"),
+    "depth_negative": (lambda s: s.update(depth=-1), "static:state_shape depth -1 is below 1"),
     # two generators trade places: the uniform hull and the level mass stay
     # the same, so only the shape check can see it
     "generator_perturbed": (
@@ -204,6 +207,8 @@ MALFORMED = {
         '[{"1": "1/1"}]',
     ],
     "lemma5_no_state": ["oracle", "lemma5"],
+    # a level outside 1..depth of the depth-2 state, which is left as it is
+    **{"lemma5_level_%d" % n: ["oracle", "lemma5", "--state", lambda s: None, "--level", str(n)] for n in (0, 3)},
     "chain_no_state": ["oracle", "chain"],
     "crosspolytope_no_ys": ["oracle", "crosspolytope"],
     "eval_list": ["eval", "ribe", "--x", "[1]"],
@@ -513,6 +518,17 @@ class TestVerify:
         assert run_cli(["verify", "--state", str(p), "--trials", "0", "--out", str(tmp_path)]) == 3
         lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("VIOLATION")]
         assert len(lines) == 1 and expected in lines[0]
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    @pytest.mark.parametrize("cmd", [["verify"], ["oracle", "lemma5"], ["oracle", "chain"]], ids=lambda cmd: cmd[-1])
+    def test_depth_below_one_exits_three(self, tmp_path, capsys, state2_text, cmd, depth):
+        state = json.loads(state2_text)
+        state["depth"] = depth
+        p = tmp_path / "state.json"
+        p.write_text(json.dumps(state))
+        assert run_cli([*cmd, "--state", str(p), "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().out == "VIOLATION static:state_shape depth %d is below 1\n" % depth
+        assert sorted(tmp_path.iterdir()) == [p]
 
     def test_changed_generator_moves_the_hull(self, tmp_path, capsys):
         out = tmp_path / "run"

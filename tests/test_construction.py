@@ -179,6 +179,15 @@ class TestRunConstruction:
     def test_static_checks_clean(self, state4, ribe_normalized):
         assert all(c.passed for c in static_state_checks(state4, ribe_normalized))
 
+    def test_dependent_level_fails_m_table(self, ribe_normalized):
+        # one kernel vector four times over has no basis constant: the
+        # M_table step fails instead of raising
+        xs, ds = tl.make_case_a_inputs(2, 3)
+        state = tl.run_construction(ribe_normalized, xs, ds, 2)
+        state.ell[2] = [state.ell[2][0]] * 4
+        failed = [(c.name, c.level) for c in static_state_checks(state, ribe_normalized) if not c.passed]
+        assert ("M_table", 2) in failed and ("M_table", 1) not in failed
+
     def test_level_structure(self, state4):
         for n in range(1, 5):
             e_n = state4.e_vector(n)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from twistlab import (
     ribe_eval,
     weighted_ribe_eval,
 )
-from twistlab.seqspace import MixedSpace, SeqSpace, block_entries, block_of, block_position, frac_str
+from twistlab.seqspace import JAMES_SUPPORT_CAP, MixedSpace, SeqSpace, block_entries, block_of, block_position, frac_str
 
 from .strategies import finseqs, small_scalar
 
@@ -145,6 +146,20 @@ class TestJamesNorm:
         big = FinSeq({i: 1 for i in range(1, 20)})
         with pytest.raises(ValueError):
             james_norm(big)
+        assert james_norm(FinSeq({i: (-1) ** i for i in range(1, JAMES_SUPPORT_CAP + 1)})) == math.sqrt(4 * JAMES_SUPPORT_CAP - 3)
+        with pytest.raises(ValueError):
+            james_norm(FinSeq({i: 1 for i in range(1, JAMES_SUPPORT_CAP + 2)}))
+
+    @given(finseqs(max_index=16, max_entries=10))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_exhaustive_enumeration(self, x):
+        # every increasing tuple of the support's values and the trailing 0
+        vals = [x[i] for i in x.support] + [Fraction(0)]
+        best = Fraction(0)
+        for size in range(2, len(vals) + 1):
+            for tup in itertools.combinations(vals, size):
+                best = max(best, sum(((a - b) ** 2 for a, b in zip(tup, tup[1:])), Fraction(0)))
+        assert james_norm(x) == math.sqrt(best)
 
 
 class TestMixed:
