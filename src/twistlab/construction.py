@@ -632,6 +632,12 @@ def state_from_json(obj: dict) -> ConstructionState:
     ``{}`` (G[0], for one) gets the space's vector type."""
     if type(obj["depth"]) is not int:
         raise ValueError("depth must be an integer, got %r" % (obj["depth"],))
+    # the integer tables hold JSON ints: int() would take 1.9, true or "7"
+    ell = [i for v in obj["ell"].values() for i in v]
+    for key, values in (("e_idx", obj["e_idx"]), ("s", obj["s"].values()), ("m", obj["m"].values()), ("ell", ell)):
+        bad = next((v for v in values if type(v) is not int), None)
+        if bad is not None:
+            raise ValueError("%s must hold integers, got %r" % (key, bad))
     space = space_from_json(obj["space"])
     vec = space.vector
     return ConstructionState(
@@ -640,10 +646,10 @@ def state_from_json(obj: dict) -> ConstructionState:
         functional=obj["functional"],
         c={int(n): Fraction(v) for n, v in obj["c"].items()},
         d_generators=[vec(d) for d in obj["d_generators"]],
-        e_idx=list(map(int, obj["e_idx"])),
-        s={int(n): int(v) for n, v in obj["s"].items()},
-        ell={int(n): list(map(int, v)) for n, v in obj["ell"].items()},
-        m={int(n): int(v) for n, v in obj["m"].items()},
+        e_idx=list(obj["e_idx"]),
+        s={int(n): v for n, v in obj["s"].items()},
+        ell={int(n): list(v) for n, v in obj["ell"].items()},
+        m={int(n): v for n, v in obj["m"].items()},
         M={int(n): Fraction(v) for n, v in obj["M"].items()},
         G={int(n): [vec(g) for g in gens] for n, gens in obj["G"].items()},
         xs=[vec(x) for x in obj["xs"]],

@@ -26,7 +26,7 @@ from .construction import (
     verify_chain,
 )
 from .exact_lp import _integer_row, _phase2, _price, gauss_jordan, pivot_rows, solve_lp
-from .quasilinear import QuasiFunctional, Scaled, UserLinear, WeightedRibe, evaluate, quasi_defects
+from .quasilinear import QuasiFunctional, Ribe, Scaled, UserLinear, WeightedRibe, evaluate, quasi_defects, ribe_error_bound
 from .seqspace import (
     FinSeq,
     MixedSeq,
@@ -370,10 +370,14 @@ def lemma5_adversary(zs: list, k: int, eta, *, space=None, seed: int = 0) -> Ora
                 methods.add("bounded")
         else:
             kept = [j for j in range(N) if j not in omitted]
-            res = min_crosspolytope_norm([zs[j] for j in kept], space=space)
-            num, den = res.value.as_integer_ratio() if isinstance(res.value, Fraction) else (res.value, 1)
-            spec = (kept, res.minimizer)
-            methods.add(res.method)
+            zero = next((j for j in kept if not zs[j]), None)
+            if zero is not None:  # a kept zero vector: the minimum is 0
+                num, den, spec = 0, 1, ((zero,), (F1,))
+            else:
+                res = min_crosspolytope_norm([zs[j] for j in kept], space=space)
+                num, den = res.value.as_integer_ratio() if isinstance(res.value, Fraction) else (res.value, 1)
+                spec = (kept, res.minimizer)
+                methods.add(res.method)
         # the mass budget / minimum falls as the minimum grows: the least
         # minimum wins, and a zero minimum ends the search
         if best is None or num * best[4] < best[3] * den:
@@ -659,6 +663,67 @@ def chain_fuzzer(state: ConstructionState, F: QuasiFunctional, trials: int = 200
     )
 
 
+def _moderate(x: float) -> bool:
+    """True iff 2^-128 <= |x| <= 2^128, the range the ascent's screen takes."""
+    return 2.0 ** -128 <= abs(x) <= 2.0 ** 128
+
+
+class _RibeScreen:
+    """What screens an ascent move v + delta g on F = Scaled(Ribe) in time
+    proportional to g (see ``_coordinate_ascent``): v's l1 and coordinate-sum
+    numerators over v.den, phi(x) = x ln|x| at each coordinate, the fsum of
+    those and of their absolute values, ||v||_1 as a float, and whether every
+    coordinate is ``_moderate``."""
+
+    def __init__(self, v: FinSeq):
+        self.v = v
+        self.l1 = sum(map(abs, v.nums.values()))
+        self.total = sum(v.nums.values())
+        xs = [n / v.den for n in v.nums.values()]
+        self.phi = {p: x * math.log(abs(x)) for p, x in zip(v.nums, xs)}
+        self.phi_sum = math.fsum(self.phi.values())
+        self.phi_abs = math.fsum(map(abs, self.phi.values()))
+        self.x_abs = self.l1 / v.den
+        self.moderate = all(map(_moderate, xs))
+
+    def move(self, g: FinSeq, delta: Fraction):
+        """(||raw||_1 exact, an estimate of the Ribe value R(raw), its
+        allowance) for raw = v + delta g, the numerators updated on g's
+        support over one lcm; the allowance is None where the screen does
+        not apply (a zero raw, or a coordinate that is not moderate)."""
+        v = self.v
+        den = math.lcm(v.den, delta.denominator * g.den)
+        m, k = den // v.den, delta.numerator * (den // (delta.denominator * g.den))
+        l1, total = self.l1 * m, self.total * m
+        terms, new_abs, moderate = [self.phi_sum], 0.0, self.moderate
+        for p, a in g.nums.items():
+            old = v.nums.get(p, 0) * m
+            new = old + k * a
+            l1 += abs(new) - abs(old)
+            total += k * a
+            if old:
+                terms.append(-self.phi[p])
+            if new and moderate:
+                x = new / den
+                moderate = _moderate(x)
+                if moderate:
+                    t = x * math.log(abs(x))
+                    terms.append(t)
+                    new_abs += abs(t)
+        nv = Fraction(l1, den)
+        s = total / den
+        if not (l1 and moderate and (not total or _moderate(s))):
+            return nv, None, None
+        x_raw = l1 / den
+        phi_s = s * math.log(abs(s)) if total else 0.0
+        terms.append(-phi_s)
+        # T bounds sum |x ln|x / g|| over raw by sum |phi(x)| + X |ln g|;
+        # Theta and Xi count v's terms twice, once for the old coordinates
+        today = ribe_error_bound(self.phi_abs + new_abs + x_raw * abs(math.log(abs(s) if total else x_raw)), x_raw)
+        screen = ribe_error_bound(2 * self.phi_abs + new_abs + abs(phi_s), 2 * (self.x_abs + x_raw))
+        return nv, math.fsum(terms), today + screen
+
+
 def _coordinate_ascent(state, F, fam, cert: SumCertificate):
     """Greedy push of |F(value)| over coefficient perturbations in at most
     three passes, value norm pinned back to its target after every accepted
@@ -666,12 +731,34 @@ def _coordinate_ascent(state, F, fam, cert: SumCertificate):
     step of delta on one term adds delta times its generator, and the
     rescale multiplies the sum.  Moves that push a coefficient past 1 are
     skipped (the largest other numerator is rescanned only when the moved
-    term holds it), and only an accepted move builds its certificate."""
+    term holds it), and only an accepted move builds its certificate.
+
+    Almost every move is rejected, so on F = Scaled(Ribe) a move is first
+    screened in time proportional to its generator g (``_RibeScreen``): the
+    exact l1 numerator of raw = v_best + delta g gives the same norm, factor
+    and cap test, and the move is skipped when fl(fl(|S| + E) k) <= f_best,
+    with S the screen's estimate of R(raw), E its allowance and
+    k = fl(float(F.factor) float(factor)).  No move the exact path accepts
+    is skipped: with K = F.factor * factor, F at the rescaled raw is K R(raw)
+    (Ribe is homogeneous), so by ``_ribe_terms`` the exact path's f_val is at
+    most K (|S| + 6.03u Theta + 4.04u Xi + 7.04u T + 4.05u X), while the left
+    side is at least K (|S| + E)(1 - 5.01u), and E, the ``ribe_error_bound``
+    of (T, X) plus that of (Theta, Xi), exceeds the difference, which is under
+    u (11.1 Theta + 4.1 Xi + 7.1 T + 4.1 X).  A surviving move takes the
+    exact path: build, rescale, ``evaluate``.  The derivation assumes no
+    overflow or underflow, so the screen runs only while F.factor, k and
+    every coordinate of v_best and raw (and raw's sum, when nonzero) are
+    ``_moderate``: then every intermediate of either path lies between 2^-700
+    and 2^600.  An accepted move rebuilds the screen's sums; a rejected one
+    leaves them unchanged.  Other functionals take the exact path."""
     space = state.space
     best = cert
     v_best = certificate_value(fam, cert)
     target = space.norm(v_best)
     f_best = abs(evaluate(F, v_best))
+    # the screen takes F = Scaled(Ribe) with a moderate factor; 0.0 stands for any other F
+    scale = float(F.factor) if isinstance(F, Scaled) and isinstance(F.inner, Ribe) else 0.0
+    screen = _RibeScreen(v_best) if _moderate(scale) else None
     step = Fraction(1, 64)
     for _ in range(3):
         improved = False
@@ -679,8 +766,12 @@ def _coordinate_ascent(state, F, fam, cert: SumCertificate):
         for idx in range(len(best.terms)):
             for delta in (step, -step):
                 i, j, n = best.terms[idx]
-                raw = v_best + fam.gen(i, j) * delta
-                nv = space.norm(raw)
+                gen = fam.gen(i, j)
+                if screen is None:
+                    raw = v_best + gen * delta
+                    nv = space.norm(raw)
+                else:
+                    nv, estimate, allowance = screen.move(gen, delta)
                 if not nv:
                     continue
                 factor = _exact_scale(target, nv)
@@ -691,6 +782,11 @@ def _coordinate_ascent(state, F, fam, cert: SumCertificate):
                     rest = max((abs(m) for k, (_, _, m) in enumerate(best.terms) if k != idx), default=0)
                 if max(rest * 64, abs(moved)) * abs(factor.numerator) > den * factor.denominator:
                     continue
+                if screen is not None:
+                    k = scale * float(factor)
+                    if allowance is not None and _moderate(k) and (abs(estimate) + allowance) * k <= f_best:
+                        continue
+                    raw = v_best + gen * delta
                 v_cand = raw * factor
                 f_val = abs(evaluate(F, v_cand))
                 if f_val > f_best:
@@ -699,6 +795,8 @@ def _coordinate_ascent(state, F, fam, cert: SumCertificate):
                     best = scale_certificate(SumCertificate(tuple(terms), den), factor)
                     top = max(abs(m) for _, _, m in best.terms)
                     v_best, f_best = v_cand, f_val
+                    if screen is not None:
+                        screen = _RibeScreen(v_best)
                     improved = True
         if not improved:
             break

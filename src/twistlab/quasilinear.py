@@ -161,11 +161,57 @@ def space_of(F: QuasiFunctional):
 def _ribe_terms(nums, den: int) -> float:
     """sum v ln|v / g| over v = n / den, n nonzero ints (int division rounds
     correctly, so v is the float of the rational), 0.0 for none; g is the
-    coordinate sum, or the l1 norm when the sum is 0 (see the module docstring)."""
+    coordinate sum, or the l1 norm when the sum is 0 (see the module docstring).
+
+    Rounding error.  Let u = 2^-53 and assume every rounded intermediate is
+    zero or normal (no overflow or underflow).  Int and float division and
+    products round correctly, ``math.fsum`` returns the correctly rounded
+    sum, and libm ``log`` is assumed within 1 ulp (the error glibc lists for
+    it), so it returns ln(y)(1 + l) with |l| <= 2u.  Write x for a
+    coordinate, t = x ln|x / g| for its exact term, T = sum |t| (at least |R|
+    for the exact value R) and X = sum |x|.  Then v = x(1 + a), |a| <= u,
+    and the gauge is g(1 + b) with |b| <= u for the sum, 2u + u^2 for the
+    fsum of the rounded |v|.  The rounded quotient is (x / g)(1 + e) with
+    |e| < 4.01u, so its log is ln|x / g| + h with |h| < 4.02u: an absolute
+    error, the one that matters when |x / g| is near 1 and the log near 0.
+    The log and the product add relative errors 2u and u, so a computed term
+    is within 4.01u |t| + 4.03u |x| of t, and the fsum adds u times the sum:
+
+        |computed - R| < 5.02u T + 4.04u X.
+
+    ``evaluate`` on ``Scaled`` multiplies by float(factor) (one rounding, the
+    Fraction's int division) and rounds the product, so it is within
+    factor (7.04u T + 4.05u X) of factor R.  A weighted value adds one
+    such product per block and one fsum; with T_n, X_n per block it is
+    within sum |c_n| (10.1u T_n + 4.1u X_n), times the factor when scaled.
+
+    The coordinate ascent's screen forms R as a sum of phi(x) = x ln|x|
+    terms (the same analysis with the exact gauge 1): one fsum P over the
+    current vector's terms, then one fsum of P, minus the terms at a
+    generator's old coordinates, plus those at its new ones, minus phi(S).
+    With Theta and Xi the sums of |phi(x)| and |x| over all four groups,
+    the two roundings of P and of the final sum give
+
+        |screen - R| < 6.03u Theta + 4.04u Xi.
+
+    ``ribe_error_bound`` turns either estimate into an allowance."""
     total = sum(nums)
     fvals = [n / den for n in nums]
     g = total / den if total else math.fsum(map(abs, fvals))
     return math.fsum(v * math.log(abs(v / g)) for v in fvals)
+
+
+def ribe_error_bound(terms: float, coords: float) -> float:
+    """16u (terms + coords), u = 2^-53: an allowance for the rounding error
+    of a Ribe value as ``_ribe_terms`` or the ascent's screen forms it, with
+    ``terms`` at least the summed |term| (T, or Theta) and ``coords`` the
+    summed |coordinate| (X, or Xi) of the docstring there.  Times a
+    ``Scaled`` factor, and for a weighted value summed over the blocks with
+    weights |c_n|, it bounds ``evaluate``'s error too.  The derived constants
+    stay under 11.1u; the rest covers computing ``terms`` and ``coords`` from
+    rounded terms, this product, and the rounded comparison a caller makes
+    with it."""
+    return (terms + coords) * 2.0 ** -49
 
 
 def ribe_eval(x: FinSeq) -> float:

@@ -127,7 +127,8 @@ GOLDEN_ORACLE.update(
 )
 
 
-# tampered copies of a case-a depth-2 state: (tamper, text of the violation)
+# tampered copies of a depth-2 state: (tamper, text of the violation, or of
+# each violation line in order[, case, "a" if absent])
 TAMPERED = {
     "functional_swapped": (
         lambda s: s.update(functional={"kind": "ribe", "assumed_constant": 4.0}),
@@ -150,6 +151,18 @@ TAMPERED = {
     "generator_perturbed": (
         lambda s: s["G"]["2"].__setitem__(slice(0, 2), s["G"]["2"][1::-1]),
         "static:g_shape level 2",
+    ),
+    # a level-1 generator equal to the level's e-vector stretches to the zero
+    # vector, so the level mass is unbounded: in case a d_1 = e_1, in case c
+    # the first generator without its block-2 row
+    "generator_equals_e": (
+        lambda s: s["G"]["1"].__setitem__(1, {"1": "1/1"}),
+        ["static:g_shape level 1", "static:e_hull level 1", "level_mass: level 1 mass inf"],
+    ),
+    "case_c_block_row_deleted": (
+        lambda s: s["G"]["1"][0].pop("2"),
+        ["static:g_shape level 1", "static:e_hull level 1", "level_mass: level 1 mass inf"],
+        "c",
     ),
 }
 
@@ -215,9 +228,9 @@ MALFORMED = {
     "eval_zero_denominator": ["eval", "ribe", "--x", '{"1": "1/0"}'],
 }
 
-# copies of a case-a depth-2 state whose depth or functional does not parse,
-# given to each command that loads a state, as the tamper in the place of
-# the state path
+# copies of a case-a depth-2 state whose depth, functional or an integer table
+# does not parse, given to each command that loads a state, as the tamper in
+# the place of the state path
 UNPARSED_STATES = {
     "depth_text": lambda s: s.update(depth="6"),
     "depth_fraction": lambda s: s.update(depth=6.5),
@@ -225,6 +238,10 @@ UNPARSED_STATES = {
     "functional_text": lambda s: s.update(functional="ribe"),
     "functional_list": lambda s: s.update(functional=[]),
     "functional_inner_text": lambda s: s.update(functional={"kind": "scaled", "inner": "ribe", "factor": "1/4"}),
+    # the integer tables take JSON ints only, as depth does
+    "e_idx_float": lambda s: s.update(e_idx=[1.9, 2.9]),
+    "e_idx_bool": lambda s: s["e_idx"].__setitem__(0, True),
+    "m_float": lambda s: s["m"].__setitem__("1", 145.5),
 }
 MALFORMED.update(
     {
@@ -241,6 +258,19 @@ def run_cli(args):
         return main(args)
     except SystemExit as exc:
         return exc.code
+
+
+def write_tampered(tmp_path, name):
+    """The depth-2 state of ``TAMPERED[name]``'s case, tampered and written
+    to ``tmp_path / "state.json"``; returns that path."""
+    tamper, _, *case = TAMPERED[name]
+    out = tmp_path / "run"
+    assert run_cli(["construct", "--case", *(case or ["a"]), "--depth", "2", "--out", str(out)]) == 0
+    state = json.loads((out / "state.json").read_text())
+    tamper(state)
+    p = tmp_path / "state.json"
+    p.write_text(json.dumps(state))
+    return p
 
 
 class TestConstruct:
@@ -507,17 +537,13 @@ class TestVerify:
 
     @pytest.mark.parametrize("name", sorted(TAMPERED))
     def test_tampered_field_exits_three(self, tmp_path, capsys, name):
-        out = tmp_path / "run"
-        assert run_cli(["construct", "--case", "a", "--depth", "2", "--out", str(out)]) == 0
-        state = json.loads((out / "state.json").read_text())
-        tamper, expected = TAMPERED[name]
-        tamper(state)
-        p = tmp_path / "state.json"
-        p.write_text(json.dumps(state))
+        p = write_tampered(tmp_path, name)
         capsys.readouterr()
         assert run_cli(["verify", "--state", str(p), "--trials", "0", "--out", str(tmp_path)]) == 3
         lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("VIOLATION")]
-        assert len(lines) == 1 and expected in lines[0]
+        expected = TAMPERED[name][1]
+        expected = [expected] if isinstance(expected, str) else expected
+        assert len(lines) == len(expected) and all(text in line for text, line in zip(expected, lines))
 
     @pytest.mark.parametrize("depth", [0, -1])
     @pytest.mark.parametrize("cmd", [["verify"], ["oracle", "lemma5"], ["oracle", "chain"]], ids=lambda cmd: cmd[-1])
@@ -637,6 +663,16 @@ class TestOracle:
         p = tmp_path / "state.json"
         p.write_text(json.dumps(state_to_json(bad), sort_keys=True, default=lambda v: v.to_json()))
         assert run_cli(["oracle", "lemma5", "--state", str(p), "--level", "2", "--out", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("name", ["generator_equals_e", "case_c_block_row_deleted"])
+    def test_lemma5_zero_stretched_vector_exits_three(self, tmp_path, capsys, name):
+        # a kept zero vector ends the mass search with the exact infinite mass
+        p = write_tampered(tmp_path, name)
+        capsys.readouterr()
+        assert run_cli(["oracle", "lemma5", "--state", str(p), "--level", "1", "--out", str(tmp_path)]) == 3
+        assert "best value inf against bound 0.0625 (violation inf, exact)" in capsys.readouterr().out
+        rep = json.loads((tmp_path / "oracle-report.json").read_text())
+        assert rep["method"] == "exact" and rep["notes"] == "combined vector vanished: coefficient mass is unbounded"
 
     def test_lemma5_too_many_patterns_exits_three(self, tmp_path, capsys):
         # 20 level-2 generators leave comb(20, 4) > PATTERN_CAP patterns

@@ -33,8 +33,30 @@ CROSS_12 = [
     {11: "1/2", 14: "7", 15: "5/8"},
     {12: "8", 13: "5", 15: "-4"},
 ]
-from twistlab.seqspace import MixedSpace
+from twistlab.quasilinear import ribe_error_bound
+from twistlab.seqspace import MixedSpace, block_entries
 from twistlab.sumsets import certificate_value, random_certificate, scale_certificate
+
+U = 2.0 ** -53
+
+
+def evaluate_rounding(F, x):
+    """The bound of ``_ribe_terms``'s docstring on |evaluate(F, x) - F(x)| for
+    F = Scaled(Ribe) or Scaled(WeightedRibe): the factor times the
+    ``ribe_error_bound`` of each block's summed |x ln|x / g|| and |x|, times
+    |c_n| for a weighted block."""
+    if isinstance(F.inner, tl.WeightedRibe):
+        blocks = [(abs(float(F.inner.weights[n])), nums) for n, nums in block_entries(x).items()]
+    else:
+        blocks = [(1.0, x.nums)]
+    total = 0.0
+    for c, nums in blocks:
+        vals = [n / x.den for n in nums.values()]
+        s = sum(nums.values())
+        g = abs(s / x.den) if s else math.fsum(map(abs, vals))
+        terms = math.fsum(abs(v * math.log(abs(v / g))) for v in vals)
+        total += c * ribe_error_bound(terms, math.fsum(map(abs, vals)))
+    return float(F.factor) * total
 
 
 class TestIngredients:
@@ -266,6 +288,66 @@ class TestMixedConstruction:
 
 
 class TestVerifyChain:
+    @pytest.mark.parametrize("case, depth", [("a", 12), ("c", 8)])
+    def test_strict_margin_exceeds_the_rounding_error(self, case, depth):
+        # unit_f_ladder and f_split compare float sides with STRICT_MARGIN
+        # added on the right; a replay of a valid certificate can fail one
+        # only if the two sides' rounding errors together exceed the margin.
+        # Each float norm is within 8u of its value: an l1 norm is one
+        # rounding, a mixed one rounds each block quotient, squares it, sums
+        # and takes the root, about 4.5u.  The sums and the margin's addition
+        # round at most four times, each within u of a side.
+        if case == "a":
+            F = tl.normalize_constant(tl.Ribe())
+            xs, ds = tl.make_case_a_inputs(depth, 3)
+        else:
+            xs, ds, weights = tl.make_case_c_inputs(depth, 3)
+            F = tl.normalize_constant(tl.WeightedRibe(weights, 2))
+        state = tl.run_construction(F, xs, ds, depth)
+        fam, space = tl.fn_family(state), state.space
+        rng = random.Random(0)
+        worst = 0.0
+        for _ in range(20):
+            cert = random_certificate(fam, 1, rng)
+            value = certificate_value(fam, cert)
+            if not value:
+                continue
+            factor = Fraction(999, 1000) / Fraction(space.norm(value))
+            cert = scale_certificate(cert, factor) if factor < 1 else cert
+            tr = tl.verify_chain(state, F, cert)
+            assert tr.passed
+            # the replay's vectors: per used level the e-part u_i = r_i e_i
+            merged = {}
+            for i, j, n in cert.terms:
+                level = merged.setdefault(i, {})
+                level[j] = level.get(j, 0) + n
+            units = [
+                (i, state.e_vector(i) * Fraction(sum(level.values()), cert.den))
+                for i, level in sorted(merged.items())
+                if any(level.values())
+            ]
+            unit_total = sum((u for _, u in units), space.zero())
+            x = certificate_value(fam, cert)
+            span_part = x - unit_total
+            ladder = sum(abs(tl.evaluate(F, u)) + i * float(space.norm(u)) for i, u in units)
+            ladder_err = (
+                evaluate_rounding(F, unit_total)
+                + sum(evaluate_rounding(F, u) + 10 * U * i * float(space.norm(u)) for i, u in units)
+                + 4 * U * (ladder + STRICT_MARGIN)
+            )
+            norms = float(space.norm(unit_total)) + float(space.norm(span_part))
+            split_rhs = abs(tl.evaluate(F, unit_total)) + abs(tl.evaluate(F, span_part)) + norms
+            split_err = (
+                evaluate_rounding(F, x)
+                + evaluate_rounding(F, unit_total)
+                + evaluate_rounding(F, span_part)
+                + 8 * U * norms
+                + 4 * U * (split_rhs + STRICT_MARGIN)
+            )
+            assert {s.name for s in tr.steps} >= {"unit_f_ladder", "f_split"}
+            worst = max(worst, ladder_err, split_err)
+        # about 1.5e-14 on a12 and 1.3e-15 on c8
+        assert 0 < worst < STRICT_MARGIN / 1000
     def test_zero_certificate(self, state4, ribe_normalized):
         tr = tl.verify_chain(state4, ribe_normalized, SumCertificate(()))
         assert tr.passed

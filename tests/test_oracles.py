@@ -16,6 +16,7 @@ from twistlab.oracles import (
     INTERIOR,
     PATTERN_CAP,
     OracleReport,
+    _RibeScreen,
     _analyze_negsum,
     _coordinate_ascent,
     _left_inverse_min,
@@ -27,11 +28,21 @@ from twistlab.oracles import (
     seq_sampler,
     span_sampler,
 )
+from twistlab.quasilinear import _ribe_terms
 from twistlab.seqspace import MixedSpace, SeqSpace, block_entries, disjoint_supports
 from twistlab.sumsets import random_certificate
 
 from .test_exact_lp import orthant_lps
-from .test_quasilinear import MIXED_BASIS, SEQ_BASIS
+from .test_quasilinear import (
+    MIXED_BASIS,
+    SEQ_BASIS,
+    U,
+    decimal_ribe,
+    decimal_terms,
+    positive_ratios,
+    ribe_numerators,
+    within,
+)
 
 
 def grid_min(ys, step=64):
@@ -570,6 +581,10 @@ def reference_lemma5(zs, k, eta, *, space=None, seed=0):
                 q = float(space.p) / (float(space.p) - 1.0)
                 mn = float(mn) * (len(blocks) or 1) ** (-1.0 / q)
                 methods.add("bounded")
+        elif not all(zs[j] for j in pattern):
+            # a kept zero vector: the combination vanishes on it alone
+            mn = Fraction(0)
+            alpha[next(j for j in pattern if not zs[j])] = Fraction(1)
         else:
             res = min_crosspolytope_norm([zs[j] for j in pattern], space=space)
             mn = res.value
@@ -672,8 +687,7 @@ def block_disjoint_negsum_family(rng, zero=False):
 
 
 def outcome(search, *args, **kwargs):
-    """The report's JSON, or the error raised (a mixed pattern with a zero
-    vector has no cross-polytope minimum)."""
+    """The report's JSON, or the error raised."""
     try:
         return search(*args, **kwargs).to_json()
     except ValueError as exc:
@@ -1030,3 +1044,165 @@ class TestAscentAgainstReference:
             # move the one largest coefficient down to a legal move)
             for start in (cert, tl.scale_certificate(cert, Fraction(rng.randint(1, 64), 64))):
                 assert _coordinate_ascent(state, F, fam, start) == reference_coordinate_ascent(state, F, fam, start)
+
+
+def unscreened_coordinate_ascent(state, F, fam, cert):
+    """The ascent with every move on the exact path: build, norm, rescale,
+    ``evaluate``, accepting on f_val > f_best, as it ran before the screen."""
+    space = state.space
+    best = cert
+    v_best = tl.certificate_value(fam, cert)
+    target = space.norm(v_best)
+    f_best = abs(tl.evaluate(F, v_best))
+    step = Fraction(1, 64)
+    for _ in range(3):
+        improved = False
+        top = max((abs(n) for _, _, n in best.terms), default=0)
+        for idx in range(len(best.terms)):
+            for delta in (step, -step):
+                i, j, n = best.terms[idx]
+                raw = v_best + fam.gen(i, j) * delta
+                nv = space.norm(raw)
+                if not nv:
+                    continue
+                factor = oracles._exact_scale(target, nv)
+                den, moved = best.den * 64, n * 64 + best.den * delta.numerator
+                rest = top
+                if abs(n) == top:
+                    rest = max((abs(m) for k, (_, _, m) in enumerate(best.terms) if k != idx), default=0)
+                if max(rest * 64, abs(moved)) * abs(factor.numerator) > den * factor.denominator:
+                    continue
+                v_cand = raw * factor
+                f_val = abs(tl.evaluate(F, v_cand))
+                if f_val > f_best:
+                    terms = [(a, b, m * 64) for a, b, m in best.terms]
+                    terms[idx] = (i, j, moved)
+                    best = tl.scale_certificate(tl.SumCertificate(tuple(terms), den), factor)
+                    top = max(abs(m) for _, _, m in best.terms)
+                    v_best, f_best = v_cand, f_val
+                    improved = True
+        if not improved:
+            break
+    return best, f_best
+
+
+@pytest.fixture(scope="module")
+def ascent_states(state6, ribe_normalized):
+    """The case-a states of ``construct --depth 6, 8, 10`` by depth."""
+    states = {6: state6}
+    for depth in (8, 10):
+        xs, ds = tl.make_case_a_inputs(depth, 3)
+        states[depth] = tl.run_construction(ribe_normalized, xs, ds, depth)
+    return states
+
+
+def fuzzer_certificate(state, seed):
+    """A seeded level-1 certificate with value norm at most 1 - 1/1000, the
+    rescale ``chain_fuzzer`` gives the ones it replays."""
+    fam = tl.fn_family(state)
+    cert = random_certificate(fam, 1, random.Random(seed))
+    factor = oracles._exact_scale(Fraction(999, 1000), state.space.norm(tl.certificate_value(fam, cert)))
+    return fam, tl.scale_certificate(cert, factor) if factor < 1 else cert
+
+
+@st.composite
+def screened_moves(draw):
+    """(v, g, delta) for ``_RibeScreen``: v and g overlap on positions 1-12
+    with numerators from ``ribe_numerators``; in a third of the draws v gets
+    a coordinate at 13 that leaves v + delta g a sum within 2 / D of 0."""
+    def vector(nums, den):
+        return FinSeq({p: Fraction(n, den) for p, n in zip(draw(st.permutations(range(1, 13))), nums)})
+
+    v = vector(draw(ribe_numerators())[:12], draw(st.integers(1, 10 ** 9)))
+    g = vector(draw(ribe_numerators())[:12], draw(st.integers(1, 10 ** 6)))
+    delta = draw(st.sampled_from([Fraction(1, 64), Fraction(-1, 64)]))
+    if draw(st.integers(0, 2)) == 0:
+        D = 64 * v.den * g.den
+        rest = v.coord_sum() + delta * g.coord_sum()
+        v = v + FinSeq({13: Fraction(draw(st.integers(-2, 2)), D) - rest})
+    return v, g, delta
+
+
+class TestAscentScreen:
+    """``_RibeScreen`` against 50-digit decimals, and the screened ascent
+    against the unscreened one."""
+
+    @given(screened_moves(), positive_ratios, positive_ratios)
+    @settings(max_examples=300, deadline=None)
+    def test_bounds_against_decimals(self, move, a, c):
+        v, g, delta = move
+        raw = v + g * delta
+        nv, estimate, allowance = _RibeScreen(v).move(g, delta)
+        assert nv == raw.norm()
+        if not raw:
+            assert allowance is None
+            return
+        # the screen's sum: v's terms, the old and the new terms at g's
+        # support, and phi(S), each phi(x) = x ln|x|
+        old = [v[p] for p in g.nums if v[p]]
+        new = [raw[p] for p in g.nums if raw[p]]
+        S = raw.coord_sum()
+        groups = [decimal_terms(xs, Fraction(1)) for xs in ([x for _, x in v.items()], old, new, [S] if S else [])]
+        theta, xi = sum(t for _, t, _ in groups), sum(x for _, _, x in groups)
+        R, T, X = decimal_ribe([x for _, x in raw.items()])
+        assert within(estimate, R, 6.03 * U * float(theta) + 4.04 * U * float(xi), theta, xi)
+        assert within(_ribe_terms(raw.nums.values(), raw.den), R, 5.02 * U * float(T) + 4.04 * U * float(X), T, X)
+        # the skip test's left side is never below the exact path's value
+        k = float(a) * float(c)
+        assert (abs(estimate) + allowance) * k >= abs(tl.evaluate(tl.Scaled(tl.Ribe(), a), raw * c))
+
+    def test_immoderate_coordinates_leave_the_move_unscreened(self):
+        # below 2^-128 the rounding analysis no longer holds; the exact norm
+        # is still returned for the exact path
+        for v, g in (
+            (FinSeq({1: Fraction(1, 2 ** 200), 2: 1}), FinSeq({2: 1, 3: -1})),
+            (FinSeq({2: 1}), FinSeq({3: Fraction(1, 2 ** 140)})),
+        ):
+            nv, _, allowance = _RibeScreen(v).move(g, Fraction(1, 64))
+            assert nv == (v + g * Fraction(1, 64)).norm() and allowance is None
+
+    # per depth a start that accepts moves (3, 6 and 5 of them) and one that
+    # accepts none
+    @pytest.mark.parametrize("depth, seeds", [(6, (4, 0)), (8, (2, 3)), (10, (0, 5))])
+    def test_same_result_as_unscreened(self, ascent_states, ribe_normalized, depth, seeds):
+        state = ascent_states[depth]
+        for seed in seeds:
+            fam, cert = fuzzer_certificate(state, seed)
+            got = _coordinate_ascent(state, ribe_normalized, fam, cert)
+            assert got == unscreened_coordinate_ascent(state, ribe_normalized, fam, cert), seed
+
+    def test_exact_path_only_for_accepted_moves(self, ascent_states, ribe_normalized, monkeypatch):
+        # the ascent of verify --trials 100 on a8: evaluate runs once for the
+        # start and once per accepted move (each builds one certificate), so
+        # the allowance screens out every rejected move
+        state = ascent_states[8]
+        starts = []
+        real = oracles._coordinate_ascent
+        monkeypatch.setattr(oracles, "_coordinate_ascent", lambda *args: starts.append(args) or real(*args))
+        tl.chain_fuzzer(state, ribe_normalized, trials=100, seed=0)
+        monkeypatch.undo()
+        counts = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(oracles, "evaluate", counting("evaluate", oracles.evaluate))
+        monkeypatch.setattr(oracles, "scale_certificate", counting("accepted", oracles.scale_certificate))
+        monkeypatch.setattr(_RibeScreen, "move", counting("screened", _RibeScreen.move))
+        [args] = starts
+        real(*args)
+        assert counts["accepted"] >= 1 and counts["screened"] >= 100
+        assert counts["evaluate"] <= 1 + counts["accepted"] + 3
+
+    def test_other_functionals_take_the_exact_path(self, monkeypatch):
+        # WeightedRibe and UserLinear never build a screen
+        monkeypatch.setattr(oracles, "_RibeScreen", None)
+        xs, ds, weights = tl.make_case_c_inputs(3, 2)
+        F = tl.normalize_constant(tl.WeightedRibe(weights, 2))
+        state = tl.run_construction(F, xs, ds, 3)
+        fam, cert = fuzzer_certificate(state, 1)
+        assert _coordinate_ascent(state, F, fam, cert) == unscreened_coordinate_ascent(state, F, fam, cert)

@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -10,10 +11,12 @@ import twistlab as tl
 from twistlab import FinSeq, MixedSeq, MixedSpace, TwistedVec, norm_mixed
 from twistlab.quasilinear import (
     NONSPLIT_CAP,
+    _ribe_terms,
     functional_from_json,
     functional_to_json,
     quasi_defects,
     rank,
+    ribe_error_bound,
     solve_in_span,
     space_of,
 )
@@ -23,6 +26,7 @@ from .strategies import finseqs, mean_zero_finseqs, mixedseqs, small_scalar
 from .test_seqspace import ref_ribe_terms
 
 LN2 = math.log(2)
+F0 = Fraction(0)
 
 
 class TestRibeEval:
@@ -47,6 +51,86 @@ class TestRibeEval:
     def test_flat_vectors(self, n):
         x = FinSeq({i: Fraction(1, n) for i in range(1, n + 1)})
         assert tl.ribe_eval(x) == pytest.approx(-math.log(n), abs=1e-13)
+
+
+U = 2.0 ** -53  # the unit roundoff of ``_ribe_terms``'s rounding analysis
+
+
+def decimal_terms(xs, gauge):
+    """(sum, sum of |term|, sum of |x|) of the terms x ln|x / gauge| over the
+    rationals xs, in 50-digit decimals: ``Decimal.ln`` is correctly rounded,
+    so each figure is within a relative 1e-48 of the exact one."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        ds = [Decimal(x.numerator) / Decimal(x.denominator) for x in xs]
+        g = Decimal(gauge.numerator) / Decimal(gauge.denominator)
+        terms = [d * (abs(d) / g).ln() for d in ds]
+        return sum(terms), sum(map(abs, terms)), sum(map(abs, ds))
+
+
+def decimal_ribe(xs):
+    """``decimal_terms`` with ``_ribe_terms``'s gauge: the coordinate sum, or
+    the l1 norm when that is 0."""
+    total = sum(xs, F0)
+    return decimal_terms(xs, abs(total) if total else sum(map(abs, xs)))
+
+
+def within(computed, exact, allowance, T, X):
+    """|computed - exact| <= allowance, in decimals, with 1e-40 (T + X) for
+    the 50-digit reference."""
+    return abs(Decimal(computed) - exact) <= Decimal(allowance) + (T + X) * Decimal("1e-40")
+
+
+@st.composite
+def ribe_numerators(draw):
+    """Nonzero int numerators of three shapes: mixed signs over a wide range;
+    one dominant coordinate, so that |x / g| is near 1 and its log near 0;
+    and a coordinate balancing the others to a sum within 2 of 0, so that
+    the gauge is the l1 norm or the sum is near 0."""
+    kind = draw(st.sampled_from(["mixed", "near_one", "sum_near_zero"]))
+    nums = draw(st.lists(st.integers(-10 ** 12, 10 ** 12).filter(bool), min_size=1, max_size=8))
+    if kind == "near_one":
+        nums = [draw(st.integers(10 ** 9, 10 ** 15))] + [n % 7 - 3 for n in nums]
+    elif kind == "sum_near_zero":
+        nums.append(draw(st.integers(-2, 2)) - sum(nums))
+    return [n for n in nums if n] or [1]
+
+
+positive_ratios = st.builds(Fraction, st.integers(1, 10 ** 6), st.integers(1, 10 ** 6))
+
+
+class TestRoundingBound:
+    """The bounds derived in ``_ribe_terms``'s docstring against 50-digit
+    decimals."""
+
+    @given(ribe_numerators(), st.integers(1, 10 ** 12), positive_ratios)
+    @settings(max_examples=300, deadline=None)
+    def test_ribe_terms_and_scaled_evaluate(self, nums, den, factor):
+        R, T, X = decimal_ribe([Fraction(n, den) for n in nums])
+        assert within(_ribe_terms(nums, den), R, 5.02 * U * float(T) + 4.04 * U * float(X), T, X)
+        x = FinSeq._raw(dict(enumerate(nums, 1)), den)
+        a = Decimal(factor.numerator) / Decimal(factor.denominator)
+        scaled = tl.evaluate(tl.Scaled(tl.Ribe(), factor), x)
+        assert within(scaled, a * R, float(factor) * (7.04 * U * float(T) + 4.05 * U * float(X)), a * T, a * X)
+        assert 7.04 * U * float(T) + 4.05 * U * float(X) < ribe_error_bound(float(T), float(X))
+
+    @given(
+        st.lists(st.tuples(ribe_numerators(), st.sampled_from([1, Fraction(-1, 3), Fraction(5, 2)])), min_size=1, max_size=4)
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_weighted_evaluate(self, blocks):
+        # block n holds the n-th draw's first n numerators over 64, weighted c
+        weights, x, exact, allowance, T_all, X_all = {}, MixedSeq(), Decimal(0), 0.0, Decimal(0), Decimal(0)
+        for n, (nums, c) in enumerate(blocks, 1):
+            nums = nums[:n]
+            weights[n] = c
+            x = x + MixedSeq({n: [Fraction(v, 64) for v in nums] + [0] * (n - len(nums))})
+            R, T, X = decimal_ribe([Fraction(v, 64) for v in nums])
+            exact += Decimal(c.numerator) / Decimal(c.denominator) * R
+            allowance += abs(float(c)) * (10.1 * U * float(T) + 4.1 * U * float(X))
+            T_all, X_all = T_all + T, X_all + X
+        value = tl.evaluate(tl.Scaled(tl.WeightedRibe(weights, 2), Fraction(1, 3)), x)
+        assert within(value, exact / 3, allowance / 3, T_all, X_all)
 
 
 class TestHomogeneity:
