@@ -72,8 +72,13 @@ MAX_YS_SUPPORT = 32
 
 # what malformed input raises on its way into the library: a file that cannot
 # be read as OSError, wrong JSON shapes as lookups or method calls on the
-# wrong type, a "n/0" rational as ZeroDivisionError
-INPUT_ERRORS = (OSError, ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError)
+# wrong type, a "n/0" rational as ZeroDivisionError, a number past the float
+# range (a weight of 1e400) as OverflowError
+INPUT_ERRORS = (OSError, ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError, OverflowError)
+
+# what a float step raises on values past its range: an overflowing quotient
+# or power, a division by a quotient that underflowed to 0
+NUMERIC_ERRORS = (OverflowError, ZeroDivisionError)
 
 
 class Parser(argparse.ArgumentParser):
@@ -221,7 +226,7 @@ def _load_state(path):
         F = functional_of_state(state)
     except INPUT_ERRORS as exc:
         raise SystemExit(_usage_fail("cannot load state %s: %s" % (path, exc)))
-    problem = state_shape_problem(state)
+    problem = state_shape_problem(state, F)
     if problem:
         print("VIOLATION static:state_shape %s" % problem)
         raise SystemExit(EXIT_VIOLATION)
@@ -427,8 +432,17 @@ def build_parser() -> Parser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  A float step out of range fails closed: a loaded
+    state holds values no construction writes (exit 3), any other input is
+    malformed (exit 64), and neither prints a traceback."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except NUMERIC_ERRORS as exc:
+        if getattr(args, "state", None):
+            print("VIOLATION numeric: %s" % exc)
+            return EXIT_VIOLATION
+        return _usage_fail("a value is out of the float range: %s" % exc)
 
 
 if __name__ == "__main__":

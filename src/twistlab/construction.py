@@ -13,7 +13,7 @@ with its margin.
 
 Everything that can be rational is rational: coefficient mass, l1 norms,
 ball radii, budgets.  Only functional values (logarithms) and p-th roots are
-floating point, so the ladder's norm steps are exact comparisons and the
+floating point, so the ladder's l1 norm steps compare exact rationals and the
 functional steps carry an explicit interior margin.
 """
 
@@ -28,6 +28,7 @@ from .quasilinear import (
     evaluate,
     functional_from_json,
     functional_to_json,
+    missing_weight,
     space_of,
 )
 from .seqspace import (
@@ -63,6 +64,11 @@ MAX_DEPTH = 12
 # as a dense block of about 2^n coordinates: depth 10 writes 200 MB in 2.6 s
 # at a measured 427 MB peak RSS (2-core Xeon), so depth 11 would need 1.7 GB
 MAX_DEPTH_C = 10
+
+# the widest numerator and common denominator a loaded state's vector may
+# hold: every stored coordinate then lies between 2^-256 and 2^256, so the
+# floats the checks form from the state (quotients, logs, squares) stay normal
+VECTOR_BITS = 256
 
 
 class ConstructionError(RuntimeError):
@@ -378,6 +384,19 @@ class ChainTranscript:
         return asdict(self)
 
 
+def _shifted_l1(space, l1: dict, base: dict, shift: dict) -> dict:
+    """The ``space.block_l1`` numerators of base + shift, numerators by
+    position over one denominator, from base's numerators ``l1``: only the
+    blocks of shift's positions are recounted."""
+    get = base.get
+    old = space.block_l1({p: get(p, 0) for p in shift})
+    new = space.block_l1({p: get(p, 0) + a for p, a in shift.items()})
+    out = dict(l1)
+    for b, a in new.items():
+        out[b] = out.get(b, 0) + a - old[b]
+    return out
+
+
 def verify_chain(state: ConstructionState, F: QuasiFunctional, cert: SumCertificate) -> ChainTranscript:
     """Replay the descending-induction ladder on a level-1 certificate whose
     value has norm below 1, down to the final |F(x)| < 9 check.
@@ -388,7 +407,19 @@ def verify_chain(state: ConstructionState, F: QuasiFunctional, cert: SumCertific
     under 3; the level's coefficient mass stays under the budget; and the
     prefix bound grows by twice the budget.  Afterwards the e-parts and the
     stretched parts are bounded separately and recombined through the
-    additivity ladder.  Norm steps are exact rational comparisons.
+    additivity ladder.
+
+    Every comparison is exact (see ``_step``).  An l1 norm is an exact
+    rational; a mixed-space norm is the float l_p value, compared exactly as
+    that float, so its steps read ``exact: false``.  The norms come from
+    running per-block l1 numerators (``space.block_l1``) over one
+    denominator D, the certificate's times the lcm of the used generators'
+    and e-vectors' denominators: a level updates the prefix's on its own
+    positions, and the head and the stretched part recount only the
+    e-vector's blocks.  ``space.gauge`` equals ``space.norm`` to the bit: an
+    l1 norm is a normalized ``Fraction``, and the l_p value reads a block as
+    a / D, correctly rounded whatever D is, and sums with the order-free
+    ``math.fsum``.
     """
     fam = fn_family(state)
     problems = certificate_problems(fam, cert, 1)
@@ -402,42 +433,58 @@ def verify_chain(state: ConstructionState, F: QuasiFunctional, cert: SumCertific
     merged = {i: {j: n for j, n in d.items() if n} for i, d in merged.items()}
     top = max((i for i, d in merged.items() if d), default=0)
 
-    # one bottom-up pass: per level the prefix below it and its norm, the
-    # level's vector, coefficient sum, mass and generators used, each from
-    # the merged numerators over the certificate's denominator; the prefix
-    # after the top level is the certificate's value
-    den = cert.den
-    zero = space.zero()
+    # one bottom-up pass over numerators by position over D: per level the
+    # prefix's norm, the head's and the stretched part's, the level's
+    # coefficient sum, mass and generators used; the prefix after the top
+    # level is the certificate's value
+    den, G = cert.den, state.G
+    es = [state.e_vector(i) for i in range(1, top + 1)]
+    lcm = math.lcm(*(G[i][j].den for i, d in merged.items() for j in d), *(e.den for e in es))
+    D = den * lcm
+    prefix: dict[int, int] = {}
+    prefix_l1 = space.block_l1(prefix)
     rows = []
-    x, nx = zero, space.norm(zero)
-    for i in range(1, top + 1):
+    for i, e in enumerate(es, 1):
         nums = merged.get(i, {})
-        vec = space.vector.combination(((state.G[i][j], n) for j, n in nums.items()), den)
-        r_i = Fraction(sum(nums.values()), den)
-        rows.append((x, nx, vec, r_i, Fraction(sum(map(abs, nums.values())), den), len(nums)))
-        if vec:
-            x = x + vec
-            nx = space.norm(x)
+        vec: dict[int, int] = {}
+        get = vec.get
+        for j, n in nums.items():
+            g = G[i][j]
+            f = n * (lcm // g.den)
+            for p, a in g.nums.items():
+                vec[p] = get(p, 0) + f * a
+        r = sum(nums.values())
+        f = r * (lcm // e.den)
+        e_part = {p: f * a for p, a in e.nums.items()}
+        prefix_norm = space.gauge(prefix_l1.values(), D)
+        head_norm = space.gauge(_shifted_l1(space, prefix_l1, prefix, e_part).values(), D) if r else prefix_norm
+        minus_e = {p: -a for p, a in e_part.items()}
+        tail_norm = space.gauge(_shifted_l1(space, space.block_l1(vec), vec, minus_e).values(), D)
+        rows.append((prefix_norm, head_norm, tail_norm, Fraction(r, den), Fraction(sum(map(abs, nums.values())), den), len(nums)))
+        prefix_l1 = _shifted_l1(space, prefix_l1, prefix, vec)
+        get = prefix.get
+        for p, a in vec.items():
+            prefix[p] = get(p, 0) + a
+    nx = space.gauge(prefix_l1.values(), D)
     if not nx < 1:
         raise ValueError("chain replay needs value norm < 1, got %s" % nx)
+    x = space.vector._raw({p: a for p, a in prefix.items() if a}, D)._reduced()
 
     steps: list[ChainStep] = []
     bound = F1
     for lv in range(top, 0, -1):
-        prefix, prefix_norm, vec, r_l, mass, used = rows[lv - 1]
+        prefix_norm, head_norm, tail_norm, r_l, mass, used = rows[lv - 1]
         c_l = state.c[lv]
-        e_part = state.e_vector(lv) * r_l
-        head_norm = space.norm(prefix + e_part) if r_l else prefix_norm
-        tail_norm = space.norm(vec - e_part)
-        steps.append(_step("head_norm", lv, head_norm, bound + c_l))
-        steps.append(_step("stretched_norm", lv, tail_norm, 2 * bound + c_l))
+        head_bound = bound + c_l
+        steps.append(_step("head_norm", lv, head_norm, head_bound))
+        steps.append(_step("stretched_norm", lv, tail_norm, head_bound + bound))
         steps.append(_step("stretched_cap", lv, tail_norm, Fraction(3)))
         steps.append(_step("level_mass", lv, mass, c_l, note="%d of %d generators used" % (used, 2 ** lv + 1)))
-        steps.append(_step("prefix_norm", lv, prefix_norm, bound + 2 * c_l))
-        bound = bound + 2 * c_l
+        bound = head_bound + c_l
+        steps.append(_step("prefix_norm", lv, prefix_norm, bound))
 
     units = []  # (level, norm, |F|) of each used level's e-part
-    unit_total = zero
+    unit_total = space.zero()
     for i, (_, _, _, r_i, _, used) in enumerate(rows, 1):
         if not used:
             continue
@@ -540,11 +587,11 @@ def final_bound_check(
 # --- static sanity battery and serialization -------------------------------------
 
 
-def state_shape_problem(state: ConstructionState) -> str | None:
+def state_shape_problem(state: ConstructionState, F: QuasiFunctional) -> str | None:
     """The first stored index that points outside the state's own tables (a
     depth below 1, a level missing from a per-level table, an ``e_idx`` or
-    ``ell`` entry out of range), or None.  Every other check assumes there is
-    none."""
+    ``ell`` entry out of range, a generator's block without a weight in F),
+    or None.  Every other check assumes there is none."""
     if state.depth < 1:
         return "depth %d is below 1" % state.depth
     if len(state.e_idx) < state.depth:
@@ -558,7 +605,8 @@ def state_shape_problem(state: ConstructionState) -> str | None:
             return "e_idx[%d] = %d is not a generator number" % (n - 1, state.e_idx[n - 1])
         if not all(1 <= i <= len(state.xs) for i in state.ell[n]):
             return "ell[%d] points past the %d kernel vectors" % (n, len(state.xs))
-    return None
+    block = missing_weight(F, [*state.d_generators, *(g for gens in state.G.values() for g in gens)])
+    return block and "the functional has no weight for block %d of a generator" % block
 
 
 def static_state_checks(state: ConstructionState, F: QuasiFunctional) -> list[ChainStep]:
@@ -635,11 +683,17 @@ def state_from_json(obj: dict) -> ConstructionState:
     # the integer tables hold JSON ints: int() would take 1.9, true or "7"
     ell = [i for v in obj["ell"].values() for i in v]
     for key, values in (("e_idx", obj["e_idx"]), ("s", obj["s"].values()), ("m", obj["m"].values()), ("ell", ell)):
-        bad = next((v for v in values if type(v) is not int), None)
-        if bad is not None:
-            raise ValueError("%s must hold integers, got %r" % (key, bad))
+        bad = [v for v in values if type(v) is not int]
+        if bad:  # a null is bad too
+            raise ValueError("%s must hold integers, got %r" % (key, bad[0]))
     space = space_from_json(obj["space"])
-    vec = space.vector
+
+    def vec(v):
+        v = space.vector(v)
+        if max(v.den, max(map(abs, v.nums.values()), default=0)).bit_length() > VECTOR_BITS:
+            raise ValueError("a vector holds a coordinate wider than %d bits" % VECTOR_BITS)
+        return v
+
     return ConstructionState(
         depth=obj["depth"],
         space=space,

@@ -30,6 +30,7 @@ from .seqspace import (
     SeqSpace,
     as_fraction,
     block_entries,
+    block_l1,
     frac_str,
     in_hyperplane_H,
     lp_of_blocks,
@@ -76,7 +77,12 @@ class WeightedRibe:
     K is 2 ln 2 (see ``Ribe``).  K <= 1 rests on the oracle sweeps (the
     measured Ribe supremum is about 0.8814) and on acceptance criterion 3,
     which checks the weighted defect against ||c||_q on 10^5 pairs.
-    Weights and p are read-only: the evaluator keeps their floats."""
+    Weights and p are read-only: the evaluator keeps their floats.
+
+    A block holding one coordinate has Ribe value 0 (x ln|x / x| = 0), and
+    the evaluator adds nothing for it: its float term would be +-0.0, which
+    leaves the weighted fsum unchanged (proof in ``_ribe_terms``).  Its
+    weight is still looked up, so a missing one still raises."""
 
     weights: dict[int, Fraction]
     p: Fraction
@@ -194,7 +200,14 @@ def _ribe_terms(nums, den: int) -> float:
 
         |screen - R| < 6.03u Theta + 4.04u Xi.
 
-    ``ribe_error_bound`` turns either estimate into an allowance."""
+    ``ribe_error_bound`` turns either estimate into an allowance.
+
+    One coordinate.  For a single finite nonzero v the gauge is the same
+    int division n / den, so v / g = 1.0, its log is 0.0, the term is
+    v * 0.0 = +-0.0 and the value is fsum([+-0.0]) = +0.0.  ``math.fsum``
+    returns the correctly rounded exact sum, +0.0 for a zero sum, so a
+    +-0.0 summand (times a finite weight) never changes an fsum's result:
+    ``_weighted_blocks`` skips such blocks bit for bit."""
     total = sum(nums)
     fvals = [n / den for n in nums]
     g = total / den if total else math.fsum(map(abs, fvals))
@@ -227,9 +240,23 @@ def _weighted_blocks(x: FinSeq, floats: dict) -> tuple[float, list[int]]:
         c = floats.get(n)
         if c is None:
             raise ValueError("missing weight for nonzero block %d" % n)
-        parts.append(c * _ribe_terms(blk.values(), den))
+        if len(blk) > 1:  # a one-coordinate block's term is +-0.0 (see ``_ribe_terms``)
+            parts.append(c * _ribe_terms(blk.values(), den))
         norms.append(sum(map(abs, blk.values())))
     return math.fsum(parts), norms
+
+
+def missing_weight(F: QuasiFunctional, vectors) -> int | None:
+    """The first block of the vectors that a (scaled) weighted F has no
+    weight for, on which ``evaluate`` raises; None when there is none."""
+    while isinstance(F, Scaled):
+        F = F.inner
+    if isinstance(F, WeightedRibe):
+        for v in vectors:
+            for n in block_l1(v.nums):
+                if n not in F.weights:
+                    return n
+    return None
 
 
 def weighted_ribe_eval(x: FinSeq, weights) -> float:

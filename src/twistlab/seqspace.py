@@ -254,17 +254,33 @@ def block_of(position: int) -> tuple[int, int]:
 def block_entries(x: FinSeq) -> dict[int, dict[int, int]]:
     """The numerators of any FinSeq grouped by block in the block layout,
     {n: {i: numerator of coordinate i of block n}} over ``x.den``, nonzero
-    entries only.  A block is decoded once per run of its positions in
-    iteration order, not once per entry."""
+    entries only.  A block is decoded (``block_of``, inline) once per run of
+    its positions in iteration order, not once per entry."""
     out: dict[int, dict[int, int]] = {}
     lo = hi = 0
     for p, v in x.nums.items():
         if p > hi or p <= lo:
-            n = block_of(p)[0]
+            n = (math.isqrt(8 * p - 7) + 1) // 2
             lo = n * (n - 1) // 2
             hi = lo + n
             blk = out.setdefault(n, {})
         blk[p - lo] = v
+    return out
+
+
+def block_l1(nums: Mapping[int, int]) -> dict[int, int]:
+    """{n: sum of |numerator| over the positions of block n} for numerators
+    by position, in one pass that decodes a block as ``block_entries`` does;
+    a block whose numerators are all zero maps to 0."""
+    out: dict[int, int] = {}
+    get = out.get
+    lo = hi = n = 0
+    for p, v in nums.items():
+        if p > hi or p <= lo:
+            n = (math.isqrt(8 * p - 7) + 1) // 2
+            lo = n * (n - 1) // 2
+            hi = lo + n
+        out[n] = get(n, 0) + abs(v)
     return out
 
 
@@ -318,7 +334,7 @@ def norm_mixed(x: FinSeq, p) -> float:
     p = as_fraction(p)
     if p <= 1:
         raise ValueError("norm_mixed requires p > 1")
-    return lp_of_blocks([sum(map(abs, blk.values())) for blk in block_entries(x).values()], x.den, p)
+    return lp_of_blocks(list(block_l1(x.nums).values()), x.den, p)
 
 
 def lp_of_blocks(norms: list[int], den: int, p) -> float:
@@ -354,6 +370,14 @@ class SeqSpace:
     def norm(self, x: FinSeq) -> Fraction:
         return x.norm()
 
+    def block_l1(self, nums: Mapping[int, int]) -> dict[int, int]:
+        """The l1 numerator of numerators by position: l1 is one block."""
+        return {1: sum(map(abs, nums.values()))}
+
+    def gauge(self, norms: Iterable[int], den: int) -> Fraction:
+        """The norm of a vector from its ``block_l1`` numerators over den."""
+        return Fraction(sum(norms), den)
+
     def zero(self) -> FinSeq:
         return FinSeq()
 
@@ -374,6 +398,12 @@ class MixedSpace:
 
     def norm(self, x: FinSeq) -> float:
         return norm_mixed(x, self.p)
+
+    block_l1 = staticmethod(block_l1)
+
+    def gauge(self, norms: Iterable[int], den: int) -> float:
+        """``norm`` of a vector from its ``block_l1`` numerators over den."""
+        return lp_of_blocks([a for a in norms if a], den, self.p)
 
     def zero(self) -> MixedSeq:
         return MixedSeq()

@@ -1,8 +1,13 @@
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import math
+import random
 import subprocess
 import sys
+import traceback
 
 import hypothesis.strategies as st
 import pytest
@@ -12,7 +17,7 @@ import twistlab as tl
 from twistlab import cli
 from twistlab.cli import MAX_YS_SUPPORT, main
 from twistlab.construction import state_from_json, state_to_json
-from twistlab.quasilinear import NONSPLIT_CAP
+from twistlab.quasilinear import NONSPLIT_CAP, functional_from_json
 from twistlab.seqspace import FinSeq, MixedSeq, block_position, disjoint_supports
 
 from .test_oracles import left_inverse_norm
@@ -159,6 +164,23 @@ TAMPERED = {
         lambda s: s["G"]["1"].__setitem__(1, {"1": "1/1"}),
         ["static:g_shape level 1", "static:e_hull level 1", "level_mass: level 1 mass inf"],
     ),
+    # a table value or a parameter past the float range: a float step
+    # overflows, and the state fails closed
+    "c_past_the_float_range": (
+        lambda s: s["c"].__setitem__("1", "1e400"),
+        "numeric: integer division result too large for a float",
+    ),
+    "case_c_p_past_the_float_range": (
+        lambda s: s["space"].__setitem__("p", "1e400"),
+        "numeric: integer division result too large for a float",
+        "c",
+    ),
+    # the functional has no weight for a block that a generator touches
+    "case_c_weight_missing": (
+        lambda s: s["functional"]["inner"]["weights"].pop("2"),
+        "static:state_shape the functional has no weight for block 2 of a generator",
+        "c",
+    ),
     "case_c_block_row_deleted": (
         lambda s: s["G"]["1"][0].pop("2"),
         ["static:g_shape level 1", "static:e_hull level 1", "level_mass: level 1 mass inf"],
@@ -242,6 +264,14 @@ UNPARSED_STATES = {
     "e_idx_float": lambda s: s.update(e_idx=[1.9, 2.9]),
     "e_idx_bool": lambda s: s["e_idx"].__setitem__(0, True),
     "m_float": lambda s: s["m"].__setitem__("1", 145.5),
+    # a null is not a JSON int either
+    "s_null": lambda s: s["s"].__setitem__("2", None),
+    "ell_null": lambda s: s["ell"]["2"].__setitem__(0, None),
+    # a coordinate past 256 bits: its float would overflow, or underflow to 0
+    "generator_coordinate_1e400": lambda s: s["G"]["1"][0].__setitem__("1", "1e400"),
+    "generator_coordinate_1e-400": lambda s: s["G"]["1"][0].__setitem__("1", "1e-400"),
+    # a scale factor past the float range
+    "functional_factor_1e400": lambda s: s["functional"].update(factor="1e400"),
 }
 MALFORMED.update(
     {
@@ -764,6 +794,132 @@ def test_unreadable_file_is_usage(tmp_path, capsys, monkeypatch, args, message):
     monkeypatch.setattr(type(path), "read_text", read_text)
     assert run_cli([*args, str(path), *(["--out", str(tmp_path)] if args[0] == "oracle" else [])]) == 64
     assert capsys.readouterr().err == "error: %s: [Errno 5] Input/output error\n" % message
+
+
+# --- the tamper fuzzer ---------------------------------------------------------
+
+# the values a mutation writes in place of any node of a state
+TYPED_VALUES = [
+    None, True, False, 0, 1, -1, 2, 1.5, 2 ** 70, "", "x", "0/1", "1/1", "-1/2", "1/0", "1e400", "1e-400",
+    [], {}, [1], {"1": "1/1"}, ["1/1"],
+]
+# the commands that load a state
+STATE_COMMANDS = [["verify", "--trials", "0"], ["verify", "--trials", "3"], ["oracle", "lemma5"], ["oracle", "chain", "--budget", "3"]]
+
+
+def json_paths(node, prefix=()):
+    """(path, node) of every node of a JSON tree below its root."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,), child
+        yield from json_paths(child, prefix + (key,))
+
+
+def mutate(tree, rng):
+    """One seeded mutation of a state tree, in place, on a node of its
+    generators (``G`` and ``d_generators``) half of the time: a "num/den"
+    value with its numerator or its denominator moved, a node deleted, set to
+    a typed value or duplicated, or a key added.  Returns what it did."""
+    nodes = list(json_paths(tree))
+    if rng.random() < 0.5:
+        nodes = [(p, v) for p, v in nodes if p[0] in ("G", "d_generators")]
+    ratios = [(p, v) for p, v in nodes if isinstance(v, str) and "/" in v]
+    kind = rng.choice(["numerator", "denominator", "delete", "set", "duplicate", "add key"])
+    if kind in ("numerator", "denominator") and ratios:
+        path, value = rng.choice(ratios)
+        n, d = map(int, value.split("/"))
+        n, d = (n + rng.choice((-1, 1)), d) if kind == "numerator" else (n, d + rng.choice((1, 2, d)))
+        new = "%d/%d" % (n, d)
+    else:
+        path, value = rng.choice(nodes)
+        if kind == "delete":
+            new = None
+        elif kind == "duplicate" and isinstance(value, list) and value:
+            new = value + [rng.choice(value)]
+        elif kind == "add key" and isinstance(value, dict):
+            new = {**value, "extra": rng.choice(TYPED_VALUES)}
+        else:
+            kind, new = "set", rng.choice(TYPED_VALUES)
+    parent = tree
+    for key in path[:-1]:
+        parent = parent[key]
+    if kind == "delete":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = new
+    return "%s at %s" % (kind, "/".join(map(str, path)))
+
+
+def run_captured(args):
+    """(exit code, stdout, stderr) of one in-process run; an exception that
+    escapes ``main`` comes back as the code "traceback" with its text."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run_cli(args)
+        except Exception:
+            code = "traceback"
+            err.write(traceback.format_exc())
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestTamperFuzzer:
+    MUTANTS = 250  # per case: about 10 s for both cases on a 2-core Xeon
+
+    @pytest.mark.parametrize("case", ["a", "c"])
+    def test_mutants_keep_the_exit_code_contract(self, tmp_path, case):
+        # verify exits 3 on a tampered state and 64 on a malformed one, with
+        # one error line, and never with a traceback
+        assert run_cli(["construct", "--case", case, "--depth", "2", "--out", str(tmp_path / "base")]) == 0
+        base = (tmp_path / "base" / "state.json").read_text()
+        path, out = tmp_path / "state.json", tmp_path / "out"
+        codes = set()
+        for k in range(self.MUTANTS):
+            tree = json.loads(base)
+            what = mutate(tree, random.Random("%s:%d" % (case, k)))
+            path.write_text(json.dumps(tree))
+            for cmd in STATE_COMMANDS:
+                code, stdout, stderr = run_captured([*cmd, "--state", str(path), "--out", str(out)])
+                context = (k, what, cmd, code, stderr[-2000:])
+                assert code in (0, 3, 64), context
+                assert "Traceback" not in stdout + stderr, context
+                if code == 64:
+                    assert [line.startswith("error: ") for line in stderr.splitlines()] == [True], context
+                codes.add(code)
+        assert codes == {0, 3, 64}
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            # the functional loses block 16's weight 2^-15: ||c||_2 falls by
+            # about 3.5e-10 relative, and no generator of the state touches
+            # block 16
+            lambda s: s["functional"]["inner"]["weights"].pop("16"),
+            # the scale factor's numerator moves by 1: the constant moves by
+            # about 2^-52
+            lambda s: s["functional"].update(factor=ratio_moved(s["functional"]["factor"], 1)),
+            lambda s: s["functional"].update(factor=ratio_moved(s["functional"]["factor"], -1)),
+        ],
+        ids=["lost_block_16_weight", "factor_numerator_up", "factor_numerator_down"],
+    )
+    def test_normalization_tolerance_lets_through(self, tmp_path, tamper):
+        # the two classes of exit-0 mutant that pass ``_normalized``'s 1e-9
+        # tolerance on the assumed constant, both kept: a lost weight lowers
+        # ||c||_q, so the constant stays at most 1, and a moved numerator
+        # moves it by about 2^-52, far inside the ladder's margins
+        assert run_cli(["construct", "--case", "c", "--depth", "2", "--out", str(tmp_path / "base")]) == 0
+        base = json.loads((tmp_path / "base" / "state.json").read_text())
+        state = copy.deepcopy(base)
+        tamper(state)
+        assert state["functional"] != base["functional"]
+        assert abs(functional_from_json(state["functional"]).assumed_constant - 1) < 2.0 ** -30
+        (tmp_path / "state.json").write_text(json.dumps(state))
+        assert run_cli(["verify", "--state", str(tmp_path / "state.json"), "--trials", "3", "--out", str(tmp_path)]) == 0
+
+
+def ratio_moved(text, by):
+    n, d = map(int, text.split("/"))
+    return "%d/%d" % (n + by, d)
 
 
 def test_long_inline_json_is_not_a_path(capsys):

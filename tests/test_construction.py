@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import random
@@ -11,7 +12,9 @@ import twistlab as tl
 from twistlab import FinSeq, MixedSeq, SumCertificate, TwistedVec
 from twistlab.construction import (
     STRICT_MARGIN,
+    ChainTranscript,
     _step,
+    fn_family,
     functional_of_state,
     levels_csv_rows,
     state_from_json,
@@ -35,7 +38,7 @@ CROSS_12 = [
 ]
 from twistlab.quasilinear import ribe_error_bound
 from twistlab.seqspace import MixedSpace, block_entries
-from twistlab.sumsets import certificate_value, random_certificate, scale_certificate
+from twistlab.sumsets import certificate_problems, certificate_value, random_certificate, scale_certificate
 
 U = 2.0 ** -53
 
@@ -453,6 +456,191 @@ class TestFinalBound:
             rep = tl.final_bound_check(state4, ribe_normalized, u, cert)
             assert rep.passed
             assert rep.chain is not None and rep.chain.passed
+
+
+def reference_verify_chain(state, F, cert):
+    """``verify_chain`` as it ran before the running block numerators: each
+    level's vector, the prefix, the head prefix + e-part and the stretched
+    part vec - e-part built as vectors and normed whole."""
+    fam = fn_family(state)
+    problems = certificate_problems(fam, cert, 1)
+    if problems:
+        raise ValueError("certificate invalid at level 1: %s" % problems[0])
+    space = state.space
+    merged = {}
+    for i, j, n in cert.terms:
+        lv = merged.setdefault(i, {})
+        lv[j] = lv.get(j, 0) + n
+    merged = {i: {j: n for j, n in d.items() if n} for i, d in merged.items()}
+    top = max((i for i, d in merged.items() if d), default=0)
+    den = cert.den
+    zero = space.zero()
+    rows = []
+    x, nx = zero, space.norm(zero)
+    for i in range(1, top + 1):
+        nums = merged.get(i, {})
+        vec = space.vector.combination(((state.G[i][j], n) for j, n in nums.items()), den)
+        r_i = Fraction(sum(nums.values()), den)
+        rows.append((x, nx, vec, r_i, Fraction(sum(map(abs, nums.values())), den), len(nums)))
+        if vec:
+            x = x + vec
+            nx = space.norm(x)
+    if not nx < 1:
+        raise ValueError("chain replay needs value norm < 1, got %s" % nx)
+    steps = []
+    bound = Fraction(1)
+    for lv in range(top, 0, -1):
+        prefix, prefix_norm, vec, r_l, mass, used = rows[lv - 1]
+        c_l = state.c[lv]
+        e_part = state.e_vector(lv) * r_l
+        head_norm = space.norm(prefix + e_part) if r_l else prefix_norm
+        tail_norm = space.norm(vec - e_part)
+        steps.append(_step("head_norm", lv, head_norm, bound + c_l))
+        steps.append(_step("stretched_norm", lv, tail_norm, 2 * bound + c_l))
+        steps.append(_step("stretched_cap", lv, tail_norm, Fraction(3)))
+        steps.append(_step("level_mass", lv, mass, c_l, note="%d of %d generators used" % (used, 2 ** lv + 1)))
+        steps.append(_step("prefix_norm", lv, prefix_norm, bound + 2 * c_l))
+        bound = bound + 2 * c_l
+    units = []
+    unit_total = zero
+    for i, (_, _, _, r_i, _, used) in enumerate(rows, 1):
+        if not used:
+            continue
+        u_i = state.e_vector(i) * r_i
+        u_norm, u_f = space.norm(u_i), abs(tl.evaluate(F, u_i))
+        units.append((i, u_norm, u_f))
+        steps.append(_step("unit_norm", i, u_norm, state.c[i]))
+        steps.append(_step("unit_f", i, u_f, Fraction(1, 2 ** i)))
+        unit_total = unit_total + u_i
+    span_part = x - unit_total
+    span_norm = space.norm(span_part)
+    c_partial = sum((state.c[i] for i in range(1, top + 1)), Fraction(0))
+    steps.append(_step("span_norm_tight", None, span_norm, 1 + c_partial))
+    steps.append(_step("span_norm", None, span_norm, Fraction(2)))
+    f_span = abs(tl.evaluate(F, span_part))
+    steps.append(_step("span_f", None, f_span, 2.0, note="kernel span: splitting map vanishes there"))
+    f_unit = abs(tl.evaluate(F, unit_total))
+    ladder = math.fsum(f for _, _, f in units) + math.fsum(i * float(n) for i, n, _ in units)
+    steps.append(
+        _step("unit_f_ladder", None, f_unit, ladder + STRICT_MARGIN, note="additivity ladder bound", strict=False)
+    )
+    geom = 1 + math.fsum(i * 2.0 ** (-i) for i in range(1, top + 1))
+    steps.append(_step("unit_f_total", None, f_unit, 4.0, note="ladder evaluates below %g" % geom))
+    f_value = tl.evaluate(F, x)
+    split_rhs = f_unit + f_span + float(space.norm(unit_total)) + float(span_norm)
+    steps.append(_step("f_split", None, abs(f_value), split_rhs + STRICT_MARGIN, strict=False, note="one additivity application"))
+    steps.append(_step("f_total", None, abs(f_value), 9.0))
+    return ChainTranscript(
+        steps=steps,
+        top_level=top,
+        value_norm=str(nx),
+        f_value=f_value,
+        passed=all(s.passed for s in steps),
+        min_margin=min((s.margin for s in steps), default=float("inf")),
+    )
+
+
+def case_state(case, depth, p=2):
+    """The normalized functional and the built state of case a, or of case
+    c in the l_p sum."""
+    if case == "a":
+        F = tl.normalize_constant(tl.Ribe())
+        xs, ds = tl.make_case_a_inputs(depth, 3)
+    else:
+        xs, ds, weights = tl.make_case_c_inputs(depth, 3)
+        F = tl.normalize_constant(tl.WeightedRibe(weights, p))
+    return F, tl.run_construction(F, xs, ds, depth)
+
+
+def below_one(state, cert, target=Fraction(999, 1000)):
+    """cert rescaled so that its value has norm about ``target``."""
+    return scale_certificate(cert, target / Fraction(state.space.norm(certificate_value(fn_family(state), cert))))
+
+
+class TestReplayAgainstReference:
+    def check(self, state, F, cert):
+        assert tl.verify_chain(state, F, cert).to_json() == reference_verify_chain(state, F, cert).to_json()
+
+    @pytest.mark.parametrize("case, depth", [("a", 6), ("a", 8), ("a", 10), ("c", 6), ("c", 8)])
+    def test_fuzzer_ascent_and_final_bound_certificates(self, monkeypatch, case, depth):
+        # every replay of a chain fuzzer run: its random certificates and the
+        # ascent's (through oracles), the final bound's halves (through
+        # construction), each against the reference
+        F, state = case_state(case, depth)
+        seen = {"oracles": 0, "construction": 0}
+
+        def checked(module):
+            def replay(state, F, cert):
+                seen[module] += 1
+                self.check(state, F, cert)
+                return verify_chain(state, F, cert)
+
+            return replay
+
+        verify_chain = tl.verify_chain
+        monkeypatch.setattr("twistlab.oracles.verify_chain", checked("oracles"))
+        monkeypatch.setattr("twistlab.construction.verify_chain", checked("construction"))
+        rep = tl.chain_fuzzer(state, F, trials=21, seed=0)
+        assert rep.best_violation < 0
+        assert seen["oracles"] >= 2 and seen["construction"] >= 1
+
+    def test_empty_and_one_level_certificates(self, state4, ribe_normalized):
+        self.check(state4, ribe_normalized, SumCertificate(()))
+        self.check(state4, ribe_normalized, below_one(state4, SumCertificate.of([(3, 0, 1), (3, 4, Fraction(-1, 2))])))
+        # one generator, whose coefficient sum r is nonzero
+        self.check(state4, ribe_normalized, below_one(state4, SumCertificate.of([(4, 2, 1)])))
+
+    def test_zero_e_part_with_a_nonzero_level_vector(self, state4, ribe_normalized):
+        # r_2 = 0 but the level's vector is m_2 (x_0 - x_1) / 8
+        cert = SumCertificate.of([(1, 0, Fraction(1, 100)), (2, 0, 1), (2, 1, -1), (3, 2, Fraction(1, 3))])
+        self.check(state4, ribe_normalized, below_one(state4, cert))
+
+    def test_level_cancelling_to_zero(self, state4, ribe_normalized):
+        # one generator drawn twice with opposite coefficients: merged away
+        cert = SumCertificate.of([(2, 1, Fraction(1, 10 ** 4)), (2, 1, Fraction(-1, 10 ** 4)), (3, 0, Fraction(1, 10 ** 4))])
+        self.check(state4, ribe_normalized, cert)
+        # two equal generators with opposite coefficients: a zero level
+        # vector from two used generators
+        state = copy.copy(state4)
+        state.G = {**state4.G, 2: [state4.G[2][0]] * 2 + state4.G[2][2:]}
+        cert = SumCertificate.of([(1, 2, Fraction(1, 10 ** 4)), (2, 0, Fraction(1, 3)), (2, 1, Fraction(-1, 3))])
+        assert not tl.certificate_value(fn_family(state), SumCertificate.of([(2, 0, 1), (2, 1, -1)]))
+        self.check(state, ribe_normalized, cert)
+
+    @pytest.mark.parametrize("case", ["a", "c"])
+    def test_generators_with_different_denominators(self, case):
+        F, state = case_state(case, 4)
+        state.G = {n: [g * Fraction(1, 1 + (n + j) % 5) for j, g in enumerate(gens)] for n, gens in state.G.items()}
+        state.d_generators = [d * Fraction(2, 3) for d in state.d_generators]
+        assert len({g.den for gens in state.G.values() for g in gens}) >= 4
+        rng = random.Random(5)
+        done = 0
+        while done < 30:
+            cert = random_certificate(fn_family(state), 1, rng)
+            if certificate_value(fn_family(state), cert):
+                self.check(state, F, below_one(state, cert, Fraction(rng.randint(1, 999), 1000)))
+                done += 1
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_mixed_prefix_with_a_cancelled_block(self, p):
+        # levels 1 and 4 share e-vector d_1, block 1 of the block layout: with
+        # r_4 = -r_1 the head of level 4 and the prefix below level 5 hold a
+        # block that cancels to zero, which no l_p sum may count; for p = 2
+        # counting it would not show, as sqrt(fl(t^2)) = t
+        F, state = case_state("c", 5, p)
+        assert state.e_vector(1) == state.e_vector(4)
+        fam = fn_family(state)
+        cert = below_one(state, SumCertificate.of([(1, 0, 1), (4, 3, -1), (5, 7, 1)]))
+
+        def value_through(top):
+            return certificate_value(fam, SumCertificate(tuple(t for t in cert.terms if t[0] <= top), cert.den))
+
+        assert value_through(3)[1] and not value_through(4)[1]
+        self.check(state, F, cert)
+        # one generator: the stretched part m x keeps one nonzero block
+        # beside e's, which cancels
+        for n in range(1, 6):
+            self.check(state, F, below_one(state, SumCertificate.of([(n, 1, 1)])))
 
 
 def reference_step(lhs, rhs, strict):

@@ -20,7 +20,7 @@ from twistlab.quasilinear import (
     solve_in_span,
     space_of,
 )
-from twistlab.seqspace import block_of
+from twistlab.seqspace import block_entries, block_of, block_position
 
 from .strategies import finseqs, mean_zero_finseqs, mixedseqs, small_scalar
 from .test_seqspace import ref_ribe_terms
@@ -251,6 +251,54 @@ class TestWeightedRibe:
                 - tl.weighted_ribe_eval(by, self.W)
             )
             assert gap <= c * float(bx.norm() + by.norm()) + 1e-9
+
+
+def every_block_weighted(x, floats):
+    """``_weighted_blocks``'s value with ``_ribe_terms`` run on every block,
+    one-coordinate blocks included."""
+    return math.fsum(floats[n] * _ribe_terms(blk.values(), x.den) for n, blk in block_entries(x).items())
+
+
+signed_rationals = st.builds(Fraction, st.integers(-(10 ** 6), 10 ** 6).filter(bool), st.integers(1, 10 ** 5))
+
+
+@st.composite
+def sparse_block_vectors(draw, max_width=4):
+    """A MixedSeq on blocks 1..12, each holding one to ``max_width`` stored
+    coordinates of either sign."""
+    entries = {}
+    for n in draw(st.lists(st.integers(1, 12), max_size=6, unique=True)):
+        width = draw(st.integers(1, min(n, max_width)))
+        for i in draw(st.lists(st.integers(1, n), min_size=width, max_size=width, unique=True)):
+            entries[block_position(n, i)] = draw(signed_rationals)
+    return MixedSeq._raw({}, 1) + FinSeq(entries) if entries else MixedSeq()
+
+
+class TestOneCoordinateBlocks:
+    weights = st.lists(signed_rationals, min_size=12, max_size=12).map(lambda ws: dict(enumerate(ws, 1)))
+
+    @given(sparse_block_vectors(), weights)
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_every_block(self, x, weights):
+        # float.hex tells -0.0 from 0.0, which == does not
+        F = tl.WeightedRibe(weights, 2)
+        assert float.hex(tl.evaluate(F, x)) == float.hex(every_block_weighted(x, F._floats))
+
+    @given(sparse_block_vectors(max_width=1), weights)
+    @settings(max_examples=100, deadline=None)
+    def test_one_coordinate_blocks_give_plus_zero(self, x, weights):
+        F = tl.WeightedRibe(weights, 2)
+        assert float.hex(tl.evaluate(F, x)) == float.hex(every_block_weighted(x, F._floats)) == float.hex(0.0)
+
+    def test_negative_terms_still_give_plus_zero(self):
+        # -1/3 * ln 1 is -0.0; a negative weight turns +0.0 terms to -0.0
+        x = MixedSeq({1: [Fraction(-1, 3)], 2: [0, 5], 3: [0, 0, Fraction(-7, 2)]})
+        F = tl.WeightedRibe({1: 1, 2: -2, 3: Fraction(-1, 4)}, 2)
+        assert float.hex(every_block_weighted(x, F._floats)) == float.hex(tl.evaluate(F, x)) == "0x0.0p+0"
+
+    def test_missing_weight_still_raises(self):
+        with pytest.raises(ValueError, match="missing weight for nonzero block 3"):
+            tl.weighted_ribe_eval(MixedSeq({1: [1], 3: [0, 2, 0]}), {1: Fraction(1)})
 
 
 class TestNonsplitWitness:
