@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -383,7 +384,10 @@ def cmd_oracle(args) -> int:
 # --- wiring ----------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> Parser:
+    """Built once per process: argparse asks for the terminal size at every
+    ``add_argument``, and ``parse_args`` leaves the parser as it was."""
     parser = Parser(prog="twistlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=Parser)
 

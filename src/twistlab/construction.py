@@ -29,6 +29,7 @@ from .quasilinear import (
     functional_from_json,
     functional_to_json,
     missing_weight,
+    outside_span,
     space_of,
 )
 from .seqspace import (
@@ -590,8 +591,9 @@ def final_bound_check(
 def state_shape_problem(state: ConstructionState, F: QuasiFunctional) -> str | None:
     """The first stored index that points outside the state's own tables (a
     depth below 1, a level missing from a per-level table, an ``e_idx`` or
-    ``ell`` entry out of range, a generator's block without a weight in F),
-    or None.  Every other check assumes there is none."""
+    ``ell`` entry out of range, a generator's block without a weight in F, a
+    generator outside the span of F's basis), or None.  Every other check
+    assumes there is none."""
     if state.depth < 1:
         return "depth %d is below 1" % state.depth
     if len(state.e_idx) < state.depth:
@@ -605,8 +607,13 @@ def state_shape_problem(state: ConstructionState, F: QuasiFunctional) -> str | N
             return "e_idx[%d] = %d is not a generator number" % (n - 1, state.e_idx[n - 1])
         if not all(1 <= i <= len(state.xs) for i in state.ell[n]):
             return "ell[%d] points past the %d kernel vectors" % (n, len(state.xs))
-    block = missing_weight(F, [*state.d_generators, *(g for gens in state.G.values() for g in gens)])
-    return block and "the functional has no weight for block %d of a generator" % block
+    gens = [*state.d_generators, *(g for level in state.G.values() for g in level)]
+    block = missing_weight(F, gens)
+    if block:
+        return "the functional has no weight for block %d of a generator" % block
+    if outside_span(F, gens):
+        return "the functional is not defined on a generator outside the span of its basis"
+    return None
 
 
 def static_state_checks(state: ConstructionState, F: QuasiFunctional) -> list[ChainStep]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -25,7 +26,7 @@ from .construction import (
     fn_family,
     verify_chain,
 )
-from .exact_lp import _integer_row, _phase2, _price, gauss_jordan, pivot_rows, solve_lp
+from .exact_lp import _phase2, _price, gauss_jordan, pivot_rows, solve_lp
 from .quasilinear import QuasiFunctional, Ribe, Scaled, UserLinear, WeightedRibe, evaluate, quasi_defects, ribe_error_bound
 from .seqspace import (
     FinSeq,
@@ -95,7 +96,15 @@ def _orthant_lp_min(ys: list[FinSeq]):
         (V sigma t)_c + p_c - q_c = 0 for each coordinate c,   sum t = 1,
 
     minimizing sum p + sum q, which equals ||V sigma t||_1 at the optimum.
-    The columns run t, then p, then q.
+    The walk below folds each coordinate c that only y_j touches into t_j's
+    cost, a presolve reduction (Andersen and Andersen, *Math. Programming*
+    71, 1995): as t >= 0, c adds |sigma_j y_j[c] t_j| = |y_j[c]| t_j to the
+    norm whatever sigma is, so its row and its p, q columns go, and t_j costs
+    w_j, the sum of |y_j[c]| over the coordinates y_j owns alone.  The rows
+    left, the shared coordinates' (the first one's if none is shared) and
+    the sum row, hold V's numerators over one denominator D, so the costs
+    are ints and the objective is D times the norm.  The columns run t,
+    then p, then q.
 
     No orthant needs phase 1 (Chvatal, *Linear Programming*, 1983, on
     starting from a feasible basis): t_1 pivoted into the sum row, with p_c
@@ -105,33 +114,40 @@ def _orthant_lp_min(ys: list[FinSeq]):
     step flips one sign sigma_j, j > 1.  The right side b is the sum row's
     unit vector, so the flip turns column A_j = (sigma_j y_j, 1) into
     2b - A_j, and in any basis B column j of the tableau B^-1 [A | b]
-    becomes twice the right side minus itself; so does its reduced cost, as
-    t_j costs nothing.  The start tableau, built and priced once, takes
-    every flip this way.  If t_j is nonbasic the walk's basis stays feasible
-    and its tableau takes the flip too; if t_j is basic the walk restarts
-    from a copy of the start tableau.
+    becomes twice the right side minus itself; its reduced cost
+    w_j - c_B B^-1 A_j becomes 2 w_j - 2 z minus itself, z = c_B B^-1 b.
+    The cost row holds the reduced costs, then -z, times a positive factor,
+    twice which is the sum of its entries at p_c and q_c: as A_q = -A_p,
+    their reduced costs sum to 2 in every basis.  The start tableau, built
+    and priced once, takes every flip this way.  If t_j is nonbasic the
+    walk's basis stays feasible and its tableau takes the flip too; if t_j
+    is basic the walk restarts from a copy of the start tableau.
 
     Bland's rule from another basis can return another vertex on a tie, but
     not another value.  So the walk keeps the first orthant in
     ``itertools.product`` order with the least value and solves only that
-    one again, on the same rows A and b with sigma applied, with the cold
+    one again, on every coordinate's row with sigma applied, with the cold
     two-phase ``solve_lp``, whose minimizer the golden crosspolytope report
     pins."""
     k = len(ys)
-    coords = sorted(set().union(*(set(y.support) for y in ys)))
-    d = len(coords)
+    D = math.lcm(*(y.den for y in ys))
+    cols = [{c: v * (D // y.den) for c, v in y.nums.items()} for y in ys]
+    owners = Counter(c for col in cols for c in col)
+    coords = sorted(owners)
+    shared = [c for c in coords if owners[c] > 1] or coords[:1]
+    kept = set(shared)
+    w = [sum(abs(v) for c, v in col.items() if c not in kept) for col in cols]
+    d = len(shared)
     n = k + 2 * d
-    costs = [0] * k + [1] * (2 * d)
-    A = [[y[c] for y in ys] + [int(j == i) - int(j == d + i) for j in range(2 * d)] for i, c in enumerate(coords)]
-    A.append([1] * k + [0] * (2 * d))
-    b = [0] * d + [1]
-    start = [_integer_row(line + [v]) for line, v in zip(A, b)]
+    start = [[col.get(c, 0) for col in cols] + [int(j == i) - int(j == d + i) for j in range(2 * d)] + [0] for i, c in enumerate(shared)]
+    start.append([1] * k + [0] * (2 * d) + [1])
     pivot_rows(start, d, 0)
     start_basis = [k + i for i in range(d)] + [0]
     for i in range(d):
         if start[i][n] < 0:
             start[i] = [-v for v in start[i]]
             start_basis[i] += d
+    costs = w + [1] * (2 * d)
     _price(start, start_basis, costs)
 
     sigma = [1] * k
@@ -143,20 +159,26 @@ def _orthant_lp_min(ys: list[FinSeq]):
             # sign j is bit k-1-j of gray, and step g flips g's lowest set bit
             j = k - (g & -g).bit_length()
             sigma[j] = -sigma[j]
-            for line in start:
-                line[j] = 2 * line[n] - line[j]
-            if j in basis:
-                T, basis = [line[:] for line in start], start_basis[:]
-            else:
-                for line in T:
+            restart = j in basis
+            for tableau in (start,) if restart else (start, T):
+                *rows, cost = tableau
+                for line in rows:
                     line[j] = 2 * line[n] - line[j]
+                # cost[k] + cost[k + d] is twice the row's factor
+                cost[j] = 2 * cost[n] - cost[j] + w[j] * (cost[k] + cost[k + d])
+            if restart:
+                T, basis = [line[:] for line in start], start_basis[:]
         res = _phase2(T, basis, costs)
         if res.status != "optimal":  # t = e_1 is feasible and the objective is >= 0
             raise RuntimeError("orthant LP %r returned %s" % (tuple(sigma), res.status))
         if best is None or (res.objective, gray) < (best, best_g):
             best, best_g, best_sigma = res.objective, gray, tuple(sigma)
+    best /= D
     sigma = best_sigma
-    res = solve_lp(costs, [[s * v for s, v in zip(sigma, line)] + line[k:] for line in A[:d]] + A[d:], b)
+    m = len(coords)
+    A = [[s * y[c] for s, y in zip(sigma, ys)] + [int(j == i) - int(j == m + i) for j in range(2 * m)] for i, c in enumerate(coords)]
+    A.append([1] * k + [0] * (2 * m))
+    res = solve_lp([0] * k + [1] * (2 * m), A, [0] * m + [1])
     if res.status != "optimal" or res.objective != best:
         raise RuntimeError("orthant LP %r returned %s %s, the walk %s" % (sigma, res.status, res.objective, best))
     return best, [sigma[j] * res.x[j] for j in range(k)]

@@ -259,6 +259,14 @@ def missing_weight(F: QuasiFunctional, vectors) -> int | None:
     return None
 
 
+def outside_span(F: QuasiFunctional, vectors) -> bool:
+    """Whether one of the vectors lies outside the span of a (scaled)
+    user_linear F's basis, where ``evaluate`` raises."""
+    while isinstance(F, Scaled):
+        F = F.inner
+    return isinstance(F, UserLinear) and rank([*F.basis, *vectors]) > len(F.basis)
+
+
 def weighted_ribe_eval(x: FinSeq, weights) -> float:
     """sum_n c_n * (blockwise Ribe value); every nonzero block needs a weight."""
     return _weighted_blocks(x, {n: float(c) for n, c in weights.items()})[0]

@@ -132,6 +132,13 @@ GOLDEN_ORACLE.update(
 )
 
 
+# normalized, and defined on the span of e_1 only
+USER_LINEAR_ON_E1 = {
+    "kind": "scaled",
+    "inner": {"kind": "user_linear", "basis": [{"1": "1/1"}], "values": ["1/1"], "assumed_constant": 1.0},
+    "factor": "1/1",
+}
+
 # tampered copies of a depth-2 state: (tamper, text of the violation, or of
 # each violation line in order[, case, "a" if absent])
 TAMPERED = {
@@ -180,6 +187,12 @@ TAMPERED = {
         lambda s: s["functional"]["inner"]["weights"].pop("2"),
         "static:state_shape the functional has no weight for block 2 of a generator",
         "c",
+    ),
+    # a user_linear functional that the generators fall outside of: its
+    # evaluation has no value there
+    "user_linear_outside_span": (
+        lambda s: s.update(functional=USER_LINEAR_ON_E1),
+        "static:state_shape the functional is not defined on a generator outside the span of its basis",
     ),
     "case_c_block_row_deleted": (
         lambda s: s["G"]["1"][0].pop("2"),
@@ -575,6 +588,14 @@ class TestVerify:
         expected = [expected] if isinstance(expected, str) else expected
         assert len(lines) == len(expected) and all(text in line for text, line in zip(expected, lines))
 
+    @pytest.mark.parametrize("cmd", [["verify", "--trials", "0"], ["oracle", "chain", "--budget", "3"]], ids=["verify", "chain"])
+    def test_user_linear_outside_span_exits_three(self, tmp_path, capsys, cmd):
+        p = write_tampered(tmp_path, "user_linear_outside_span")
+        capsys.readouterr()
+        code, stdout, stderr = run_captured([*cmd, "--state", str(p), "--out", str(tmp_path / "out")])
+        assert (code, stderr) == (3, "")
+        assert stdout == "VIOLATION %s\n" % TAMPERED["user_linear_outside_span"][1]
+
     @pytest.mark.parametrize("depth", [0, -1])
     @pytest.mark.parametrize("cmd", [["verify"], ["oracle", "lemma5"], ["oracle", "chain"]], ids=lambda cmd: cmd[-1])
     def test_depth_below_one_exits_three(self, tmp_path, capsys, state2_text, cmd, depth):
@@ -920,6 +941,24 @@ class TestTamperFuzzer:
 def ratio_moved(text, by):
     n, d = map(int, text.split("/"))
     return "%d/%d" % (n + by, d)
+
+
+def test_one_parser_serves_every_command(tmp_path, capsys):
+    # the parser is built once per process; a usage error between two
+    # commands still prints its usage line and exits 64, and leaves the
+    # parser as it was for the next command
+    ys = ["oracle", "crosspolytope", "--ys", YS, "--out", str(tmp_path)]
+    assert run_cli(ys) == 0
+    first = capsys.readouterr()
+    report = (tmp_path / "oracle-report.json").read_bytes()
+    assert run_cli(["oracle", "crosspolytope", "--level", "x"]) == 64
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage: twistlab oracle ")
+    assert err[-1] == "error: argument --level: invalid int value: 'x'"
+    assert run_cli(ys) == 0
+    assert capsys.readouterr() == first
+    assert (tmp_path / "oracle-report.json").read_bytes() == report
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_long_inline_json_is_not_a_path(capsys):

@@ -275,6 +275,42 @@ class TestCrossPolytope:
             kinds["tied orthant minima"] += attaining > 1
         assert min(kinds.values()) >= 10, kinds
 
+    @pytest.mark.parametrize(
+        "shape, k, trials",
+        [
+            ("no private coordinates", 5, 12),
+            ("one shared coordinate", 6, 12),
+            ("one vector all private", 6, 12),
+            ("dependent", 5, 12),
+            ("tied", 5, 12),
+            ("chain", 8, 2),
+        ],
+    )
+    def test_fold_matches_the_per_orthant_loop(self, shape, k, trials):
+        # the walk folds each coordinate one vector owns into that vector's
+        # cost; every shape keeps the cold loop's value and minimizer
+        rng = random.Random(shape)
+        tied = zero = 0
+        for _ in range(trials):
+            ys = fold_family(rng, k, shape)
+            owners = Counter(c for y in ys for c in y.support)
+            shared = [c for c, n in owners.items() if n > 1]
+            if shape == "no private coordinates":
+                assert len(shared) == len(owners)
+            elif shape == "one shared coordinate":
+                assert len(shared) == 1 and all(len(y.support) > 1 for y in ys)
+            elif shape == "one vector all private":
+                assert sum(all(owners[c] == 1 for c in y.support) for y in ys) == 1
+            got = _orthant_lp_min(ys)
+            *ref, attaining = reference_orthant_min(ys)
+            assert got == tuple(ref), (shape, ys)
+            tied += attaining > 1
+            zero += got[0] == 0
+        if shape == "dependent":
+            assert zero == trials
+        if shape == "tied":
+            assert tied >= trials // 2
+
     def test_bounded_above_the_cap(self):
         # an overlapping chain of 9 vectors takes the left-inverse bound:
         # positive, and no more than the value 2 of any single vector
@@ -494,6 +530,41 @@ def orthant_family(rng, k, kind):
         ys[0] = FinSeq({rng.choice((1, 2, 3)): Fraction(rng.randint(1, 5), rng.randint(1, 3))})
         return "zero right sides", ys
     return "chain", [FinSeq({i: 1, i + 1: Fraction(rng.randint(-3, 3) or 1, 2)}) for i in range(1, k + 1)]
+
+
+def fold_family(rng, k, shape):
+    """k vectors of one shape for the walk's fold of private coordinates: a
+    cycle on k coordinates, each shared by two vectors, as in the golden
+    crosspolytope report; private coordinates around one shared by all; an
+    overlapping family and one vector on private coordinates only, whose
+    column is zero in every kept row; k - 1 vectors on three coordinates
+    and a combination of two of them, at times with a private coordinate
+    (dependent); small integer entries whose orthant minima tie, private
+    coordinates included; and the chain of the custom construction, y_i on
+    {3i+1, 3i+2, 3i+4}."""
+
+    def entry():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(1, 4))
+
+    if shape == "no private coordinates":
+        return [FinSeq({j + 1: entry(), (j + 1) % k + 1: entry()}) for j in range(k)]
+    if shape == "one shared coordinate":
+        return [FinSeq({1: entry(), **{10 * j + i: entry() for i in range(1, rng.randint(2, 4))}}) for j in range(1, k + 1)]
+    if shape == "one vector all private":
+        ys = overlapping_family(rng, k - 1, private=0.5)
+        ys.insert(rng.randrange(k), FinSeq({100 + i: entry() for i in range(rng.randint(1, 3))}))
+        return ys
+    if shape == "dependent":
+        ys = overlapping_family(rng, k - 1, private=0)
+        return ys + [FinSeq({10 + j: entry() for j in range(rng.randint(0, 1))}) + ys[0] * entry() - ys[1]]
+    if shape == "tied":
+        ys = []
+        while len(ys) < k:
+            y = FinSeq({c: rng.choice((-1, 0, 1)) for c in (1, 2, 3)})
+            if y:
+                ys.append(y + FinSeq({10 + len(ys): rng.choice((0, 1))}))
+        return ys
+    return [FinSeq({3 * i + 1: entry(), 3 * i + 2: entry(), 3 * i + 4: entry()}) for i in range(k)]
 
 
 # --- reference: the per-pattern level-mass search, candidate by candidate ----
