@@ -8,7 +8,7 @@ sees a ``Fraction`` tableau's values and takes its pivots.  ``solve_lp``
 takes the equality form min c.x s.t. A x = b, x >= 0; callers write their
 own slack columns.  Its phase 1 only finds a feasible basis: a caller that
 knows one (the cross-polytope orthant walk in ``oracles``) builds the
-tableau itself, prices it with ``_price`` and runs the same ``_phase2``.
+tableau itself, prices it with ``_price`` and runs ``_run_simplex`` on it.
 Meant for desk-scale problems, not LP workloads.
 """
 
@@ -140,13 +140,6 @@ def solve_lp(c, A, b) -> LPResult:
 
     # Phase 2: true costs, reduced against the current basis.
     _price(T, basis, c)
-    return _phase2(T, basis, c)
-
-
-def _phase2(T, basis, c) -> LPResult:
-    """Phase 2 on a tableau whose basis is primal feasible and whose last row
-    holds the reduced costs of ``c``; T and basis end at the optimum."""
-    m, n = len(basis), len(c)
     if _run_simplex(T, basis, m, n) == "unbounded":
         return LPResult("unbounded", None, None)
     x = [Fraction(0)] * n

@@ -26,7 +26,7 @@ from .construction import (
     fn_family,
     verify_chain,
 )
-from .exact_lp import _phase2, _price, gauss_jordan, pivot_rows, solve_lp
+from .exact_lp import _price, _run_simplex, gauss_jordan, pivot_rows, solve_lp
 from .quasilinear import QuasiFunctional, Ribe, Scaled, UserLinear, WeightedRibe, evaluate, quasi_defects, ribe_error_bound
 from .seqspace import (
     FinSeq,
@@ -123,12 +123,20 @@ def _orthant_lp_min(ys: list[FinSeq]):
     walk's basis stays feasible and its tableau takes the flip too; if t_j
     is basic the walk restarts from a copy of the start tableau.
 
-    Bland's rule from another basis can return another vertex on a tie, but
-    not another value.  So the walk keeps the first orthant in
-    ``itertools.product`` order with the least value and solves only that
-    one again, on every coordinate's row with sigma applied, with the cold
-    two-phase ``solve_lp``, whose minimizer the golden crosspolytope report
-    pins."""
+    The cost row's last entry is -D times the orthant's minimum times the
+    row's factor, so each orthant's value is an int ratio, compared with the
+    best by cross-multiplying.  Bland's rule from another basis can return
+    another vertex on a tie, but not another value, so the walk keeps the
+    first orthant in ``itertools.product`` order with the least value and
+    reads its t off the tableau when it becomes the best.  If every
+    nonbasic reduced cost is then > 0, that vertex is the orthant's only
+    optimum (Chvatal, 1983: any other feasible point has a nonbasic entry
+    > 0, which adds its reduced cost to the objective).  The fold changes
+    no optimal t, and each t fixes p and q at a cold optimum, so the cold
+    two-phase ``solve_lp`` on every coordinate's row, whose minimizer the
+    golden crosspolytope report pins, has that one optimum too and returns
+    its t.  Only a tied winner is solved again cold.  Either minimizer is
+    checked to have unit mass and to attain the value."""
     k = len(ys)
     D = math.lcm(*(y.den for y in ys))
     cols = [{c: v * (D // y.den) for c, v in y.nums.items()} for y in ys]
@@ -147,8 +155,7 @@ def _orthant_lp_min(ys: list[FinSeq]):
         if start[i][n] < 0:
             start[i] = [-v for v in start[i]]
             start_basis[i] += d
-    costs = w + [1] * (2 * d)
-    _price(start, start_basis, costs)
+    _price(start, start_basis, w + [1] * (2 * d))
 
     sigma = [1] * k
     T, basis = [line[:] for line in start], start_basis[:]
@@ -168,20 +175,39 @@ def _orthant_lp_min(ys: list[FinSeq]):
                 cost[j] = 2 * cost[n] - cost[j] + w[j] * (cost[k] + cost[k + d])
             if restart:
                 T, basis = [line[:] for line in start], start_basis[:]
-        res = _phase2(T, basis, costs)
-        if res.status != "optimal":  # t = e_1 is feasible and the objective is >= 0
-            raise RuntimeError("orthant LP %r returned %s" % (tuple(sigma), res.status))
-        if best is None or (res.objective, gray) < (best, best_g):
-            best, best_g, best_sigma = res.objective, gray, tuple(sigma)
-    best /= D
+        status = _run_simplex(T, basis, d + 1, n)
+        if status != "optimal":  # t = e_1 is feasible and the objective is >= 0
+            raise RuntimeError("orthant LP %r returned %s" % (tuple(sigma), status))
+        cost = T[d + 1]
+        # D times the orthant's minimum, as num / den with den > 0
+        num, den = -2 * cost[n], cost[k] + cost[k + d]
+        if best is None or (num * best[1], gray) < (best[0] * den, best_g):
+            best, best_g, best_sigma = (num, den), gray, tuple(sigma)
+            t = {col: (T[i][n], T[i][col]) for i, col in enumerate(basis) if col < k}
+            unique = all(cost[j] > 0 for j in range(n) if j not in basis)
+    best = Fraction(best[0], best[1] * D)
     sigma = best_sigma
-    m = len(coords)
-    A = [[s * y[c] for s, y in zip(sigma, ys)] + [int(j == i) - int(j == m + i) for j in range(2 * m)] for i, c in enumerate(coords)]
-    A.append([1] * k + [0] * (2 * m))
-    res = solve_lp([0] * k + [1] * (2 * m), A, [0] * m + [1])
-    if res.status != "optimal" or res.objective != best:
-        raise RuntimeError("orthant LP %r returned %s %s, the walk %s" % (sigma, res.status, res.objective, best))
-    return best, [sigma[j] * res.x[j] for j in range(k)]
+    if unique:
+        x = [Fraction(*t[j]) if j in t else F0 for j in range(k)]
+    else:
+        m = len(coords)
+        A = [[s * y[c] for s, y in zip(sigma, ys)] + [int(j == i) - int(j == m + i) for j in range(2 * m)] for i, c in enumerate(coords)]
+        A.append([1] * k + [0] * (2 * m))
+        res = solve_lp([0] * k + [1] * (2 * m), A, [0] * m + [1])
+        if res.status != "optimal":
+            raise RuntimeError("orthant LP %r returned %s" % (sigma, res.status))
+        x = res.x
+    alpha = [sigma[j] * x[j] for j in range(k)]
+    # the mass and the norm of sum alpha_j y_j, as ints over L and L * D
+    L = math.lcm(*(a.denominator for a in alpha))
+    ints = [a.numerator * (L // a.denominator) for a in alpha]
+    combo = Counter()
+    for a, col in zip(ints, cols):
+        combo.update({c: a * v for c, v in col.items()})
+    mass, norm = Fraction(sum(map(abs, ints)), L), Fraction(sum(map(abs, combo.values())), L * D)
+    if mass != 1 or norm != best:
+        raise RuntimeError("orthant LP %r minimizer %s has mass %s and norm %s, the walk %s" % (sigma, alpha, mass, norm, best))
+    return best, alpha
 
 
 def _left_inverse_min(ys: list[FinSeq]) -> CrossPolytopeResult:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 import twistlab as tl
-from twistlab import FinSeq, MixedSeq, exact_lp, oracles
+from twistlab import FinSeq, MixedSeq, oracles
 from twistlab.exact_lp import LPResult, solve_lp
 from twistlab.oracles import (
     EXACT_ORTHANT_CAP,
@@ -32,7 +32,7 @@ from twistlab.quasilinear import _ribe_terms
 from twistlab.seqspace import MixedSpace, SeqSpace, block_entries, disjoint_supports
 from twistlab.sumsets import random_certificate
 
-from .test_exact_lp import orthant_lps
+from .test_exact_lp import orthant_lps, overlapping_family as cross_family
 from .test_quasilinear import (
     MIXED_BASIS,
     SEQ_BASIS,
@@ -237,21 +237,22 @@ class TestCrossPolytope:
 
     def test_orthant_lp_failure_is_raised(self, monkeypatch):
         # every orthant LP is feasible and bounded, so any other status is a
-        # solver fault that must not drop the orthant from an exact minimum
+        # solver fault that must not drop the orthant from an exact minimum;
+        # y_2 = -y_1 ties the winner's optimum, so its cold solve runs
         monkeypatch.setattr(oracles, "solve_lp", lambda c, A, b: LPResult("infeasible", None, None))
         with pytest.raises(RuntimeError, match="orthant LP"):
-            min_crosspolytope_norm([FinSeq({1: 1, 2: 1}), FinSeq({2: 1, 3: 1})])
+            min_crosspolytope_norm([FinSeq({2: -1, 3: -1}), FinSeq({2: 1, 3: 1})])
 
     def test_warm_orthant_lp_failure_is_raised(self, monkeypatch):
         # the Gray-code walk runs phase 2 itself: a status other than optimal
         # there is a solver fault too
-        monkeypatch.setattr(exact_lp, "_run_simplex", lambda T, basis, m, n: "unbounded")
+        monkeypatch.setattr(oracles, "_run_simplex", lambda T, basis, m, n: "unbounded")
         with pytest.raises(RuntimeError, match="orthant LP .* unbounded"):
             min_crosspolytope_norm([FinSeq({1: 1, 2: 1}), FinSeq({2: 1, 3: 1})])
 
     def test_one_cold_solve_per_minimum(self, monkeypatch):
-        # the walk runs phase 2 only; the two-phase solve_lp runs once, on
-        # the winning orthant
+        # the walk runs phase 2 only; the two-phase solve_lp runs only on a
+        # winning orthant whose optimum is not unique, and then once
         calls = []
         solve = oracles.solve_lp
         monkeypatch.setattr(oracles, "solve_lp", lambda c, A, b: calls.append(1) or solve(c, A, b))
@@ -259,7 +260,38 @@ class TestCrossPolytope:
         for k in range(2, EXACT_ORTHANT_CAP + 1):
             calls.clear()
             _orthant_lp_min(overlapping_family(rng, k))
-            assert len(calls) == 1
+            assert calls == []
+        _orthant_lp_min([FinSeq({2: -1, 3: -1}), FinSeq({2: 1, 3: 1})])
+        assert calls == [1]
+
+    def test_walk_minimizer_matches_the_cold_winner(self, monkeypatch):
+        # the minimizer read off the walk's tableau is the one the cold
+        # solve of the winning orthant returns, and both paths run
+        solve = oracles.solve_lp
+        calls = []
+        monkeypatch.setattr(oracles, "solve_lp", lambda c, A, b: calls.append(1) or solve(c, A, b))
+        rng = random.Random(24)
+        shapes = ("no private coordinates", "one shared coordinate", "one vector all private", "dependent", "tied")
+        families = [orthant_family(rng, 2 + t % 5, t % 5)[1] for t in range(40)]
+        families += [fold_family(rng, 4 + t % 2, shape) for t in range(4) for shape in shapes]
+        families += [cross_family(rng, 3 + t % 4) for t in range(12)]
+        paths = Counter()
+        for ys in families:
+            calls.clear()
+            got = _orthant_lp_min(ys)
+            value, minimizer, _ = reference_orthant_min(ys)
+            assert got == (value, minimizer), ys
+            paths["cold" if calls else "walk"] += 1
+        assert paths["cold"] >= 5 and paths["walk"] >= 40, paths
+
+    def test_minimizer_off_the_value_is_raised(self, monkeypatch):
+        # a tied winner's cold minimizer that does not attain the walk's
+        # value, or does not have unit mass, trips the attainment check
+        ys = [FinSeq({2: -1, 3: -1}), FinSeq({2: 1, 3: 1})]
+        for x in ([Fraction(1), Fraction(0)], [Fraction(1, 4), Fraction(1, 4)]):
+            monkeypatch.setattr(oracles, "solve_lp", lambda c, A, b, x=x: LPResult("optimal", Fraction(0), x + [Fraction(0)] * 4))
+            with pytest.raises(RuntimeError, match="orthant LP .* minimizer"):
+                _orthant_lp_min(ys)
 
     def test_walk_matches_the_per_orthant_loop(self):
         rng = random.Random(16)
