@@ -103,18 +103,19 @@ _SCALARS = frozenset((str, int, float, bool, type(None)))
 
 
 def _dump_json(obj) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)`` and a newline."""
-    return _json_text(obj, "\n") + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2)`` and a newline.  One
+    table of l1 entry texts serves the whole write (see ``_vector_text``)."""
+    return _json_text(obj, "\n", {}) + "\n"
 
 
-def _json_text(obj, pad: str) -> str:
+def _json_text(obj, pad: str, ratios: dict) -> str:
     """The text ``json.dumps(obj, sort_keys=True, indent=2)`` gives a value
     nested behind ``pad`` (a newline and its indent), a vector standing for
     its ``to_json()``.  A dict or list of scalars takes one ``json.dumps``
     with item separator ``sep``, which json's C encoder runs; with ``indent``
     the Python encoder would run, making a chunk per token."""
     if isinstance(obj, FinSeq):
-        return _vector_text(obj, pad)
+        return _vector_text(obj, pad, ratios)
     if not (isinstance(obj, _NESTED) and obj):
         return json.dumps(obj)
     inner = pad + "  "
@@ -124,14 +125,17 @@ def _json_text(obj, pad: str) -> str:
         return text[0] + inner + text[1:-1] + pad + text[-1]
     if isinstance(obj, dict):  # json.dumps of {key: 0} holds a key's text
         items = [(json.dumps({k: 0})[1:-4], v) for k, v in sorted(obj.items())]
-        return "{%s%s%s}" % (inner, sep.join([k + ": " + _json_text(v, inner) for k, v in items]), pad)
-    return "[%s%s%s]" % (inner, sep.join([_json_text(v, inner) for v in obj]), pad)
+        return "{%s%s%s}" % (inner, sep.join([k + ": " + _json_text(v, inner, ratios) for k, v in items]), pad)
+    return "[%s%s%s]" % (inner, sep.join([_json_text(v, inner, ratios) for v in obj]), pad)
 
 
-def _vector_text(v: FinSeq, pad: str) -> str:
-    """``_json_text(v.to_json(), pad)`` from v's numerators: the entries are
-    formatted once and joined, with no quoting pass.  A block row's quotes
-    go into its separator, which keeps its mostly "0/1" entries shared."""
+def _vector_text(v: FinSeq, pad: str, ratios: dict) -> str:
+    """``_json_text(v.to_json(), pad)`` from v's numerators, joined with no
+    quoting pass.  An l1 entry's text after its key, ``": "a/b"``, comes
+    from ``ratios`` by (numerator, den), so one gcd and one format serve
+    every entry of a write holding that ratio: a case-a state's vectors
+    share a few.  A block row's quotes go into its separator, which keeps
+    its mostly "0/1" entries shared."""
     if not v.nums:
         return "{}"
     inner = pad + "  "
@@ -140,8 +144,14 @@ def _vector_text(v: FinSeq, pad: str) -> str:
         quoted = '",' + inner2 + '"'
         items = ['"%s": [%s"%s"%s]' % (n, inner2, quoted.join(row), inner) for n, row in sorted(v.to_json().items())]
     else:  # a key's closing quote sorts before any digit, so the entries sort as their keys
-        den = v.den
-        items = sorted(['"%d": "%d/%d"' % (i, n // (g := math.gcd(n, den)), den // g) for i, n in v.nums.items()])
+        den, items = v.den, []
+        for i, n in v.nums.items():
+            text = ratios.get((n, den))
+            if text is None:
+                g = math.gcd(n, den)
+                text = ratios[n, den] = '": "%d/%d"' % (n // g, den // g)
+            items.append('"' + str(i) + text)
+        items.sort()
     return "{" + inner + ("," + inner).join(items) + pad + "}"
 
 
@@ -153,6 +163,19 @@ def _load_json_arg(value: str):
     except OSError:  # e.g. a name too long for the file system: inline JSON
         is_file = False
     return json.loads(p.read_text() if is_file else value)
+
+
+def _vectors_arg(value: str) -> list:
+    """A JSON list of vectors (inline or a path), all of one shape: l1
+    entries or block rows.  A mixed family would be read in the space of
+    its first vector."""
+    vs = _load_json_arg(value)
+    if not isinstance(vs, list):
+        raise ValueError("expected a JSON list of vectors")
+    vs = [vector_from_json(v) for v in vs]
+    if len({type(v) for v in vs if v}) > 1:
+        raise ValueError("the vectors mix the l1 and the block JSON shapes")
+    return vs
 
 
 def _usage_fail(message: str) -> int:
@@ -192,8 +215,8 @@ def cmd_construct(args) -> int:
             return _usage_fail("--case custom needs --functional, --xs and --ds")
         try:
             F = normalize_constant(functional_from_json(_load_json_arg(args.functional)))
-            xs = [vector_from_json(v) for v in _load_json_arg(args.xs)]
-            ds = [vector_from_json(v) for v in _load_json_arg(args.ds)]
+            xs = _vectors_arg(args.xs)
+            ds = _vectors_arg(args.ds)
             if args.split_map:
                 # a "defect_bound" key, written by older versions, is ignored
                 sm = _load_json_arg(args.split_map)
@@ -300,6 +323,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if not math.isfinite(args.r):
+        return _usage_fail("--r must be a finite number")
     try:
         if args.what == "ribe":
             value = ribe_eval(FinSeq.from_json(_load_json_arg(args.x)))
@@ -349,12 +374,9 @@ def cmd_oracle(args) -> int:
         if not args.ys:
             return _usage_fail("oracle crosspolytope needs --ys")
         try:
-            ys = _load_json_arg(args.ys)
-            if not isinstance(ys, list):
-                raise ValueError("expected a JSON list of vectors")
+            ys = _vectors_arg(args.ys)
             if len(ys) > MAX_YS_SUPPORT:
                 raise ValueError("%d vectors, more than %d" % (len(ys), MAX_YS_SUPPORT))
-            ys = [vector_from_json(v) for v in ys]
             d = len(set().union(*(y.support for y in ys)))
             if d > MAX_YS_SUPPORT:
                 raise ValueError("the vectors span %d coordinates, more than %d" % (d, MAX_YS_SUPPORT))

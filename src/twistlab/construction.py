@@ -208,11 +208,18 @@ def fn_family(state: ConstructionState) -> SumFamily:
     return SumFamily({n: state.G[n] for n in range(1, state.depth + 1)})
 
 
-def level_generators(space, e_n, xs_n: list, m_n: int) -> list:
-    """The generator set of a level: e_n + m_n x for each kernel vector x,
-    then e_n - m_n (sum of the x), which balances the sum to (#G) e_n."""
+def level_stretched(space, xs_n: list, m_n: int) -> list:
+    """The stretched vectors of a level: m_n x for each kernel vector x, then
+    m_n (-sum of the x), the one balancing their sum to zero."""
     balance = space.vector.combination((x, -1) for x in xs_n)
-    return [e_n + x * m_n for x in xs_n + [balance]]
+    return [x * m_n for x in xs_n + [balance]]
+
+
+def level_generators(space, e_n, xs_n: list, m_n: int) -> list:
+    """The generator set of a level, e_n + z for each stretched vector z of
+    ``level_stretched``, which sums to (#G) e_n; the static checks rebuild it
+    to compare with the stored G."""
+    return [e_n + z for z in level_stretched(space, xs_n, m_n)]
 
 
 def build_level(
@@ -224,9 +231,10 @@ def build_level(
     verify: bool = True,
 ) -> None:
     """Append level n: tail index, kernel vectors to the right of it, the
-    multiplier, and the generator set (size 2^n + 1, last entry balancing
-    the sum to zero).  With ``verify`` the mass condition is certified by the
-    adversary oracle and a failure aborts the build."""
+    multiplier, and the generator set e_n + z (size 2^n + 1, the last z
+    balancing the sum to zero).  With ``verify`` the mass condition is
+    certified by the adversary oracle on the same stretched vectors z, built
+    once; ``verify`` recovers them from the stored G instead (``level_z``)."""
     for i in range(1, n):
         if i not in state.G:
             raise ConstructionError("levels must be built in order; %d missing" % i)
@@ -248,7 +256,8 @@ def build_level(
     xs_n = [state.xs[i - 1] for i in chosen]
     M_n = basis_constant(xs_n, state.space)
     m_n = int(m_override) if m_override else choose_m(M_n, k, c_n)
-    state.G[n] = level_generators(state.space, e_n, xs_n, m_n)
+    zs = level_stretched(state.space, xs_n, m_n)
+    state.G[n] = [e_n + z for z in zs]
     state.s[n] = s_n
     state.ell[n] = chosen
     state.m[n] = m_n
@@ -257,7 +266,7 @@ def build_level(
     if verify:
         from .oracles import lemma5_adversary
 
-        report = lemma5_adversary(state.level_z(n), k, c_n, space=state.space)
+        report = lemma5_adversary(zs, k, c_n, space=state.space)
         if report.best_violation is None or report.best_violation >= 0:
             msg = "level %d mass certification failed: best mass %s against budget %s"
             raise ConstructionError(msg % (n, report.best_value, float(c_n)))

@@ -191,8 +191,9 @@ class FinSeq:
 
     @classmethod
     def from_json(cls, obj):
-        """The constructor reads the JSON shape as it is (string keys, "num/den" values)."""
-        return cls(obj)
+        """The constructor reads the JSON shape as it is (string keys, "num/den"
+        values); anything but a JSON object is refused, not read as zero."""
+        return cls(_json_object(obj))
 
 
 def in_hyperplane_H(x: FinSeq) -> bool:
@@ -348,11 +349,18 @@ def lp_of_blocks(norms: list[int], den: int, p) -> float:
     return math.fsum((a / den) ** pf for a in norms) ** (1.0 / pf)
 
 
+def _json_object(obj) -> dict:
+    """obj if it is a JSON object: null, a number or a list of pairs is no vector."""
+    if not isinstance(obj, dict):
+        raise TypeError("a vector is a JSON object, got %s" % type(obj).__name__)
+    return obj
+
+
 def vector_from_json(obj):
     """Dispatch FinSeq vs MixedSeq JSON by value shape (strings vs lists).
     The empty object is the zero FinSeq, which adds to vectors of either
     type; a caller that knows the space loads through ``space.vector``."""
-    if not obj:
+    if not _json_object(obj):
         return FinSeq()
     sample = next(iter(obj.values()))
     return FinSeq(obj) if isinstance(sample, str) else MixedSeq(obj)

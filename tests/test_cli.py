@@ -261,6 +261,39 @@ MALFORMED = {
     "crosspolytope_no_ys": ["oracle", "crosspolytope"],
     "eval_list": ["eval", "ribe", "--x", "[1]"],
     "eval_zero_denominator": ["eval", "ribe", "--x", '{"1": "1/0"}'],
+    # a vector is a JSON object: none of these is the zero vector, nor pairs
+    **{
+        "eval_%s_x_%s" % (what, name): ["eval", what, "--x", x, *(["--weights", '{"1": "1/1"}'] if what == "weighted-ribe" else [])]
+        for what in ("ribe", "james-norm", "quasi-norm", "weighted-ribe")
+        for name, x in (("null", "null"), ("empty_list", "[]"), ("zero", "0"), ("false", "false"), ("empty_string", '""'), ("pairs", '[[1, "1/1"]]'))
+    },
+    **{"eval_quasi_norm_r_" + r: ["eval", "quasi-norm", "--r", r, "--x", '{"1": "1/1"}'] for r in ("nan", "inf", "1e400")},
+    **{
+        "crosspolytope_ys_" + name: ["oracle", "crosspolytope", "--ys", ys]
+        for name, ys in (
+            ("null_vector", '[null, {"1": "1/1"}]'),
+            ("pairs_vector", '[{"1": "1/1"}, [[2, "1/1"]]]'),
+        )
+    },
+    **{
+        "construct_custom_%s_%s" % (flag, name): [
+            "construct",
+            "--case",
+            "custom",
+            "--depth",
+            "1",
+            "--functional",
+            '{"kind": "ribe"}',
+            *(["--xs", vs, "--ds", '[{"1": "1/1"}]'] if flag == "xs" else ["--xs", '[{"3": "1/1", "4": "-1/1"}, {"5": "1/1", "6": "-1/1"}]', "--ds", vs]),
+        ]
+        for flag in ("xs", "ds")
+        for name, vs in (
+            ("null", "[null]"),
+            ("pairs", '[[[7, "1/1"]]]'),
+            ("object", '{"7": "1/1"}'),
+            ("mixed_shapes", '[{"7": "1/1", "8": "-1/1"}, {"4": ["1/1", "-1/1", "0/1", "0/1"]}]'),
+        )
+    },
 }
 
 # copies of a case-a depth-2 state whose depth, functional or an integer table
@@ -691,6 +724,11 @@ class TestEval:
         assert code == 0
         assert float(capsys.readouterr().out) == pytest.approx(-math.log(2) / 2, abs=1e-12)
 
+    @pytest.mark.parametrize("what", ["ribe", "james-norm", "quasi-norm"])
+    def test_empty_object_is_the_zero_vector(self, capsys, what):
+        assert run_cli(["eval", what, "--x", "{}"]) == 0
+        assert capsys.readouterr().out == "0\n"
+
     def test_parse_error_is_usage(self):
         assert run_cli(["eval", "ribe", "--x", "not json"]) == 64
 
@@ -765,6 +803,16 @@ class TestOracle:
         ys = [{str(c): "1/1" for c in range(1, MAX_YS_SUPPORT + 1)}, {"1": "1/1", str(MAX_YS_SUPPORT): "-1/2"}]
         assert run_cli(["oracle", "crosspolytope", "--ys", json.dumps(ys), "--out", str(tmp_path)]) == 0
         assert capsys.readouterr().out.startswith("min ")
+
+    @pytest.mark.parametrize("ys", [[{"1": "1/1"}, {"1": ["1/1"]}], [{"1": ["1/1"]}, {"1": "1/1"}]])
+    def test_crosspolytope_mixed_shapes_is_usage_in_either_order(self, tmp_path, capsys, ys):
+        # the first vector's shape once decided the space: l1 first read the
+        # block vector as l1 position 1 and printed min 0
+        assert run_cli(["oracle", "crosspolytope", "--ys", json.dumps(ys), "--out", str(tmp_path)]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cannot use --ys: the vectors mix the l1 and the block JSON shapes\n"
+        assert not (tmp_path / "oracle-report.json").exists()
 
     def test_unknown_target_usage(self):
         assert run_cli(["oracle", "mystery"]) == 64
@@ -1014,6 +1062,13 @@ positions = st.sampled_from([1, 2, 9, 10, 11, 99, 100, 101]) | st.integers(1, 30
 numerators = st.integers(-(10**12), 10**12).filter(bool)
 denominators = st.sampled_from([1, 2, 4, 6, 10, 12]) | st.integers(1, 10**6)
 raw_finseqs = st.builds(FinSeq._raw, st.dictionaries(positions, numerators, max_size=12), denominators)
+# few numerators over few denominators, so that a write's table of entry
+# texts is hit as well as missed: a (numerator, den) pair repeats across
+# vectors, one rational comes over several dens (1/2 as 2/4 and 3/6), and
+# negative and unreduced numerators occur
+shared_ratio_finseqs = st.builds(
+    FinSeq._raw, st.dictionaries(positions, st.sampled_from([-6, -3, -2, -1, 1, 2, 3, 4, 6]), max_size=8), st.sampled_from([1, 2, 4, 6])
+)
 raw_mixedseqs = st.builds(
     lambda entries, den: MixedSeq._raw({block_position(n, i): a for (n, i), a in entries.items()}, den),
     st.dictionaries(
@@ -1024,7 +1079,7 @@ raw_mixedseqs = st.builds(
     denominators,
 )
 vector_trees = st.recursive(
-    raw_finseqs | raw_mixedseqs | st.sampled_from([FinSeq(), MixedSeq(), FinSeq._raw({}, 3)]) | json_scalars,
+    raw_finseqs | shared_ratio_finseqs | raw_mixedseqs | st.sampled_from([FinSeq(), MixedSeq(), FinSeq._raw({}, 3)]) | json_scalars,
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_strings, inner, max_size=4),
     max_leaves=12,
 )
@@ -1053,6 +1108,15 @@ class TestDumpJson:
     @given(vector_trees)
     @settings(max_examples=400, deadline=None)
     def test_vectors_match_their_to_json(self, obj):
+        assert cli._dump_json(obj) == vector_dumps(obj)
+
+    def test_repeated_ratios_match_their_to_json(self):
+        # (2, 4) and (-2, 4) repeat across vectors and levels; 1/2 also comes
+        # as (1, 2) and (3, 6), -1/2 as (-1, 2) and (-3, 6); (2, 2) shares
+        # its numerator with (2, 4)
+        a, b = FinSeq._raw({1: 2, 2: -2, 10: 4}, 4), FinSeq._raw({9: 2, 3: -2}, 4)
+        c, d = FinSeq._raw({11: 1, 2: -1}, 2), FinSeq._raw({5: 3, 100: -3}, 6)
+        obj = {"G": {"1": [a, b, c, FinSeq._raw({7: 2, 8: -1}, 2)], "2": [d, b, a]}, "xs": [a, a]}
         assert cli._dump_json(obj) == vector_dumps(obj)
 
     def test_state_json_matches_json_dumps(self, state4):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 import twistlab as tl
-from twistlab import FinSeq, MixedSeq, SumCertificate, TwistedVec
+from twistlab import FinSeq, MixedSeq, SumCertificate, TwistedVec, oracles
 from twistlab.construction import (
     STRICT_MARGIN,
     ChainTranscript,
@@ -247,6 +247,31 @@ class TestRunConstruction:
     def test_functional_of_state(self, state4):
         F = functional_of_state(state4)
         assert F.assumed_constant == 1.0
+
+    @pytest.mark.parametrize("case", ["a", "c", "custom"])
+    def test_mass_search_gets_the_stored_stretched_vectors(self, monkeypatch, case):
+        """``build_level`` hands ``lemma5_adversary`` the stretched vectors it
+        builds G from, and they equal the ones ``verify`` recovers from G.
+        The custom kernel vectors share positions, and level 3's e_n is over
+        2 while the z built there are over 1, so the recovered z carry a
+        denominator the built ones do not."""
+        families = []
+        search = oracles.lemma5_adversary
+
+        def record(zs, *args, **kwargs):
+            families.append(list(zs))
+            return search(zs, *args, **kwargs)
+
+        monkeypatch.setattr(oracles, "lemma5_adversary", record)
+        if case == "custom":
+            F = tl.normalize_constant(tl.Ribe())
+            xs = [FinSeq({3 * i + 1: 1, 3 * i + 2: -1, 3 * i + 4: Fraction(1, 2)}) for i in range(20)]
+            ds = [FinSeq({1: 1, 2: 1}), FinSeq({3: 1})]
+            state = tl.run_construction(F, xs, ds, 3)
+            assert {z.den for z in families[2]} == {1} and {z.den for z in state.level_z(3)} == {2}
+        else:
+            _, state = case_state(case, 4)
+        assert families == [state.level_z(n) for n in range(1, state.depth + 1)]
 
 
 class TestMixedConstruction:
