@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -271,7 +270,7 @@ def cmd_verify(args) -> int:
     radii = [ball_radius(n) for n in range(1, state.depth + 2)]
     axioms = base_axioms_check(radii, fn_family(state), state.depth + 1)
     for chk in axioms.checks:
-        entries.append({"source": "base_axioms", **asdict(chk)})
+        entries.append({"source": "base_axioms", **vars(chk)})
         if not chk.passed:
             violations.append("base_axioms:%s level %s" % (chk.name, chk.level))
 

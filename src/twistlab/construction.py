@@ -20,7 +20,7 @@ functional steps carry an explicit interior margin.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .quasilinear import (
@@ -31,6 +31,7 @@ from .quasilinear import (
     missing_weight,
     outside_span,
     space_of,
+    value_and_norm,
 )
 from .seqspace import (
     FinSeq,
@@ -49,7 +50,7 @@ from .sumsets import (
     certificate_value,
     scale_certificate,
 )
-from .twisted import TwistedVec, quasi_norm
+from .twisted import TwistedVec
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -357,22 +358,33 @@ class ChainStep:
     note: str = ""
 
     def to_json(self):
-        return asdict(self)
+        """``asdict(self)`` without its deep copy: the fields, in order."""
+        return dict(vars(self))
+
+
+def _float(v) -> float:
+    """float(v), an integer ratio pair's included."""
+    return v[0] / v[1] if type(v) is tuple else float(v)
 
 
 def _step(name, level, lhs, rhs, *, strict=True, note="") -> ChainStep:
-    """Record a comparison, made on cross-multiplied integer ratios: exact,
-    as Python's mixed int/Fraction/float comparisons are, without their
-    Fraction arithmetic.  A strict pass within the interior margin below the
-    float rhs is flagged as a tolerance band rather than a clean pass."""
-    exact = isinstance(lhs, (Fraction, int)) and isinstance(rhs, (Fraction, int))
+    """Record a comparison of lhs with rhs (each an int, Fraction, float or
+    integer ratio pair (n, d), d > 0), made on cross-multiplied integer
+    ratios: exact, as Python's mixed int/Fraction/float comparisons are,
+    without their Fraction arithmetic.  A strict pass within the interior
+    margin below the float rhs is flagged as a tolerance band rather than a
+    clean pass.  Any terms of a rational give the same step: a d < c b with
+    b, d > 0 compares the rationals alone, and int true division rounds
+    correctly, so the recorded n / d is the float of n/d in lowest terms."""
+    exact = not isinstance(lhs, float) and not isinstance(rhs, float)
     try:
-        (a, b), (c, d) = lhs.as_integer_ratio(), rhs.as_integer_ratio()
-        lhs_f, rhs_f = a / b, c / d  # what float() of an int, Fraction or float returns
+        a, b = lhs if type(lhs) is tuple else lhs.as_integer_ratio()
+        c, d = rhs if type(rhs) is tuple else rhs.as_integer_ratio()
+        lhs_f, rhs_f = a / b, c / d
         e, f = (rhs_f - STRICT_MARGIN).as_integer_ratio()
-    except (OverflowError, ValueError):  # an infinite or NaN side compares as itself
-        lhs_f, rhs_f = float(lhs), float(rhs)
-        (a, b), (c, d), (e, f) = (lhs, 1), (rhs, 1), (rhs_f - STRICT_MARGIN, 1)
+    except (OverflowError, ValueError):  # an infinite or NaN side compares as its float
+        lhs_f, rhs_f = _float(lhs), _float(rhs)
+        (a, b), (c, d), (e, f) = (lhs_f, 1), (rhs_f, 1), (rhs_f - STRICT_MARGIN, 1)
     passed = (a * d < c * b) if strict else (a * d <= c * b)
     band = passed and strict and not a * f < e * b
     return ChainStep(name, level, lhs_f, rhs_f, passed, exact, band, rhs_f - lhs_f, note)
@@ -391,19 +403,21 @@ class ChainTranscript:
         return [s for s in self.steps if not s.passed]
 
     def to_json(self):
-        return asdict(self)
+        return {**vars(self), "steps": [s.to_json() for s in self.steps]}
 
 
-def _shifted_l1(space, l1: dict, base: dict, shift: dict) -> dict:
+def _summed_l1(space, base: dict, base_l1: dict, shift: dict, shift_l1: dict | None = None) -> dict:
     """The ``space.block_l1`` numerators of base + shift, numerators by
-    position over one denominator, from base's numerators ``l1``: only the
-    blocks of shift's positions are recounted."""
-    get = base.get
-    old = space.block_l1({p: get(p, 0) for p in shift})
-    new = space.block_l1({p: get(p, 0) + a for p, a in shift.items()})
-    out = dict(l1)
-    for b, a in new.items():
-        out[b] = out.get(b, 0) + a - old[b]
+    position over one denominator, from base's and shift's (counted here if
+    not given): only the blocks of the positions both hold are recounted."""
+    out = dict(base_l1)
+    for b, a in (space.block_l1(shift) if shift_l1 is None else shift_l1).items():
+        out[b] = out.get(b, 0) + a
+    both = base.keys() & shift.keys()
+    if both:
+        was, moved = space.block_l1({p: base[p] for p in both}), space.block_l1({p: shift[p] for p in both})
+        for b, a in space.block_l1({p: base[p] + shift[p] for p in both}).items():
+            out[b] += a - was[b] - moved[b]
     return out
 
 
@@ -422,14 +436,15 @@ def verify_chain(state: ConstructionState, F: QuasiFunctional, cert: SumCertific
     Every comparison is exact (see ``_step``).  An l1 norm is an exact
     rational; a mixed-space norm is the float l_p value, compared exactly as
     that float, so its steps read ``exact: false``.  The norms come from
-    running per-block l1 numerators (``space.block_l1``) over one
-    denominator D, the certificate's times the lcm of the used generators'
-    and e-vectors' denominators: a level updates the prefix's on its own
-    positions, and the head and the stretched part recount only the
-    e-vector's blocks.  ``space.gauge`` equals ``space.norm`` to the bit: an
-    l1 norm is a normalized ``Fraction``, and the l_p value reads a block as
-    a / D, correctly rounded whatever D is, and sums with the order-free
-    ``math.fsum``.
+    per-block l1 numerators (``space.block_l1``) over one denominator D, the
+    certificate's times the lcm of the used generators' and e-vectors',
+    recounted only where summed parts share a position (``_summed_l1``).
+    ``space.gauge`` turns them into the ratio (numerator, D) of an l1 norm,
+    or the l_p float, which reads a block as a / D, correctly rounded
+    whatever D is, and sums with the order-free ``math.fsum``.  The bounds
+    are numerators over the lcm C of the budgets' denominators.  The
+    evaluated vectors are numerators over D, read as n / D too (see
+    ``_ribe_terms``), so no bit moves; the one Fraction is ``value_norm``.
     """
     fam = fn_family(state)
     problems = certificate_problems(fam, cert, 1)
@@ -445,7 +460,7 @@ def verify_chain(state: ConstructionState, F: QuasiFunctional, cert: SumCertific
 
     # one bottom-up pass over numerators by position over D: per level the
     # prefix's norm, the head's and the stretched part's, the level's
-    # coefficient sum, mass and generators used; the prefix after the top
+    # coefficient mass, generators used and e-part; the prefix after the top
     # level is the certificate's value
     den, G = cert.den, state.G
     es = [state.e_vector(i) for i in range(1, top + 1)]
@@ -463,72 +478,77 @@ def verify_chain(state: ConstructionState, F: QuasiFunctional, cert: SumCertific
             f = n * (lcm // g.den)
             for p, a in g.nums.items():
                 vec[p] = get(p, 0) + f * a
-        r = sum(nums.values())
-        f = r * (lcm // e.den)
-        e_part = {p: f * a for p, a in e.nums.items()}
+        f = sum(nums.values()) * (lcm // e.den)
+        e_part = {p: f * a for p, a in e.nums.items()} if f else {}
+        vec_l1 = space.block_l1(vec)
         prefix_norm = space.gauge(prefix_l1.values(), D)
-        head_norm = space.gauge(_shifted_l1(space, prefix_l1, prefix, e_part).values(), D) if r else prefix_norm
-        minus_e = {p: -a for p, a in e_part.items()}
-        tail_norm = space.gauge(_shifted_l1(space, space.block_l1(vec), vec, minus_e).values(), D)
-        rows.append((prefix_norm, head_norm, tail_norm, Fraction(r, den), Fraction(sum(map(abs, nums.values())), den), len(nums)))
-        prefix_l1 = _shifted_l1(space, prefix_l1, prefix, vec)
-        get = prefix.get
-        for p, a in vec.items():
-            prefix[p] = get(p, 0) + a
+        head_norm = space.gauge(_summed_l1(space, prefix, prefix_l1, e_part).values(), D)
+        tail_norm = space.gauge(_summed_l1(space, vec, vec_l1, {p: -a for p, a in e_part.items()}).values(), D)
+        rows.append((prefix_norm, head_norm, tail_norm, (sum(map(abs, nums.values())), den), len(nums), e_part))
+        prefix_l1 = _summed_l1(space, prefix, prefix_l1, vec, vec_l1)
+        sums = {p: prefix[p] + vec[p] for p in prefix.keys() & vec.keys()}
+        prefix.update(vec)
+        prefix.update(sums)
     nx = space.gauge(prefix_l1.values(), D)
-    if not nx < 1:
-        raise ValueError("chain replay needs value norm < 1, got %s" % nx)
-    x = space.vector._raw({p: a for p, a in prefix.items() if a}, D)._reduced()
+    value_norm = Fraction(*nx) if type(nx) is tuple else nx
+    if not value_norm < 1:
+        raise ValueError("chain replay needs value norm < 1, got %s" % value_norm)
 
+    C = math.lcm(*(state.c[i].denominator for i in range(1, top + 1)))
+    cs = [state.c[i].numerator * (C // state.c[i].denominator) for i in range(1, top + 1)]
     steps: list[ChainStep] = []
-    bound = F1
+    bound = C
     for lv in range(top, 0, -1):
-        prefix_norm, head_norm, tail_norm, r_l, mass, used = rows[lv - 1]
-        c_l = state.c[lv]
-        head_bound = bound + c_l
-        steps.append(_step("head_norm", lv, head_norm, head_bound))
-        steps.append(_step("stretched_norm", lv, tail_norm, head_bound + bound))
-        steps.append(_step("stretched_cap", lv, tail_norm, Fraction(3)))
-        steps.append(_step("level_mass", lv, mass, c_l, note="%d of %d generators used" % (used, 2 ** lv + 1)))
-        bound = head_bound + c_l
-        steps.append(_step("prefix_norm", lv, prefix_norm, bound))
+        prefix_norm, head_norm, tail_norm, mass, used, _ = rows[lv - 1]
+        c_l = cs[lv - 1]
+        steps.append(_step("head_norm", lv, head_norm, (bound + c_l, C)))
+        steps.append(_step("stretched_norm", lv, tail_norm, (2 * bound + c_l, C)))
+        steps.append(_step("stretched_cap", lv, tail_norm, 3))
+        steps.append(_step("level_mass", lv, mass, (c_l, C), note="%d of %d generators used" % (used, 2 ** lv + 1)))
+        bound += 2 * c_l
+        steps.append(_step("prefix_norm", lv, prefix_norm, (bound, C)))
 
     units = []  # (level, norm, |F|) of each used level's e-part
-    unit_total = space.zero()
-    for i, (_, _, _, r_i, _, used) in enumerate(rows, 1):
+    unit_total: dict[int, int] = {}
+    for i, (_, _, _, _, used, e_part) in enumerate(rows, 1):
         if not used:
             continue
-        u_i = state.e_vector(i) * r_i
-        u_norm, u_f = space.norm(u_i), abs(evaluate(F, u_i))
-        units.append((i, u_norm, u_f))
-        steps.append(_step("unit_norm", i, u_norm, state.c[i]))
-        steps.append(_step("unit_f", i, u_f, Fraction(1, 2 ** i)))
-        unit_total = unit_total + u_i
+        u_norm = _step("unit_norm", i, space.gauge(space.block_l1(e_part).values(), D), (cs[i - 1], C))
+        u_f = abs(evaluate(F, space.vector._raw(e_part, D)))
+        units.append((i, u_norm.lhs, u_f))
+        steps += [u_norm, _step("unit_f", i, u_f, (1, 2 ** i))]
+        for p, a in e_part.items():
+            unit_total[p] = unit_total.get(p, 0) + a
 
-    span_part = x - unit_total
-    span_norm = space.norm(span_part)
-    c_partial = sum((state.c[i] for i in range(1, top + 1)), F0)
-    steps.append(_step("span_norm_tight", None, span_norm, 1 + c_partial))
-    steps.append(_step("span_norm", None, span_norm, Fraction(2)))
-    f_span = abs(evaluate(F, span_part))
+    x = {p: a for p, a in prefix.items() if a}
+    span = dict(x)  # x - unit_total
+    for p, a in unit_total.items():
+        span[p] = prefix.get(p, 0) - a
+        if not span[p]:
+            del span[p]
+    span_norm = space.gauge(_summed_l1(space, prefix, prefix_l1, {p: -a for p, a in unit_total.items()}).values(), D)
+    steps.append(_step("span_norm_tight", None, span_norm, (C + sum(cs), C)))
+    steps.append(_step("span_norm", None, span_norm, 2))
+    f_span = abs(evaluate(F, space.vector._raw(span, D)))
     steps.append(_step("span_f", None, f_span, 2.0, note="kernel span: splitting map vanishes there"))
 
-    f_unit = abs(evaluate(F, unit_total))
-    ladder = math.fsum(f for _, _, f in units) + math.fsum(i * float(n) for i, n, _ in units)
+    f_unit = abs(evaluate(F, space.vector._raw({p: a for p, a in unit_total.items() if a}, D)))
+    ladder = math.fsum(f for _, _, f in units) + math.fsum(i * n for i, n, _ in units)
     steps.append(
         _step("unit_f_ladder", None, f_unit, ladder + STRICT_MARGIN, note="additivity ladder bound", strict=False)
     )
     geom = 1 + math.fsum(i * 2.0 ** (-i) for i in range(1, top + 1))
     steps.append(_step("unit_f_total", None, f_unit, 4.0, note="ladder evaluates below %g" % geom))
 
-    f_value = evaluate(F, x)
-    split_rhs = f_unit + f_span + float(space.norm(unit_total)) + float(span_norm)
+    f_value = evaluate(F, space.vector._raw(x, D))
+    unit_norm = space.gauge(space.block_l1(unit_total).values(), D)
+    split_rhs = f_unit + f_span + _float(unit_norm) + _float(span_norm)
     steps.append(_step("f_split", None, abs(f_value), split_rhs + STRICT_MARGIN, strict=False, note="one additivity application"))
     steps.append(_step("f_total", None, abs(f_value), 9.0))
     return ChainTranscript(
         steps=steps,
         top_level=top,
-        value_norm=str(nx),
+        value_norm=str(value_norm),
         f_value=f_value,
         passed=all(s.passed for s in steps),
         min_margin=min((s.margin for s in steps), default=float("inf")),
@@ -554,7 +574,9 @@ def final_bound_check(
     sum) with sequence part of norm at most 1: the certified part has norm at
     most 2, its functional value stays under 18 (by replaying the ladder on
     its half), the twisted gap stays under 22 and the quasi-norm under 23.
-    Violated premises are reported, not raised."""
+    Violated premises are reported, not raised.  Each vector is evaluated
+    once: a quasi-norm takes both terms from one ``value_and_norm``, as
+    ``quasi_norm`` does, and a premise the state's space norm."""
     space = state.space
     fam = fn_family(state)
     premises: list[ChainStep] = []
@@ -562,29 +584,30 @@ def final_bound_check(
 
     problems = certificate_problems(fam, z_cert, 1)
     premises.append(
-        _step("z_certified", None, 0 if not problems else 1, Fraction(1), note=problems[0] if problems else "level-1 certificate")
+        _step("z_certified", None, 0 if not problems else 1, 1, note=problems[0] if problems else "level-1 certificate")
     )
     z = certificate_value(fam, z_cert) if not problems else space.zero()
-    w = TwistedVec(u.r, u.x + z)
-    premises.append(_step("u_in_unit_ball", None, quasi_norm(F, u), 1.0 + STRICT_MARGIN, strict=False))
-    premises.append(_step("x_norm", None, space.norm(w.x), F1, strict=False))
+    x = u.x + z
+    f_u, a, d = value_and_norm(F, u.x)
+    premises.append(_step("u_in_unit_ball", None, abs(float(u.r) - f_u) + a / d, 1.0 + STRICT_MARGIN, strict=False))
+    premises.append(_step("x_norm", None, space.norm(x), 1, strict=False))
     nz = space.norm(z)
-    half_ok = nz < 2
-    premises.append(_step("half_z_in_chain_range", None, nz, Fraction(2), note="needed to replay the ladder on z/2"))
+    half = _step("half_z_in_chain_range", None, nz, 2, note="needed to replay the ladder on z/2")
+    premises.append(half)
     premises_ok = all(p.passed for p in premises)
 
-    checks.append(_step("z_norm", None, nz, Fraction(2), strict=False))
+    checks.append(_step("z_norm", None, nz, 2, strict=False))
     chain = None
-    if premises_ok and half_ok:
+    if premises_ok and half.passed:
         chain = verify_chain(state, F, scale_certificate(z_cert, Fraction(1, 2)))
         checks.append(
-            _step("half_chain", None, 0 if chain.passed else 1, Fraction(1), note="ladder on z/2: min margin %g" % chain.min_margin)
+            _step("half_chain", None, 0 if chain.passed else 1, 1, note="ladder on z/2: min margin %g" % chain.min_margin)
         )
-    f_z = abs(evaluate(F, z))
-    checks.append(_step("f_z", None, f_z, 18.0))
-    gap = abs(float(w.r) - evaluate(F, w.x))
+    checks.append(_step("f_z", None, abs(evaluate(F, z)), 18.0))
+    f_x, a, d = value_and_norm(F, x)
+    gap = abs(float(u.r) - f_x)
     checks.append(_step("twisted_gap", None, gap, 22.0))
-    checks.append(_step("twisted_norm", None, quasi_norm(F, w), 23.0))
+    checks.append(_step("twisted_norm", None, gap + a / d, 23.0))
     return BoundReport(
         premises=premises,
         checks=checks,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -27,7 +27,7 @@ from .construction import (
     verify_chain,
 )
 from .exact_lp import _price, _run_simplex, gauss_jordan, pivot_rows, solve_lp
-from .quasilinear import QuasiFunctional, Ribe, Scaled, UserLinear, WeightedRibe, evaluate, quasi_defects, ribe_error_bound
+from .quasilinear import QuasiFunctional, Ribe, Scaled, UserLinear, WeightedRibe, evaluate, quasi_defects, ribe_error_bound, value_and_norm
 from .seqspace import (
     FinSeq,
     MixedSeq,
@@ -42,7 +42,7 @@ from .sumsets import (
     random_certificate,
     scale_certificate,
 )
-from .twisted import TwistedVec, quasi_norm
+from .twisted import TwistedVec
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -70,7 +70,8 @@ class OracleReport:
     notes: str = ""
 
     def to_json(self):
-        return asdict(self)
+        """``asdict(self)`` without its deep copy: the witness is shared."""
+        return dict(vars(self))
 
 
 # --- cross-polytope minimization ------------------------------------------------
@@ -624,16 +625,14 @@ def _random_admissible_decomposition(state, F, z_cert, z, rng):
     hi = min(1.0, 1 / zeta)
     lam = Fraction(round((lo + rng.random() * (hi - lo)) * 4096), 4096)
     y = z * (lam - 1)
-    ny = float(space.norm(y))
-    slack = 1 - ny
+    slack = 1 - float(space.norm(y))
     if slack <= 0:
         return None
-    r = evaluate(F, y) + rng.uniform(-0.9, 0.9) * slack
-    u = TwistedVec(r, y)
-    w_x = y + z
-    if quasi_norm(F, u) > 1 or float(space.norm(w_x)) > 1:
+    f_y, a, d = value_and_norm(F, y)  # u's quasi-norm from y's one evaluation, as ``quasi_norm`` takes it
+    r = f_y + rng.uniform(-0.9, 0.9) * slack
+    if abs(r - f_y) + a / d > 1 or float(space.norm(y + z)) > 1:
         return None
-    return u, z_cert
+    return TwistedVec(r, y), z_cert
 
 
 def chain_fuzzer(state: ConstructionState, F: QuasiFunctional, trials: int = 200, seed: int = 0) -> OracleReport:

@@ -273,14 +273,20 @@ def weighted_ribe_eval(x: FinSeq, weights) -> float:
 
 
 def evaluate(F: QuasiFunctional, x) -> float:
-    """Value of F at x; positively homogeneous to a few ulps."""
-    if isinstance(F, Scaled):
-        return float(F.factor) * evaluate(F.inner, x)
-    if isinstance(F, UserLinear):
-        return float(F(x))
-    if isinstance(F, Ribe):
-        return ribe_eval(x)
-    return _weighted_blocks(x, F._floats)[0]
+    """Value of F at x; positively homogeneous to a few ulps.  ``Scaled``
+    layers unwrap in a loop, not by calls through this name (which a tracer
+    may wrap), their factors applied innermost first, as a recursion does."""
+    factors = []
+    while isinstance(F, Scaled):
+        factors.append(F.factor)
+        F = F.inner
+    if isinstance(F, WeightedRibe):
+        value = _weighted_blocks(x, F._floats)[0]
+    else:
+        value = ribe_eval(x) if isinstance(F, Ribe) else float(F(x))
+    while factors:
+        value = float(factors.pop()) * value
+    return value
 
 
 def value_and_norm(F: QuasiFunctional, x):

@@ -382,9 +382,9 @@ class SeqSpace:
         """The l1 numerator of numerators by position: l1 is one block."""
         return {1: sum(map(abs, nums.values()))}
 
-    def gauge(self, norms: Iterable[int], den: int) -> Fraction:
-        """The norm of a vector from its ``block_l1`` numerators over den."""
-        return Fraction(sum(norms), den)
+    def gauge(self, norms: Iterable[int], den: int) -> tuple[int, int]:
+        """The norm from ``block_l1`` numerators over den, as a ratio pair."""
+        return sum(norms), den
 
     def zero(self) -> FinSeq:
         return FinSeq()

@@ -148,21 +148,19 @@ def merge_certificates(fam: SumFamily, c1: SumCertificate, c2: SumCertificate, l
 def random_certificate(fam: SumFamily, level: int, rng: random.Random) -> SumCertificate:
     """Random valid level-n certificate: per block a random number of draws
     within budget, each kept with probability 0.7, random generator
-    references, nonzero coefficients k/64."""
+    references, nonzero coefficients k/64; ``randint(a, b)`` would draw the
+    same stream, as it is ``randrange(a, b + 1)``."""
     terms = []
+    randrange, coin, counts = rng.randrange, rng.random, level_counts(level)
     for i in fam.blocks:
-        if i < level:
-            continue
-        budget = level_counts(level)(i)
         n_gens = len(fam.generators[i])
-        if budget == 0 or n_gens == 0:
+        if i < level or n_gens == 0:
             continue
-        take = rng.randint(0, budget)
-        for _ in range(take):
-            if rng.random() > 0.7:
+        for _ in range(randrange(counts(i) + 1)):
+            if coin() > 0.7:
                 continue
-            num = rng.randint(-64, 64) or 64
-            terms.append((i, rng.randrange(n_gens), num))
+            num = randrange(-64, 65) or 64
+            terms.append((i, randrange(n_gens), num))
     return SumCertificate(tuple(terms), 64)
 
 

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import random
+from dataclasses import asdict
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -12,6 +13,7 @@ import twistlab as tl
 from twistlab import FinSeq, MixedSeq, SumCertificate, TwistedVec, oracles
 from twistlab.construction import (
     STRICT_MARGIN,
+    ChainStep,
     ChainTranscript,
     _step,
     fn_family,
@@ -668,6 +670,85 @@ class TestReplayAgainstReference:
             self.check(state, F, below_one(state, SumCertificate.of([(n, 1, 1)])))
 
 
+class TestReportsAsDicts:
+    def test_to_json_equals_asdict(self, state4, ribe_normalized):
+        # the reports build their dicts field by field; they must equal, in
+        # key order too, what dataclasses.asdict gives, nested witnesses and
+        # transcripts included
+        chain = tl.chain_fuzzer(state4, ribe_normalized, trials=21, seed=0)
+        mass = tl.lemma5_adversary(state4.level_z(2), 4, state4.c[2])
+        assert chain.witness and mass.witness
+        cert = below_one(state4, SumCertificate.of([(1, 0, 1), (3, 2, Fraction(-1, 2))]))
+        transcript = tl.verify_chain(state4, ribe_normalized, cert)
+        for report in (chain, mass, transcript, *transcript.steps):
+            assert json.dumps(report.to_json()) == json.dumps(asdict(report))
+        for check in tl.base_axioms_check([tl.ball_radius(n) for n in range(1, 6)], fn_family(state4), 5).checks:
+            assert json.dumps(vars(check)) == json.dumps(asdict(check))
+
+
+@pytest.fixture(scope="session")
+def depth4_states():
+    """``case_state(case, 4)`` of each case."""
+    return {case: case_state(case, 4) for case in "ac"}
+
+
+@st.composite
+def level_one_certificates(draw, state):
+    """Valid level-1 certificates on a depth-4 state (level i takes up to
+    2^(i-1) terms), coefficients k/64, with shapes the replay must treat
+    exactly: a (block, generator) pair drawn twice, a level whose
+    coefficients sum to r = 0 on distinct generators (a zero e-part beside a
+    nonzero stretched part), a level-4 e-part cancelling level 1's (levels 1
+    and 4 share d_1), and each level's balancing generator, the last."""
+    coef = st.integers(-64, 64)
+    last = {i: len(state.G[i]) - 1 for i in range(1, 5)}
+    gen = {i: st.integers(0, last[i]) for i in range(1, 5)}
+    terms = []
+    if draw(st.booleans()):
+        terms.append((1, draw(gen[1]), draw(coef)))
+    if draw(st.booleans()):  # r_2 = 0 on two distinct generators
+        j, k = draw(st.lists(gen[2], min_size=2, max_size=2, unique=True))
+        n = draw(coef)
+        terms += [(2, j, n), (2, k, -n)]
+    else:
+        terms += [(2, draw(gen[2]), draw(coef)) for _ in range(draw(st.integers(0, 2)))]
+    j = draw(gen[3])  # a pair drawn twice
+    terms += [(3, j, draw(coef)), (3, j, draw(coef))]
+    terms += [(3, draw(st.sampled_from([0, last[3]])), draw(coef)) for _ in range(draw(st.integers(0, 2)))]
+    if terms[0][0] == 1 and draw(st.booleans()):  # r_4 = -r_1: the prefix's coordinate at d_1 cancels
+        terms.append((4, draw(gen[4]), -terms[0][2]))
+    else:
+        terms.append((4, last[4], draw(coef)))
+    terms += [(4, draw(gen[4]), draw(coef)) for _ in range(draw(st.integers(0, 6)))]
+    cert = SumCertificate(tuple(terms), 64)
+    assert not certificate_problems(fn_family(state), cert, 1)
+    return cert
+
+
+def replay_outcome(replay, state, F, cert):
+    """A replay's transcript as JSON text, or the message of the ValueError
+    it raises on a value of norm 1 or more."""
+    try:
+        return json.dumps(replay(state, F, cert).to_json())
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestReplayOnRandomCertificates:
+    @given(st.sampled_from("ac"), st.data(), st.integers(1, 1100))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_reference(self, depth4_states, case, data, target):
+        # scaled so the value's norm is about target / 1000 when that scale
+        # is at most 1, else left as drawn: a norm of 1 or more must raise
+        # the same error on both sides
+        F, state = depth4_states[case]
+        cert = data.draw(level_one_certificates(state))
+        norm = state.space.norm(certificate_value(fn_family(state), cert))
+        if norm:
+            cert = scale_certificate(cert, min(Fraction(1), (Fraction(target, 1000) / Fraction(norm)).limit_denominator(10 ** 6)))
+        assert replay_outcome(tl.verify_chain, state, F, cert) == replay_outcome(reference_verify_chain, state, F, cert)
+
+
 def reference_step(lhs, rhs, strict):
     """(passed, band) from Python's own mixed comparisons, as ``_step`` made them
     before it compared integer ratios."""
@@ -735,3 +816,71 @@ class TestStepReference:
     def test_exact_flag(self):
         assert _step("x", None, Fraction(1, 3), 1).exact
         assert not _step("x", None, Fraction(1, 3), 1.0).exact
+
+
+def fraction_step(name, level, lhs, rhs, *, strict=True, note=""):
+    """``_step`` as it was before it took integer ratio pairs: on ints,
+    Fractions and floats only."""
+    exact = isinstance(lhs, (Fraction, int)) and isinstance(rhs, (Fraction, int))
+    try:
+        (a, b), (c, d) = lhs.as_integer_ratio(), rhs.as_integer_ratio()
+        lhs_f, rhs_f = a / b, c / d
+        e, f = (rhs_f - STRICT_MARGIN).as_integer_ratio()
+    except (OverflowError, ValueError):
+        lhs_f, rhs_f = float(lhs), float(rhs)
+        (a, b), (c, d), (e, f) = (lhs, 1), (rhs, 1), (rhs_f - STRICT_MARGIN, 1)
+    passed = (a * d < c * b) if strict else (a * d <= c * b)
+    band = passed and strict and not a * f < e * b
+    return ChainStep(name, level, lhs_f, rhs_f, passed, exact, band, rhs_f - lhs_f, note)
+
+
+ratio_pairs = st.tuples(st.integers(-(10 ** 6), 10 ** 6), st.integers(1, 10 ** 6))
+
+
+def as_number(v):
+    return Fraction(*v) if type(v) is tuple else v
+
+
+class TestRatioStep:
+    """``_step`` on integer ratio pairs against ``fraction_step`` on the
+    Fractions they stand for; the JSON text compares NaN fields too."""
+
+    def check(self, lhs, rhs, strict):
+        got = _step("x", 1, lhs, rhs, strict=strict, note="n")
+        want = fraction_step("x", 1, as_number(lhs), as_number(rhs), strict=strict, note="n")
+        assert json.dumps(got.to_json()) == json.dumps(want.to_json()), (lhs, rhs, strict)
+
+    @given(
+        ratio_pairs,
+        st.one_of(ratio_pairs, st.integers(-5, 5), st.fractions(min_value=-5, max_value=5, max_denominator=10 ** 12), st.floats()),
+        st.booleans(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_against_fractions_ints_and_floats(self, lhs, rhs, strict):
+        self.check(lhs, rhs, strict)
+        if type(rhs) is tuple:
+            self.check(rhs, lhs, strict)
+
+    @given(st.fractions(min_value=-3, max_value=3, max_denominator=10 ** 9), st.integers(-2, 2), st.integers(1, 7), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_at_the_band_edge_in_any_terms(self, rhs, ulps, k, strict):
+        # lhs within a few ulps of the float rhs - STRICT_MARGIN, in lowest
+        # terms and times k/k, against rhs as a pair, a Fraction and a float
+        edge = float(rhs) - STRICT_MARGIN
+        for _ in range(abs(ulps)):
+            edge = math.nextafter(edge, math.copysign(math.inf, ulps))
+        n, d = edge.as_integer_ratio()
+        for lhs in ((n, d), (n * k, d * k)):
+            for r in ((rhs.numerator * k, rhs.denominator * k), rhs, float(rhs)):
+                self.check(lhs, r, strict)
+
+    @pytest.mark.parametrize("rhs", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("lhs", [(0, 1), (-7, 3), (10 ** 30, 7)])
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_non_finite_right_hand_sides(self, lhs, rhs, strict):
+        self.check(lhs, rhs, strict)
+
+    def test_exact_flag(self):
+        assert _step("x", None, (1, 3), (1, 1)).exact
+        assert not _step("x", None, (1, 3), 1.0).exact
+        assert not _step("x", None, 0.5, (1, 1)).exact

@@ -19,7 +19,9 @@ from twistlab.quasilinear import (
     ribe_error_bound,
     solve_in_span,
     space_of,
+    value_and_norm,
 )
+from twistlab import quasilinear
 from twistlab.seqspace import block_entries, block_of, block_position
 
 from .strategies import finseqs, mean_zero_finseqs, mixedseqs, small_scalar
@@ -526,7 +528,27 @@ KERNEL_CASES = {
     "linear": (tl.UserLinear(SEQ_BASIS, [1, Fraction(-1, 3), Fraction(5, 2)]), _span_vector(SEQ_BASIS)),
     "linear_mixed": (tl.UserLinear(MIXED_BASIS, [1, -2], space=MixedSpace(3)), _span_vector(MIXED_BASIS)),
     "scaled_linear": (tl.Scaled(tl.UserLinear(SEQ_BASIS, [2, 0, -1], 0.5), Fraction(1, 3)), _span_vector(SEQ_BASIS)),
+    "twice_scaled_ribe": (tl.Scaled(tl.Scaled(tl.Ribe(), Fraction(3, 7)), Fraction(10, 3)), _seq_vector),
+    "twice_scaled_weighted": (tl.Scaled(tl.Scaled(WEIGHTED, Fraction(5, 2)), Fraction(1, 3)), _mixed_vector),
 }
+
+
+class TestScaledLayers:
+    @pytest.mark.parametrize("name", ["twice_scaled_ribe", "twice_scaled_weighted", "scaled_linear"])
+    def test_one_call_through_the_module_name(self, monkeypatch, name):
+        # a wrapper bound over the module-level name sees one call per
+        # evaluation however many Scaled layers F has, and the factors still
+        # apply innermost first, as ``reference_evaluate``'s recursion does
+        F, draw = KERNEL_CASES[name]
+        calls = []
+        evaluate = quasilinear.evaluate
+        monkeypatch.setattr(quasilinear, "evaluate", lambda F, x: calls.append(F) or evaluate(F, x))
+        rng = random.Random(name)
+        xs = [draw(rng) for _ in range(50)]
+        for x in xs:
+            assert quasilinear.evaluate(F, x) == reference_evaluate(F, x)
+            assert value_and_norm(F, x)[0] == reference_evaluate(F, x)
+        assert calls == [F] * len(xs)
 
 
 class TestKernelAgainstReference:

@@ -196,6 +196,30 @@ class TestIntegerForm:
             assert rng.random() == ref.random()
 
 
+class TestRandomCertificateStream:
+    def test_same_draws_as_randint(self, state6):
+        # ``random_certificate`` draws through ``randrange``; ``randint(a, b)``
+        # is ``randrange(a, b + 1)``, so the certificates and the generator's
+        # state match the randint draws, here on a depth-6 family
+        fam = SumFamily({n: state6.G[n] for n in range(1, 7)})
+        for seed in range(200):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for level in range(1, 5):
+                terms = []
+                for i in fam.blocks:
+                    budget = level_counts(level)(i)
+                    n_gens = len(fam.generators[i])
+                    if i < level or budget == 0 or n_gens == 0:
+                        continue
+                    for _ in range(ref.randint(0, budget)):
+                        if ref.random() > 0.7:
+                            continue
+                        num = ref.randint(-64, 64) or 64
+                        terms.append((i, ref.randrange(n_gens), num))
+                assert random_certificate(fam, level, rng) == SumCertificate(tuple(terms), 64)
+            assert rng.random() == ref.random()
+
+
 class TestMerge:
     def test_empty_merge(self, fam):
         m = tl.merge_certificates(fam, SumCertificate(()), SumCertificate(()), 2)
