@@ -23,16 +23,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .quasilinear import (
-    QuasiFunctional,
-    evaluate,
-    functional_from_json,
-    functional_to_json,
-    missing_weight,
-    outside_span,
-    space_of,
-    value_and_norm,
-)
+from .quasilinear import QuasiFunctional, evaluate, functional_from_json
 from .seqspace import (
     FinSeq,
     MixedSeq,
@@ -98,17 +89,13 @@ def enumerate_e(d_count: int, length: int) -> list[int]:
 def normalize_generators(F: QuasiFunctional, ds: list) -> list:
     """Scale each generator by a positive rational so that its norm and its
     |F| value are both at most 1 (homogeneity moves F along exactly)."""
-    space = space_of(F)
     out = []
     for d in ds:
         if not d:
             raise ValueError("zero generator cannot be normalized")
-        nrm = space.norm(d)
-        if isinstance(nrm, Fraction):
-            inv_norm = 1 / nrm if nrm > 1 else F1
-        else:
-            inv_norm = Fraction(1, max(1, math.ceil(nrm - 1e-12)))
-        f_cap = max(1, math.ceil(abs(evaluate(F, d)) - 1e-12))
+        f, a, den = F.value_and_norm(d)  # an l1 norm a / den, exact, or an l_p float a
+        inv_norm = (Fraction(den, a) if a > den else F1) if type(a) is int else Fraction(1, max(1, math.ceil(a - 1e-12)))
+        f_cap = max(1, math.ceil(abs(f) - 1e-12))
         alpha = min(F1, inv_norm, Fraction(1, f_cap))
         out.append(d if alpha == 1 else d * alpha)
     return out
@@ -216,13 +203,6 @@ def level_stretched(space, xs_n: list, m_n: int) -> list:
     return [x * m_n for x in xs_n + [balance]]
 
 
-def level_generators(space, e_n, xs_n: list, m_n: int) -> list:
-    """The generator set of a level, e_n + z for each stretched vector z of
-    ``level_stretched``, which sums to (#G) e_n; the static checks rebuild it
-    to compare with the stored G."""
-    return [e_n + z for z in level_stretched(space, xs_n, m_n)]
-
-
 def build_level(
     state: ConstructionState,
     F: QuasiFunctional,
@@ -304,11 +284,11 @@ def run_construction(
                 raise ValueError("splitting map is undefined on xs[%d]: %s" % (i, exc)) from exc
             if value != 0:
                 raise ValueError("xs[%d] is not in the kernel of the splitting map; run kernel_normalize" % i)
-    space = space_of(F)
+    space = F.space
     state = ConstructionState(
         depth=depth,
         space=space,
-        functional=functional_to_json(F),
+        functional=F.to_json(),
         c={n: default_cn(n) for n in range(1, depth + 1)},
         d_generators=normalize_generators(F, ds),
         e_idx=enumerate_e(len(ds), depth) if depth else [],
@@ -365,6 +345,12 @@ class ChainStep:
 def _float(v) -> float:
     """float(v), an integer ratio pair's included."""
     return v[0] / v[1] if type(v) is tuple else float(v)
+
+
+def _norm(a, d):
+    """The norm a / d of a ``value_and_norm`` as ``_step`` takes it: an l1
+    norm's ratio pair (exact), an l_p norm's float."""
+    return (a, d) if type(a) is int else a
 
 
 def _step(name, level, lhs, rhs, *, strict=True, note="") -> ChainStep:
@@ -513,8 +499,8 @@ def verify_chain(state: ConstructionState, F: QuasiFunctional, cert: SumCertific
     for i, (_, _, _, _, used, e_part) in enumerate(rows, 1):
         if not used:
             continue
-        u_norm = _step("unit_norm", i, space.gauge(space.block_l1(e_part).values(), D), (cs[i - 1], C))
-        u_f = abs(evaluate(F, space.vector._raw(e_part, D)))
+        u_f, a, d = F.value_and_norm(space.vector._raw(e_part, D))
+        u_norm, u_f = _step("unit_norm", i, _norm(a, d), (cs[i - 1], C)), abs(u_f)
         units.append((i, u_norm.lhs, u_f))
         steps += [u_norm, _step("unit_f", i, u_f, (1, 2 ** i))]
         for p, a in e_part.items():
@@ -526,13 +512,14 @@ def verify_chain(state: ConstructionState, F: QuasiFunctional, cert: SumCertific
         span[p] = prefix.get(p, 0) - a
         if not span[p]:
             del span[p]
-    span_norm = space.gauge(_summed_l1(space, prefix, prefix_l1, {p: -a for p, a in unit_total.items()}).values(), D)
+    f_span, a, d = F.value_and_norm(space.vector._raw(span, D))
+    span_norm, f_span = _norm(a, d), abs(f_span)
     steps.append(_step("span_norm_tight", None, span_norm, (C + sum(cs), C)))
     steps.append(_step("span_norm", None, span_norm, 2))
-    f_span = abs(evaluate(F, space.vector._raw(span, D)))
     steps.append(_step("span_f", None, f_span, 2.0, note="kernel span: splitting map vanishes there"))
 
-    f_unit = abs(evaluate(F, space.vector._raw({p: a for p, a in unit_total.items() if a}, D)))
+    f_unit, a, d = F.value_and_norm(space.vector._raw({p: a for p, a in unit_total.items() if a}, D))
+    f_unit, unit_norm = abs(f_unit), a / d
     ladder = math.fsum(f for _, _, f in units) + math.fsum(i * n for i, n, _ in units)
     steps.append(
         _step("unit_f_ladder", None, f_unit, ladder + STRICT_MARGIN, note="additivity ladder bound", strict=False)
@@ -541,8 +528,7 @@ def verify_chain(state: ConstructionState, F: QuasiFunctional, cert: SumCertific
     steps.append(_step("unit_f_total", None, f_unit, 4.0, note="ladder evaluates below %g" % geom))
 
     f_value = evaluate(F, space.vector._raw(x, D))
-    unit_norm = space.gauge(space.block_l1(unit_total).values(), D)
-    split_rhs = f_unit + f_span + _float(unit_norm) + _float(span_norm)
+    split_rhs = f_unit + f_span + unit_norm + _float(span_norm)
     steps.append(_step("f_split", None, abs(f_value), split_rhs + STRICT_MARGIN, strict=False, note="one additivity application"))
     steps.append(_step("f_total", None, abs(f_value), 9.0))
     return ChainTranscript(
@@ -574,9 +560,10 @@ def final_bound_check(
     sum) with sequence part of norm at most 1: the certified part has norm at
     most 2, its functional value stays under 18 (by replaying the ladder on
     its half), the twisted gap stays under 22 and the quasi-norm under 23.
-    Violated premises are reported, not raised.  Each vector is evaluated
-    once: a quasi-norm takes both terms from one ``value_and_norm``, as
-    ``quasi_norm`` does, and a premise the state's space norm."""
+    Violated premises are reported, not raised.  Each of u's part, x and z
+    is evaluated once: its value and norm come from one ``value_and_norm``,
+    as ``quasi_norm`` takes them (the state's space is F's, see
+    ``state_shape_problem``)."""
     space = state.space
     fam = fn_family(state)
     premises: list[ChainStep] = []
@@ -588,10 +575,13 @@ def final_bound_check(
     )
     z = certificate_value(fam, z_cert) if not problems else space.zero()
     x = u.x + z
-    f_u, a, d = value_and_norm(F, u.x)
+    f_u, a, d = F.value_and_norm(u.x)
     premises.append(_step("u_in_unit_ball", None, abs(float(u.r) - f_u) + a / d, 1.0 + STRICT_MARGIN, strict=False))
-    premises.append(_step("x_norm", None, space.norm(x), 1, strict=False))
-    nz = space.norm(z)
+    f_x, a, d = F.value_and_norm(x)
+    premises.append(_step("x_norm", None, _norm(a, d), 1, strict=False))
+    twisted_norm = abs(float(u.r) - f_x) + a / d
+    f_z, a, d = F.value_and_norm(z)
+    nz = _norm(a, d)
     half = _step("half_z_in_chain_range", None, nz, 2, note="needed to replay the ladder on z/2")
     premises.append(half)
     premises_ok = all(p.passed for p in premises)
@@ -603,11 +593,9 @@ def final_bound_check(
         checks.append(
             _step("half_chain", None, 0 if chain.passed else 1, 1, note="ladder on z/2: min margin %g" % chain.min_margin)
         )
-    checks.append(_step("f_z", None, abs(evaluate(F, z)), 18.0))
-    f_x, a, d = value_and_norm(F, x)
-    gap = abs(float(u.r) - f_x)
-    checks.append(_step("twisted_gap", None, gap, 22.0))
-    checks.append(_step("twisted_norm", None, gap + a / d, 23.0))
+    checks.append(_step("f_z", None, abs(f_z), 18.0))
+    checks.append(_step("twisted_gap", None, abs(float(u.r) - f_x), 22.0))
+    checks.append(_step("twisted_norm", None, twisted_norm, 23.0))
     return BoundReport(
         premises=premises,
         checks=checks,
@@ -622,10 +610,11 @@ def final_bound_check(
 
 def state_shape_problem(state: ConstructionState, F: QuasiFunctional) -> str | None:
     """The first stored index that points outside the state's own tables (a
-    depth below 1, a level missing from a per-level table, an ``e_idx`` or
-    ``ell`` entry out of range, a generator's block without a weight in F, a
-    generator outside the span of F's basis), or None.  Every other check
-    assumes there is none."""
+    space other than F's, a depth below 1, a level missing from a per-level
+    table, an ``e_idx`` or ``ell`` entry out of range, a generator on which F
+    is undefined), or None.  Every other check assumes there is none."""
+    if state.space.to_json() != F.space.to_json():
+        return "the space is not the functional's"
     if state.depth < 1:
         return "depth %d is below 1" % state.depth
     if len(state.e_idx) < state.depth:
@@ -639,13 +628,7 @@ def state_shape_problem(state: ConstructionState, F: QuasiFunctional) -> str | N
             return "e_idx[%d] = %d is not a generator number" % (n - 1, state.e_idx[n - 1])
         if not all(1 <= i <= len(state.xs) for i in state.ell[n]):
             return "ell[%d] points past the %d kernel vectors" % (n, len(state.xs))
-    gens = [*state.d_generators, *(g for level in state.G.values() for g in level)]
-    block = missing_weight(F, gens)
-    if block:
-        return "the functional has no weight for block %d of a generator" % block
-    if outside_span(F, gens):
-        return "the functional is not defined on a generator outside the span of its basis"
-    return None
+    return F.undefined_on([*state.d_generators, *(g for level in state.G.values() for g in level)])
 
 
 def static_state_checks(state: ConstructionState, F: QuasiFunctional) -> list[ChainStep]:
@@ -670,7 +653,7 @@ def static_state_checks(state: ConstructionState, F: QuasiFunctional) -> list[Ch
         xs_n = state.level_x(n)
         # a wrong count fails g_size above; the shape is only compared
         # once the counts match
-        shape_ok = size_ok and len(xs_n) == 2 ** n and gens == level_generators(space, e_n, xs_n, state.m[n])
+        shape_ok = size_ok and len(xs_n) == 2 ** n and gens == [e_n + z for z in level_stretched(space, xs_n, state.m[n])]
         checks.append(_step("g_shape", n, 0 if shape_ok else 1, F1))
         try:
             m_table_ok = state.M.get(n) == basis_constant(xs_n, space)
@@ -685,9 +668,9 @@ def static_state_checks(state: ConstructionState, F: QuasiFunctional) -> list[Ch
         combo = space.vector.combination([(g, 1) for g in gens], len(gens) or 1)  # an empty G[n] fails g_size
         checks.append(_step("e_hull", n, 0 if combo == e_n else 1, F1))
     for j, d in enumerate(state.d_generators):
-        nd = space.norm(d)
-        checks.append(_step("d_norm", j + 1, nd, F1, strict=False))
-        checks.append(_step("d_f_value", j + 1, abs(evaluate(F, d)), 1.0 + STRICT_MARGIN, strict=False))
+        f, a, den = F.value_and_norm(d)
+        checks.append(_step("d_norm", j + 1, _norm(a, den), F1, strict=False))
+        checks.append(_step("d_f_value", j + 1, abs(f), 1.0 + STRICT_MARGIN, strict=False))
     return checks
 
 

@@ -27,7 +27,7 @@ from .construction import (
     verify_chain,
 )
 from .exact_lp import _price, _run_simplex, gauss_jordan, pivot_rows, solve_lp
-from .quasilinear import QuasiFunctional, Ribe, Scaled, UserLinear, WeightedRibe, evaluate, quasi_defects, ribe_error_bound, value_and_norm
+from .quasilinear import QuasiFunctional, Ribe, Scaled, UserLinear, WeightedRibe, evaluate, quasi_defects, ribe_error_bound
 from .seqspace import (
     FinSeq,
     MixedSeq,
@@ -625,10 +625,10 @@ def _random_admissible_decomposition(state, F, z_cert, z, rng):
     hi = min(1.0, 1 / zeta)
     lam = Fraction(round((lo + rng.random() * (hi - lo)) * 4096), 4096)
     y = z * (lam - 1)
-    slack = 1 - float(space.norm(y))
+    f_y, a, d = F.value_and_norm(y)  # y's one evaluation: u's quasi-norm and the slack, as ``quasi_norm`` takes them
+    slack = 1 - a / d
     if slack <= 0:
         return None
-    f_y, a, d = value_and_norm(F, y)  # u's quasi-norm from y's one evaluation, as ``quasi_norm`` takes it
     r = f_y + rng.uniform(-0.9, 0.9) * slack
     if abs(r - f_y) + a / d > 1 or float(space.norm(y + z)) > 1:
         return None
@@ -801,8 +801,8 @@ def _coordinate_ascent(state, F, fam, cert: SumCertificate):
     space = state.space
     best = cert
     v_best = certificate_value(fam, cert)
-    target = space.norm(v_best)
-    f_best = abs(evaluate(F, v_best))
+    f_best, a, d = F.value_and_norm(v_best)
+    target, f_best = Fraction(a, d) if type(a) is int else a, abs(f_best)
     # the screen takes F = Scaled(Ribe) with a moderate factor; 0.0 stands for any other F
     scale = float(F.factor) if isinstance(F, Scaled) and isinstance(F.inner, Ribe) else 0.0
     screen = _RibeScreen(v_best) if _moderate(scale) else None

@@ -4,10 +4,16 @@ A functional F here is homogeneous (F(rx) = rF(x)) and nearly additive:
 |F(x+y) - F(x) - F(y)| <= C (||x|| + ||y||) for some constant C.  Four kinds
 are implemented: the Ribe log functional on sparse l1 vectors, its weighted
 block variant on the mixed space, exact linear maps given by values on a
-basis, and rational rescalings of any of these.
+basis, and rational rescalings of any of these.  Each kind names its
+``space`` and evaluates itself: ``value(x)``; ``value_and_norm(x)``, which is
+(F(x), a, d) to the bit with ``space.norm(x)`` = a / d (an l1 norm's integer
+numerator over ``x.den``, an l_p norm's float over 1), from one decode of x;
+``to_json()``, the descriptor ``functional_from_json`` reads back; and
+``undefined_on(generators)``, why F has no value at one of a state's
+generators, or None.
 
-``evaluate`` is the one evaluator.  It computes the Ribe formula (per block,
-for the weighted kind) as sum_i x_i ln|x_i / g| with the gauge g the
+``evaluate(F, x)`` is ``F.value(x)``.  The Ribe formula (per block, for the
+weighted kind) is computed as sum_i x_i ln|x_i / g| with the gauge g the
 coordinate sum S of x, which is sum x_i ln|x_i| - S ln|S| term by term.  When
 S = 0 the gauge is the l1 norm instead: then sum_i x_i ln g = S ln g = 0, so
 the value is unchanged.  Either gauge scales with x, so the ratios x_i / g do
@@ -20,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Union
+from typing import ClassVar, Union
 
 from .exact_lp import gauss_jordan
 from .seqspace import (
@@ -64,6 +70,19 @@ class Ribe:
     state and margin."""
 
     assumed_constant: float = 4.0
+    space: ClassVar[SeqSpace] = SeqSpace()
+
+    def value(self, x) -> float:
+        return ribe_eval(x)
+
+    def value_and_norm(self, x):
+        return ribe_eval(x), sum(map(abs, x.nums.values())), x.den
+
+    def to_json(self) -> dict:
+        return {"kind": "ribe", "assumed_constant": self.assumed_constant}
+
+    def undefined_on(self, generators) -> str | None:
+        return None
 
 
 @dataclass
@@ -98,6 +117,7 @@ class WeightedRibe:
         if self.p <= 1:
             raise ValueError("p must exceed 1")
         self.assumed_constant = self.holder_bound()
+        self.space = MixedSpace(self.p)
         self._pf = float(self.p)
         self._floats = {n: float(c) for n, c in self.weights.items()}
 
@@ -109,12 +129,30 @@ class WeightedRibe:
         qf = float(self.q)
         return math.fsum(abs(float(c)) ** qf for c in self.weights.values()) ** (1.0 / qf)
 
+    def value(self, x) -> float:
+        return _weighted_blocks(x, self._floats)[0]
+
+    def value_and_norm(self, x):
+        value, norms = _weighted_blocks(x, self._floats)
+        return value, lp_of_blocks(norms, x.den, self._pf), 1
+
+    def to_json(self) -> dict:
+        weights = {str(n): frac_str(c) for n, c in sorted(self.weights.items())}
+        return {"kind": "weighted_ribe", "weights": weights, "p": frac_str(self.p)}
+
+    def undefined_on(self, generators) -> str | None:
+        for v in generators:
+            for n in block_l1(v.nums):
+                if n not in self.weights:
+                    return "the functional has no weight for block %d of a generator" % n
+        return None
+
 
 @dataclass
 class UserLinear:
     """Exact linear extension of prescribed values on an independent basis,
     both a functional kind and the splitting map of a construction: calling
-    it gives the exact value, ``evaluate`` gives it as a float."""
+    it gives the exact value, ``value`` gives it as a float."""
 
     basis: list
     values: list[Fraction]
@@ -132,10 +170,30 @@ class UserLinear:
         coords = solve_in_span(self.basis, x)
         return sum((c * v for c, v in zip(coords, self.values)), F0)
 
+    def value(self, x) -> float:
+        return float(self(x))
+
+    def value_and_norm(self, x):
+        if isinstance(self.space, SeqSpace):
+            return float(self(x)), sum(map(abs, x.nums.values())), x.den
+        return float(self(x)), self.space.norm(x), 1
+
+    def to_json(self) -> dict:
+        basis, values = [b.to_json() for b in self.basis], list(map(frac_str, self.values))
+        space, c = self.space.to_json(), self.assumed_constant
+        return {"kind": "user_linear", "basis": basis, "values": values, "space": space, "assumed_constant": c}
+
+    def undefined_on(self, generators) -> str | None:
+        if rank([*self.basis, *generators]) > len(self.basis):
+            return "the functional is not defined on a generator outside the span of its basis"
+        return None
+
 
 @dataclass
 class Scaled:
-    """factor * inner; the additivity constant scales by the same factor."""
+    """factor * inner; the additivity constant scales by the same factor.
+    The methods call the inner kind's, not ``evaluate`` (which a tracer may
+    wrap), so nested factors apply innermost first."""
 
     inner: "QuasiFunctional"
     factor: Fraction
@@ -146,19 +204,23 @@ class Scaled:
         if self.factor <= 0:
             raise ValueError("scale factor must be positive")
         self.assumed_constant = float(self.factor * Fraction(self.inner.assumed_constant))
+        self.space = self.inner.space
+
+    def value(self, x) -> float:
+        return float(self.factor) * self.inner.value(x)
+
+    def value_and_norm(self, x):
+        value, a, d = self.inner.value_and_norm(x)
+        return float(self.factor) * value, a, d
+
+    def to_json(self) -> dict:
+        return {"kind": "scaled", "inner": self.inner.to_json(), "factor": frac_str(self.factor)}
+
+    def undefined_on(self, generators) -> str | None:
+        return self.inner.undefined_on(generators)
 
 
 QuasiFunctional = Union[Ribe, WeightedRibe, UserLinear, Scaled]
-
-
-def space_of(F: QuasiFunctional):
-    if isinstance(F, Scaled):
-        return space_of(F.inner)
-    if isinstance(F, Ribe):
-        return SeqSpace()
-    if isinstance(F, WeightedRibe):
-        return MixedSpace(F.p)
-    return F.space
 
 
 # --- evaluation -------------------------------------------------------------
@@ -246,73 +308,25 @@ def _weighted_blocks(x: FinSeq, floats: dict) -> tuple[float, list[int]]:
     return math.fsum(parts), norms
 
 
-def missing_weight(F: QuasiFunctional, vectors) -> int | None:
-    """The first block of the vectors that a (scaled) weighted F has no
-    weight for, on which ``evaluate`` raises; None when there is none."""
-    while isinstance(F, Scaled):
-        F = F.inner
-    if isinstance(F, WeightedRibe):
-        for v in vectors:
-            for n in block_l1(v.nums):
-                if n not in F.weights:
-                    return n
-    return None
-
-
-def outside_span(F: QuasiFunctional, vectors) -> bool:
-    """Whether one of the vectors lies outside the span of a (scaled)
-    user_linear F's basis, where ``evaluate`` raises."""
-    while isinstance(F, Scaled):
-        F = F.inner
-    return isinstance(F, UserLinear) and rank([*F.basis, *vectors]) > len(F.basis)
-
-
 def weighted_ribe_eval(x: FinSeq, weights) -> float:
     """sum_n c_n * (blockwise Ribe value); every nonzero block needs a weight."""
     return _weighted_blocks(x, {n: float(c) for n, c in weights.items()})[0]
 
 
 def evaluate(F: QuasiFunctional, x) -> float:
-    """Value of F at x; positively homogeneous to a few ulps.  ``Scaled``
-    layers unwrap in a loop, not by calls through this name (which a tracer
-    may wrap), their factors applied innermost first, as a recursion does."""
-    factors = []
-    while isinstance(F, Scaled):
-        factors.append(F.factor)
-        F = F.inner
-    if isinstance(F, WeightedRibe):
-        value = _weighted_blocks(x, F._floats)[0]
-    else:
-        value = ribe_eval(x) if isinstance(F, Ribe) else float(F(x))
-    while factors:
-        value = float(factors.pop()) * value
-    return value
-
-
-def value_and_norm(F: QuasiFunctional, x):
-    """(``evaluate(F, x)``, a, d) to the bit, where ``space_of(F).norm(x)``
-    is a / d: an l1 norm is its integer numerator over ``x.den``, an l_p norm
-    a float over 1.  The weighted kind takes both from one decode of x."""
-    if isinstance(F, Scaled):
-        value, a, d = value_and_norm(F.inner, x)
-        return float(F.factor) * value, a, d
-    if isinstance(F, WeightedRibe):
-        value, norms = _weighted_blocks(x, F._floats)
-        return value, lp_of_blocks(norms, x.den, F._pf), 1
-    value = ribe_eval(x) if isinstance(F, Ribe) else float(F(x))
-    if isinstance(F, Ribe) or isinstance(F.space, SeqSpace):
-        return value, sum(map(abs, x.nums.values())), x.den
-    return value, F.space.norm(x), 1
+    """``F.value(x)``, positively homogeneous to a few ulps: the one name a
+    tracer wraps, called once per evaluation."""
+    return F.value(x)
 
 
 def quasi_defects(F: QuasiFunctional, x, ys) -> list[float]:
     """``quasi_defect(F, x, y)`` for each y of ys, F(x) and ||x|| taken once.
     ||x|| + ||y|| is (a d2 + b d1) / (d1 d2), whose int true division rounds
     as the float of the Fraction sum does."""
-    fx, a, d1 = value_and_norm(F, x)
+    fx, a, d1 = F.value_and_norm(x)
     out = []
     for y in ys:
-        fy, b, d2 = value_and_norm(F, y)
+        fy, b, d2 = F.value_and_norm(y)
         num = a * d2 + b * d1
         if num == 0:
             raise ValueError("defect undefined: both arguments are zero")
@@ -419,7 +433,7 @@ def iterated_defect_check(F: QuasiFunctional, us: list, tolerance: float = 1e-9)
     """(holds, lhs, rhs) of |F(sum u_i)| <= sum |F(u_i)| + sum i * ||u_i||
     (1-based i), the right-nested telescoping bound used with additivity
     constant 1."""
-    space = space_of(F)
+    space = F.space
     total = space.zero()
     for u in us:
         total = total + u
@@ -439,32 +453,6 @@ def nonsplit_witness(n: int, cn) -> tuple[MixedSeq, float]:
 
 
 # --- JSON descriptors ---------------------------------------------------------
-
-
-def functional_to_json(F: QuasiFunctional) -> dict:
-    if isinstance(F, Ribe):
-        return {"kind": "ribe", "assumed_constant": F.assumed_constant}
-    if isinstance(F, WeightedRibe):
-        return {
-            "kind": "weighted_ribe",
-            "weights": {str(n): frac_str(c) for n, c in sorted(F.weights.items())},
-            "p": frac_str(F.p),
-        }
-    if isinstance(F, UserLinear):
-        return {
-            "kind": "user_linear",
-            "basis": [b.to_json() for b in F.basis],
-            "values": list(map(frac_str, F.values)),
-            "space": F.space.to_json(),
-            "assumed_constant": F.assumed_constant,
-        }
-    if isinstance(F, Scaled):
-        return {
-            "kind": "scaled",
-            "inner": functional_to_json(F.inner),
-            "factor": frac_str(F.factor),
-        }
-    raise TypeError("unknown functional kind: %r" % (F,))
 
 
 def _assumed_constant(obj: dict, default: float):

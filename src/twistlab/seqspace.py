@@ -421,6 +421,9 @@ class MixedSpace:
 
 
 def space_from_json(obj):
+    """The space a ``to_json`` names; an unknown kind is refused, not read as mixed."""
     if obj["kind"] == "seq":
         return SeqSpace()
-    return MixedSpace(Fraction(obj["p"]))
+    if obj["kind"] == "mixed":
+        return MixedSpace(Fraction(obj["p"]))
+    raise ValueError("unknown space kind %r" % (obj["kind"],))

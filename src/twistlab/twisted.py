@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .quasilinear import QuasiFunctional, value_and_norm
+from .quasilinear import QuasiFunctional
 from .seqspace import SeqSpace, vector_from_json
 
 
@@ -43,9 +43,9 @@ class TwistedVec:
 
 
 def quasi_norm(F: QuasiFunctional, w: TwistedVec) -> float:
-    """|r - F(x)| + ||x||, both terms from one ``value_and_norm``; the norm
-    a / d rounds as the float of ``space_of(F).norm(x)`` does."""
-    value, a, d = value_and_norm(F, w.x)
+    """|r - F(x)| + ||x||, both terms from one ``F.value_and_norm``; the norm
+    a / d rounds as the float of ``F.space.norm(x)`` does."""
+    value, a, d = F.value_and_norm(w.x)
     return abs(float(w.r) - value) + a / d
 
 

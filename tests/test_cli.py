@@ -177,9 +177,16 @@ TAMPERED = {
         lambda s: s["c"].__setitem__("1", "1e400"),
         "numeric: integer division result too large for a float",
     ),
+    # a space other than the functional's: refused before any norm is taken
+    # (the p of 1e400 is not printed)
     "case_c_p_past_the_float_range": (
         lambda s: s["space"].__setitem__("p", "1e400"),
-        "numeric: integer division result too large for a float",
+        "static:state_shape the space is not the functional's",
+        "c",
+    ),
+    "case_c_space_p_other": (
+        lambda s: s["space"].__setitem__("p", "3/1"),
+        "static:state_shape the space is not the functional's",
         "c",
     ),
     # the functional has no weight for a block that a generator touches
@@ -326,6 +333,22 @@ MALFORMED.update(
         for name, tamper in UNPARSED_STATES.items()
     }
 )
+# a space of an unknown kind is refused, not read as the mixed space: on a
+# case-c state, given as (case, tamper), and in a user_linear descriptor
+MALFORMED.update(
+    {
+        "%s_state_space_kind_unknown" % cmd[-1]: [*cmd, "--state", ("c", lambda s: s["space"].update(kind="mixd"))]
+        for cmd in (["verify"], ["oracle", "lemma5"], ["oracle", "chain"])
+    }
+)
+MALFORMED["quasi_constant_user_linear_space_kind_unknown"] = [
+    "oracle",
+    "quasi-constant",
+    "--functional",
+    LINEAR_MIXED.replace('"kind": "mixed"', '"kind": "mixd"'),
+    "--trials",
+    "1",
+]
 
 
 def run_cli(args):
@@ -621,6 +644,24 @@ class TestVerify:
         expected = [expected] if isinstance(expected, str) else expected
         assert len(lines) == len(expected) and all(text in line for text, line in zip(expected, lines))
 
+    def test_chain_violation_exits_three(self, tmp_path, capsys):
+        # a level budget far below the level's mass: the fuzzer's replays
+        # fail, which only a run with trials reports
+        out = tmp_path / "run"
+        assert run_cli(["construct", "--case", "a", "--depth", "2", "--out", str(out)]) == 0
+        state = json.loads((out / "state.json").read_text())
+        state["c"]["1"] = "1/1000000"
+        p = tmp_path / "state.json"
+        p.write_text(json.dumps(state))
+        capsys.readouterr()
+        code, stdout, stderr = run_captured(["verify", "--state", str(p), "--trials", "3", "--out", str(tmp_path / "out")])
+        assert (code, stderr) == (3, "")
+        lines = [line for line in stdout.splitlines() if line.startswith("VIOLATION")]
+        assert lines[0].startswith("VIOLATION level_mass: level 1 mass ")
+        assert lines[1].startswith("VIOLATION chain: 3 ladder replays, 1 bound checks, 2 failures, min margin -")
+        assert lines[2].startswith("VIOLATION chain: min margin -") and lines[2].endswith(" below tolerance 1e-09")
+        assert len(lines) == 3
+
     @pytest.mark.parametrize("cmd", [["verify", "--trials", "0"], ["oracle", "chain", "--budget", "3"]], ids=["verify", "chain"])
     def test_user_linear_outside_span_exits_three(self, tmp_path, capsys, cmd):
         p = write_tampered(tmp_path, "user_linear_outside_span")
@@ -831,13 +872,22 @@ def state2_text():
     return cli._dump_json(state_to_json(tl.run_construction(tl.normalize_constant(tl.Ribe()), xs, ds, 2)))
 
 
+@pytest.fixture(scope="module")
+def state2_c_text():
+    """The ``state.json`` text of a case-c depth-2 construction."""
+    xs, ds, weights = tl.make_case_c_inputs(2, 3)
+    F = tl.normalize_constant(tl.WeightedRibe(weights, 2))
+    return cli._dump_json(state_to_json(tl.run_construction(F, xs, ds, 2)))
+
+
 @pytest.mark.parametrize("name", sorted(MALFORMED))
-def test_malformed_input_is_usage(tmp_path, capsys, state2_text, name):
+def test_malformed_input_is_usage(tmp_path, capsys, state2_text, state2_c_text, name):
     args = MALFORMED[name] + (["--out", str(tmp_path)] if MALFORMED[name][0] == "oracle" else [])
     for i, arg in enumerate(args):
-        if callable(arg):  # a tamper of the depth-2 state
-            state = json.loads(state2_text)
-            arg(state)
+        if callable(arg) or isinstance(arg, tuple):  # a tamper of the depth-2 state, of case a unless named
+            case, tamper = arg if isinstance(arg, tuple) else ("a", arg)
+            state = json.loads(state2_c_text if case == "c" else state2_text)
+            tamper(state)
             args[i] = str(tmp_path / "state.json")
             (tmp_path / "state.json").write_text(json.dumps(state))
     assert run_cli(args) == 64

@@ -13,13 +13,10 @@ from twistlab.quasilinear import (
     NONSPLIT_CAP,
     _ribe_terms,
     functional_from_json,
-    functional_to_json,
     quasi_defects,
     rank,
     ribe_error_bound,
     solve_in_span,
-    space_of,
-    value_and_norm,
 )
 from twistlab import quasilinear
 from twistlab.seqspace import block_entries, block_of, block_position
@@ -547,8 +544,30 @@ class TestScaledLayers:
         xs = [draw(rng) for _ in range(50)]
         for x in xs:
             assert quasilinear.evaluate(F, x) == reference_evaluate(F, x)
-            assert value_and_norm(F, x)[0] == reference_evaluate(F, x)
+            assert F.value_and_norm(x)[0] == reference_evaluate(F, x)
         assert calls == [F] * len(xs)
+
+
+class TestKindMethods:
+    @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_value_norm_and_descriptor(self, name, seed):
+        # each kind evaluates itself: value, value_and_norm and the frozen
+        # reference agree to the bit, the norm pair is the space's norm, and
+        # the descriptor reads back as the same functional
+        F, draw = KERNEL_CASES[name]
+        x = draw(random.Random(seed))
+        value, a, d = F.value_and_norm(x)
+        assert float.hex(F.value(x)) == float.hex(value) == float.hex(reference_evaluate(F, x))
+        norm = F.space.norm(x)
+        if type(a) is int:
+            assert type(norm) is Fraction and Fraction(a, d) == norm
+        else:
+            assert d == 1 and float.hex(a) == float.hex(norm)
+        G = functional_from_json(F.to_json())
+        assert type(G) is type(F) and G.to_json() == F.to_json() and G.space.to_json() == F.space.to_json()
+        assert float.hex(G.value(x)) == float.hex(value)
 
 
 class TestKernelAgainstReference:
@@ -573,7 +592,7 @@ class TestKernelAgainstReference:
         # bits of the evaluate-plus-space-norm formula
         F, draw = KERNEL_CASES[name]
         rng = random.Random("quasi_norm " + name)
-        space = space_of(F)
+        space = F.space
         for _ in range(400):
             x = draw(rng)
             r = rng.choice((0.0, -1.5, Fraction(7, 3), rng.uniform(-4, 4)))
@@ -684,7 +703,7 @@ class TestDescriptors:
         ],
     )
     def test_roundtrip(self, F):
-        G = functional_from_json(functional_to_json(F))
+        G = functional_from_json(F.to_json())
         x = FinSeq({2: Fraction(3, 7), 5: -2}) if not isinstance(F, tl.UserLinear) else FinSeq({2: 4})
         if isinstance(F, tl.WeightedRibe):
             x = MixedSeq({1: [Fraction(1, 3)], 3: [1, -1, 2]})
