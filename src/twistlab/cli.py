@@ -257,6 +257,8 @@ def _load_state(path):
 
 
 def cmd_verify(args) -> int:
+    if not math.isfinite(args.tolerance):
+        return _usage_fail("--tolerance must be a finite number")
     state, F = _load_state(args.state)
     out = Path(args.out) if args.out else Path(args.state).parent
     entries = []

@@ -392,21 +392,6 @@ class ChainTranscript:
         return {**vars(self), "steps": [s.to_json() for s in self.steps]}
 
 
-def _summed_l1(space, base: dict, base_l1: dict, shift: dict, shift_l1: dict | None = None) -> dict:
-    """The ``space.block_l1`` numerators of base + shift, numerators by
-    position over one denominator, from base's and shift's (counted here if
-    not given): only the blocks of the positions both hold are recounted."""
-    out = dict(base_l1)
-    for b, a in (space.block_l1(shift) if shift_l1 is None else shift_l1).items():
-        out[b] = out.get(b, 0) + a
-    both = base.keys() & shift.keys()
-    if both:
-        was, moved = space.block_l1({p: base[p] for p in both}), space.block_l1({p: shift[p] for p in both})
-        for b, a in space.block_l1({p: base[p] + shift[p] for p in both}).items():
-            out[b] += a - was[b] - moved[b]
-    return out
-
-
 def verify_chain(state: ConstructionState, F: QuasiFunctional, cert: SumCertificate) -> ChainTranscript:
     """Replay the descending-induction ladder on a level-1 certificate whose
     value has norm below 1, down to the final |F(x)| < 9 check.
@@ -421,16 +406,15 @@ def verify_chain(state: ConstructionState, F: QuasiFunctional, cert: SumCertific
 
     Every comparison is exact (see ``_step``).  An l1 norm is an exact
     rational; a mixed-space norm is the float l_p value, compared exactly as
-    that float, so its steps read ``exact: false``.  The norms come from
-    per-block l1 numerators (``space.block_l1``) over one denominator D, the
-    certificate's times the lcm of the used generators' and e-vectors',
-    recounted only where summed parts share a position (``_summed_l1``).
-    ``space.gauge`` turns them into the ratio (numerator, D) of an l1 norm,
-    or the l_p float, which reads a block as a / D, correctly rounded
-    whatever D is, and sums with the order-free ``math.fsum``.  The bounds
-    are numerators over the lcm C of the budgets' denominators.  The
-    evaluated vectors are numerators over D, read as n / D too (see
-    ``_ribe_terms``), so no bit moves; the one Fraction is ``value_norm``.
+    that float, so its steps read ``exact: false``.  Each norm is
+    ``space.norm_of`` on numerators by position over one denominator D, the
+    certificate's times the lcm of the used generators' and e-vectors': the
+    ratio (numerator, D) of an l1 norm, or the l_p float, which reads a block
+    as a / D, correctly rounded whatever D is, and sums with the order-free
+    ``math.fsum``.  The bounds are numerators over the lcm C of the budgets'
+    denominators.  The evaluated vectors are numerators over D, read as n / D
+    too (see ``_ribe_terms``), so no bit moves; the one Fraction is
+    ``value_norm``.
     """
     fam = fn_family(state)
     problems = certificate_problems(fam, cert, 1)
@@ -453,7 +437,6 @@ def verify_chain(state: ConstructionState, F: QuasiFunctional, cert: SumCertific
     lcm = math.lcm(*(G[i][j].den for i, d in merged.items() for j in d), *(e.den for e in es))
     D = den * lcm
     prefix: dict[int, int] = {}
-    prefix_l1 = space.block_l1(prefix)
     rows = []
     for i, e in enumerate(es, 1):
         nums = merged.get(i, {})
@@ -466,16 +449,16 @@ def verify_chain(state: ConstructionState, F: QuasiFunctional, cert: SumCertific
                 vec[p] = get(p, 0) + f * a
         f = sum(nums.values()) * (lcm // e.den)
         e_part = {p: f * a for p, a in e.nums.items()} if f else {}
-        vec_l1 = space.block_l1(vec)
-        prefix_norm = space.gauge(prefix_l1.values(), D)
-        head_norm = space.gauge(_summed_l1(space, prefix, prefix_l1, e_part).values(), D)
-        tail_norm = space.gauge(_summed_l1(space, vec, vec_l1, {p: -a for p, a in e_part.items()}).values(), D)
-        rows.append((prefix_norm, head_norm, tail_norm, (sum(map(abs, nums.values())), den), len(nums), e_part))
-        prefix_l1 = _summed_l1(space, prefix, prefix_l1, vec, vec_l1)
+        head, tail = dict(prefix), dict(vec)  # prefix + e-part, vec - e-part
+        for p, a in e_part.items():
+            head[p] = head.get(p, 0) + a
+            tail[p] = tail.get(p, 0) - a
+        norms = [_norm(*space.norm_of(v, D)) for v in (prefix, head, tail)]
+        rows.append((*norms, (sum(map(abs, nums.values())), den), len(nums), e_part))
         sums = {p: prefix[p] + vec[p] for p in prefix.keys() & vec.keys()}
         prefix.update(vec)
         prefix.update(sums)
-    nx = space.gauge(prefix_l1.values(), D)
+    nx = _norm(*space.norm_of(prefix, D))
     value_norm = Fraction(*nx) if type(nx) is tuple else nx
     if not value_norm < 1:
         raise ValueError("chain replay needs value norm < 1, got %s" % value_norm)

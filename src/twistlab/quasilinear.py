@@ -6,8 +6,8 @@ are implemented: the Ribe log functional on sparse l1 vectors, its weighted
 block variant on the mixed space, exact linear maps given by values on a
 basis, and rational rescalings of any of these.  Each kind names its
 ``space`` and evaluates itself: ``value(x)``; ``value_and_norm(x)``, which is
-(F(x), a, d) to the bit with ``space.norm(x)`` = a / d (an l1 norm's integer
-numerator over ``x.den``, an l_p norm's float over 1), from one decode of x;
+(F(x), a, d) to the bit with (a, d) = ``space.norm_of(x.nums, x.den)`` (an
+l1 norm's integer numerator over ``x.den``, an l_p norm's float over 1);
 ``to_json()``, the descriptor ``functional_from_json`` reads back; and
 ``undefined_on(generators)``, why F has no value at one of a state's
 generators, or None.
@@ -76,7 +76,7 @@ class Ribe:
         return ribe_eval(x)
 
     def value_and_norm(self, x):
-        return ribe_eval(x), sum(map(abs, x.nums.values())), x.den
+        return ribe_eval(x), *self.space.norm_of(x.nums, x.den)
 
     def to_json(self) -> dict:
         return {"kind": "ribe", "assumed_constant": self.assumed_constant}
@@ -113,11 +113,9 @@ class WeightedRibe:
             raise ValueError("weights must name at least one block")
         if not all(1 <= n <= NONSPLIT_CAP for n in self.weights):
             raise ValueError("weighted block indices must be between 1 and %d" % NONSPLIT_CAP)
-        self.p = as_fraction(self.p)
-        if self.p <= 1:
-            raise ValueError("p must exceed 1")
-        self.assumed_constant = self.holder_bound()
         self.space = MixedSpace(self.p)
+        self.p = self.space.p
+        self.assumed_constant = self.holder_bound()
         self._pf = float(self.p)
         self._floats = {n: float(c) for n, c in self.weights.items()}
 
@@ -174,9 +172,7 @@ class UserLinear:
         return float(self(x))
 
     def value_and_norm(self, x):
-        if isinstance(self.space, SeqSpace):
-            return float(self(x)), sum(map(abs, x.nums.values())), x.den
-        return float(self(x)), self.space.norm(x), 1
+        return float(self(x)), *self.space.norm_of(x.nums, x.den)
 
     def to_json(self) -> dict:
         basis, values = [b.to_json() for b in self.basis], list(map(frac_str, self.values))

@@ -378,13 +378,10 @@ class SeqSpace:
     def norm(self, x: FinSeq) -> Fraction:
         return x.norm()
 
-    def block_l1(self, nums: Mapping[int, int]) -> dict[int, int]:
-        """The l1 numerator of numerators by position: l1 is one block."""
-        return {1: sum(map(abs, nums.values()))}
-
-    def gauge(self, norms: Iterable[int], den: int) -> tuple[int, int]:
-        """The norm from ``block_l1`` numerators over den, as a ratio pair."""
-        return sum(norms), den
+    def norm_of(self, nums: Mapping[int, int], den: int) -> tuple[int, int]:
+        """The l1 norm of numerators by position over den (zeros allowed),
+        as the ratio pair (numerator, den)."""
+        return sum(map(abs, nums.values())), den
 
     def zero(self) -> FinSeq:
         return FinSeq()
@@ -407,11 +404,10 @@ class MixedSpace:
     def norm(self, x: FinSeq) -> float:
         return norm_mixed(x, self.p)
 
-    block_l1 = staticmethod(block_l1)
-
-    def gauge(self, norms: Iterable[int], den: int) -> float:
-        """``norm`` of a vector from its ``block_l1`` numerators over den."""
-        return lp_of_blocks([a for a in norms if a], den, self.p)
+    def norm_of(self, nums: Mapping[int, int], den: int) -> tuple[float, int]:
+        """``norm`` of numerators by position over den, as (float, 1); zeros
+        are allowed, and a block whose numerators are all 0 is absent."""
+        return lp_of_blocks([a for a in block_l1(nums).values() if a], den, self.p), 1
 
     def zero(self) -> MixedSeq:
         return MixedSeq()

@@ -275,6 +275,8 @@ MALFORMED = {
         for name, x in (("null", "null"), ("empty_list", "[]"), ("zero", "0"), ("false", "false"), ("empty_string", '""'), ("pairs", '[[1, "1/1"]]'))
     },
     **{"eval_quasi_norm_r_" + r: ["eval", "quasi-norm", "--r", r, "--x", '{"1": "1/1"}'] for r in ("nan", "inf", "1e400")},
+    # a margin compares false with nan, and inf makes every margin a violation
+    **{"verify_tolerance_" + t: ["verify", "--state", lambda s: None, "--tolerance", t] for t in ("nan", "inf")},
     **{
         "crosspolytope_ys_" + name: ["oracle", "crosspolytope", "--ys", ys]
         for name, ys in (

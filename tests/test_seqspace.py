@@ -219,6 +219,53 @@ class TestMixed:
         assert norm_mixed(y + MixedSeq.unit(3, 1), 2) == pytest.approx(math.sqrt(2), abs=1e-15)
 
 
+@st.composite
+def numerator_dicts(draw):
+    """(nums, den): int numerators by position over den, as a replay holds
+    them: some entries 0, some blocks cancelled to all 0, and den times a
+    common factor of the numerators."""
+    positions = draw(st.lists(st.integers(1, 21), max_size=8, unique=True))
+    nums = {p: draw(st.integers(-9, 9)) for p in positions}
+    for n in draw(st.lists(st.integers(1, 6), max_size=2, unique=True)):
+        for p in range(block_position(n, 1), block_position(n, n) + 1):
+            if p in nums:
+                nums[p] = 0
+    k = draw(st.integers(1, 4))
+    return {p: k * a for p, a in nums.items()}, k * draw(st.integers(1, 12))
+
+
+def mixed_of(nums, den):
+    """The MixedSeq of the nonzero entries of nums over den."""
+    blocks: dict = {}
+    for p, a in nums.items():
+        if a:
+            n, i = block_of(p)
+            blocks.setdefault(n, [0] * n)[i - 1] = Fraction(a, den)
+    return MixedSeq(blocks)
+
+
+class TestNormOf:
+    @given(numerator_dicts())
+    @settings(max_examples=200, deadline=None)
+    def test_seq_is_the_l1_norm(self, case):
+        nums, den = case
+        a, d = SeqSpace().norm_of(nums, den)
+        assert Fraction(a, d) == SeqSpace().norm(FinSeq({p: Fraction(n, den) for p, n in nums.items() if n}))
+
+    @given(numerator_dicts(), st.sampled_from([Fraction(3, 2), Fraction(2), Fraction(3), Fraction(7, 3)]))
+    @settings(max_examples=200, deadline=None)
+    def test_mixed_is_norm_mixed_to_the_bit(self, case, p):
+        nums, den = case
+        norm, one = MixedSpace(p).norm_of(nums, den)
+        assert one == 1 and norm.hex() == norm_mixed(mixed_of(nums, den), p).hex()
+
+    def test_one_block_beside_a_cancelled_one(self):
+        # block 1 holds 2/10, block 2 cancelled to 0: counting it as a zero
+        # block would read 0.20000000000000004 at p = 3
+        nums = {1: 2, 2: 0, 3: 0}
+        assert MixedSpace(3).norm_of(nums, 10) == (0.2, 1) == (norm_mixed(MixedSeq({1: [Fraction(1, 5)]}), 3), 1)
+
+
 class TestSerialization:
     @given(finseqs())
     @settings(max_examples=40, deadline=None)
