@@ -257,8 +257,8 @@ def _load_state(path):
 
 
 def cmd_verify(args) -> int:
-    if not math.isfinite(args.tolerance):
-        return _usage_fail("--tolerance must be a finite number")
+    if args.trials < 0 or not math.isfinite(args.tolerance):
+        return _usage_fail("--trials must not be negative" if args.trials < 0 else "--tolerance must be a finite number")
     state, F = _load_state(args.state)
     out = Path(args.out) if args.out else Path(args.state).parent
     entries = []
@@ -350,8 +350,8 @@ def cmd_eval(args) -> int:
 
 def cmd_oracle(args) -> int:
     out = Path(args.out) if args.out else Path(".")
-    if not (math.isfinite(args.trials) and math.isfinite(args.budget)):
-        return _usage_fail("--trials and --budget must be finite numbers")
+    if not (0 <= args.trials < math.inf and 0 <= args.budget < math.inf):
+        return _usage_fail("--trials and --budget must be finite numbers, not negative")
     if args.target == "quasi-constant":
         try:
             F = functional_from_json(_load_json_arg(args.functional)) if args.functional else Ribe()

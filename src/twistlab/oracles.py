@@ -568,8 +568,8 @@ def quasi_constant_adversary(F: QuasiFunctional, trials: int = 2000, seed: int =
             m = x.max_support()
             ys.append(_shift_right(y, m))
             ys.append(FinSeq._raw({i: n for i, n in x.nums.items() if i <= (m + 1) // 2}, x.den))
-        ys.append(-x + y * Fraction(1, 8))
-        ys.append(x * Fraction(3, 2) + y * Fraction(1, 16))
+        ys.append(type(x).combination(((x, -8), (y, 1)), 8))  # -x + y/8
+        ys.append(type(x).combination(((x, 24), (y, 1)), 16))  # 3x/2 + y/16
         if not x:
             ys = [b for b in ys if b]
         count += len(ys)

@@ -35,7 +35,6 @@ from .seqspace import (
     MixedSpace,
     SeqSpace,
     as_fraction,
-    block_entries,
     block_l1,
     frac_str,
     in_hyperplane_H,
@@ -223,9 +222,10 @@ QuasiFunctional = Union[Ribe, WeightedRibe, UserLinear, Scaled]
 
 
 def _ribe_terms(nums, den: int) -> float:
-    """sum v ln|v / g| over v = n / den, n nonzero ints (int division rounds
-    correctly, so v is the float of the rational), 0.0 for none; g is the
-    coordinate sum, or the l1 norm when the sum is 0 (see the module docstring).
+    """sum v ln|v / g| over v = n / den, n nonzero ints in any order (int
+    division rounds correctly, so v is the float of the rational, and the int
+    sum and each fsum are exact or correctly rounded whatever the order), 0.0
+    for none; g is the coordinate sum, or the l1 norm when it is 0 (module docstring).
 
     Rounding error.  Let u = 2^-53 and assume every rounded intermediate is
     zero or normal (no overflow or underflow).  Int and float division and
@@ -269,7 +269,7 @@ def _ribe_terms(nums, den: int) -> float:
     total = sum(nums)
     fvals = [n / den for n in nums]
     g = total / den if total else math.fsum(map(abs, fvals))
-    return math.fsum(v * math.log(abs(v / g)) for v in fvals)
+    return math.fsum([v * math.log(abs(v / g)) for v in fvals])
 
 
 def ribe_error_bound(terms: float, coords: float) -> float:
@@ -292,15 +292,25 @@ def ribe_eval(x: FinSeq) -> float:
 
 def _weighted_blocks(x: FinSeq, floats: dict) -> tuple[float, list[int]]:
     """sum_n c_n * (blockwise Ribe value) and the l1 numerators over ``x.den``
-    of x's nonzero blocks, from one decode; ``floats`` maps n to float(c_n)."""
-    den, parts, norms = x.den, [], []
-    for n, blk in block_entries(x).items():
+    of x's nonzero blocks; ``floats`` maps n to float(c_n).  One pass lists each
+    block's numerators in dict order, which ``x + y`` interleaves: no bit moves,
+    as ``_ribe_terms`` and fsum (here and in ``lp_of_blocks``) ignore order."""
+    den, blocks, parts, norms = x.den, {}, [], []
+    lo = hi = 0
+    for p, v in x.nums.items():
+        if p > hi or p <= lo:
+            n = (math.isqrt(8 * p - 7) + 1) // 2
+            lo = n * (n - 1) // 2
+            hi = lo + n
+            blk = blocks.setdefault(n, [])
+        blk.append(v)
+    for n, blk in blocks.items():
         c = floats.get(n)
         if c is None:
             raise ValueError("missing weight for nonzero block %d" % n)
         if len(blk) > 1:  # a one-coordinate block's term is +-0.0 (see ``_ribe_terms``)
-            parts.append(c * _ribe_terms(blk.values(), den))
-        norms.append(sum(map(abs, blk.values())))
+            parts.append(c * _ribe_terms(blk, den))
+        norms.append(sum(map(abs, blk)))
     return math.fsum(parts), norms
 
 

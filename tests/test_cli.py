@@ -277,6 +277,10 @@ MALFORMED = {
     **{"eval_quasi_norm_r_" + r: ["eval", "quasi-norm", "--r", r, "--x", '{"1": "1/1"}'] for r in ("nan", "inf", "1e400")},
     # a margin compares false with nan, and inf makes every margin a violation
     **{"verify_tolerance_" + t: ["verify", "--state", lambda s: None, "--tolerance", t] for t in ("nan", "inf")},
+    # a negative count is refused, not run as zero trials or as one
+    "verify_trials_negative": ["verify", "--state", lambda s: None, "--trials", "-5"],
+    "chain_budget_negative": ["oracle", "chain", "--state", lambda s: None, "--budget", "-5"],
+    "quasi_constant_trials_negative": ["oracle", "quasi-constant", "--trials", "-5"],
     **{
         "crosspolytope_ys_" + name: ["oracle", "crosspolytope", "--ys", ys]
         for name, ys in (

@@ -1046,6 +1046,25 @@ class TestSamplersAgainstReference:
             x, offset = seq_sampler(rng), rng.randint(0, 12)
             assert _shift_right(x, offset) == FinSeq({i + offset: v for i, v in x.items()})
 
+    @pytest.mark.parametrize("name", ["seq", "pool_1_6"])
+    def test_derived_pairs_as_one_combination(self, name):
+        # the adversary builds -x + y/8 and 3x/2 + y/16 each as one integer
+        # combination; both equal the Fraction arithmetic, zero vectors included
+        sampler = {"seq": seq_sampler, "pool_1_6": mixed_sampler_over(range(1, 7))}[name]
+        rng = random.Random("derived " + name)
+        zeros = 0
+        for i in range(2000):
+            x, y = sampler(rng), sampler(rng)
+            if i % 40 == 0:  # a zero x, a zero y, or both, of the sampler's type
+                x, y = [(x * 0, y), (x, y * 0), (x * 0, y * 0)][i // 40 % 3]
+            zeros += not x or not y
+            for got, want in (
+                (type(x).combination(((x, -8), (y, 1)), 8), -x + y * Fraction(1, 8)),
+                (type(x).combination(((x, 24), (y, 1)), 16), x * Fraction(3, 2) + y * Fraction(1, 16)),
+            ):
+                assert type(got) is type(want) is type(x) and got == want and got.to_json() == want.to_json()
+        assert zeros >= 50
+
     @pytest.mark.parametrize(
         "F",
         [

@@ -606,6 +606,38 @@ class TestKernelAgainstReference:
             assert tl.weighted_ribe_eval(x, W) == reference_evaluate(tl.WeightedRibe(W, 2), x)
             for p in (Fraction(2), Fraction(3, 2), 5):
                 assert norm_mixed(x, p) == reference_mixed_norm(x, p)
+        # dict orders that interleave blocks, as x + y and combination leave
+        # them (y's new positions after x's), with cancelled blocks, blocks of
+        # one stored coordinate, and the same entries in a shuffled order
+        Fs = [tl.WeightedRibe(W, p) for p in (Fraction(2), Fraction(3, 2), 5)]
+        interleaved = cancelled = single = 0
+        for _ in range(1000):
+            x, y = (_mixed_vector(rng, blocks=(1, 2, 3, 7, 11)) for _ in range(2))
+            y = y + MixedSeq._raw({p: rng.randint(-3, 3) or 1 for p in rng.sample(range(1, 67), 3)}, rng.choice((1, 4)))
+            gone = rng.choice([block_of(p)[0] for p in x.nums] or [1])  # a block of x that x + cut cancels
+            cut = MixedSeq._raw({p: -n for p, n in x.nums.items() if block_of(p)[0] == gone}, x.den)
+            cancelled += bool(cut)
+            for z in (x + y, x + cut + y, MixedSeq.combination(((x, 3), (y, -2), (cut, 3)), 6)):
+                if rng.random() < 0.3:
+                    items = list(z.nums.items())
+                    rng.shuffle(items)
+                    z = MixedSeq._raw(dict(items), z.den)
+                runs = [block_of(p)[0] for p in z.nums]
+                runs = [n for i, n in enumerate(runs) if not i or n != runs[i - 1]]
+                interleaved += len(runs) > len(set(runs))
+                single += any(len(vals) == 1 for vals in reference_blocks(z).values())
+                for F in Fs:
+                    value, norm, d = F.value_and_norm(z)
+                    assert (value, norm, d) == (reference_evaluate(F, z), reference_mixed_norm(z, F.p), 1)
+        assert min(interleaved, cancelled, single) > 300
+        # a missing weight raises for a block that comes after a weighted one
+        for z in (
+            MixedSeq.unit(2, 1) + MixedSeq.unit(4, 2),
+            MixedSeq.unit(2, 1) + MixedSeq.unit(4, 2) + MixedSeq.unit(2, 2),
+            MixedSeq.combination(((MixedSeq({2: [1, 1]}), 1), (MixedSeq({4: [0, 1, 0, 1]}), 1), (MixedSeq.unit(1, 1), 1))),
+        ):
+            with pytest.raises(ValueError, match="missing weight for nonzero block 4"):
+                tl.WeightedRibe({1: 1, 2: Fraction(1, 2), 3: 1}, 2).value(z)
 
     def test_missing_weight_through_the_kernel(self):
         with pytest.raises(ValueError, match="missing weight for nonzero block 4"):
