@@ -17,7 +17,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 from .construction import (
     MAX_DEPTH,
@@ -545,7 +545,10 @@ def quasi_constant_adversary(F: QuasiFunctional, trials: int = 2000, seed: int =
     """Empirical maximum of the normalized additivity defect over random pairs
     plus structured families (disjoint shifts, nested truncations, sign flips,
     near-collinear pairs).  The assumed constant must dominate the maximum.
-    Every pair of a trial shares its x, so F(x) and ||x|| are taken once."""
+    Every pair of a trial shares its x, so F(x) and ||x|| are taken once.
+    Fewer than one trial runs nothing, as ``chain_fuzzer`` with no budget."""
+    if trials < 1:
+        return OracleReport("quasi_constant", None, None, None, None, 0, seed, "heuristic", "no-op: zero trials")
     core = F
     while isinstance(core, Scaled):
         core = core.inner
@@ -560,7 +563,7 @@ def quasi_constant_adversary(F: QuasiFunctional, trials: int = 2000, seed: int =
     best = -1.0
     witness = None
     count = 0
-    for _ in range(max(1, trials)):
+    for _ in range(trials):
         x = sampler(rng)
         y = sampler(rng)
         ys = [y]
@@ -715,60 +718,99 @@ def _moderate(x: float) -> bool:
     return 2.0 ** -128 <= abs(x) <= 2.0 ** 128
 
 
-class _RibeScreen:
-    """What screens an ascent move v + delta g on F = Scaled(Ribe) in time
-    proportional to g (see ``_coordinate_ascent``): v's l1 and coordinate-sum
-    numerators over v.den, phi(x) = x ln|x| at each coordinate, the fsum of
-    those and of their absolute values, ||v||_1 as a float, and whether every
-    coordinate is ``_moderate``."""
+_NO_BLOCK = (0, 0, 0.0, 0.0, 0.0, True, 0.0, 0.0, 0.0)  # the ``_RibeScreen.stats`` of a block v lacks
 
-    def __init__(self, v: FinSeq):
-        self.v = v
-        self.l1 = sum(map(abs, v.nums.values()))
-        self.total = sum(v.nums.values())
-        xs = [n / v.den for n in v.nums.values()]
-        self.phi = {p: x * math.log(abs(x)) for p, x in zip(v.nums, xs)}
-        self.phi_sum = math.fsum(self.phi.values())
-        self.phi_abs = math.fsum(map(abs, self.phi.values()))
-        self.x_abs = self.l1 / v.den
-        self.moderate = all(map(_moderate, xs))
+
+class _RibeScreen:
+    """What screens an ascent move v + delta g on F = Scaled(inner) in time
+    proportional to g (see ``_coordinate_ascent``).  ``Ribe`` is one block of
+    weight 1 under the exact l1 norm; ``WeightedRibe`` has the mixed layout's
+    blocks, weights c_n and the l_p norm.  Per block n of v: its numerators,
+    phi(x) = x ln|x| at each coordinate, and ``stats[n]``: the l1 and sum
+    numerators, the fsums of phi and |phi|, ||v_n||_1, whether every
+    coordinate is ``_moderate``, and the block's summands in a move's three
+    fsums (c_n times its estimate, |c_n| times its allowance, ||v_n||_1^p).
+    ``parts`` is None where the screen does not apply to v."""
+
+    def __init__(self, v: FinSeq, inner):
+        self.den, (self.weights, self.pf) = v.den, (inner._floats, inner._pf) if isinstance(inner, WeightedRibe) else (None, None)
+        self.cap = 2.0 ** (1000 / self.pf) if self.pf else None  # no fsum of powers up to 2^1000 overflows midway
+        self.blocks = block_entries(v) if self.weights else {0: v.nums}
+        self.phi, self.stats = {}, {}
+        for n, blk in self.blocks.items():
+            xs = [a / v.den for a in blk.values()]
+            phi = self.phi[n] = {i: x * math.log(abs(x)) for i, x in zip(blk, xs)}
+            l1, total, phi_sum = sum(map(abs, blk.values())), sum(blk.values()), math.fsum(phi.values())
+            head = (l1, total, phi_sum, math.fsum(map(abs, phi.values())), l1 / v.den, all(map(_moderate, xs)))
+            self.stats[n] = head + (self._block(n, len(blk), head, l1, total, v.den, [phi_sum], 0.0, head[5]) or (None,) * 3)
+        self.parts, self.errs, self.powers = ([s[k] for s in self.stats.values()] for k in (6, 7, 8))
+        if None in self.parts or math.inf in self.powers:
+            self.parts = None
+
+    def _block(self, n, count, stats, l1, total, den, terms, new_abs, moderate):
+        """Block n's summands at raw, from its number of coordinates, v's
+        ``stats[n]``, its l1 and sum numerators over den and its phi terms
+        (v_n's fsum, minus the old coordinates', plus the new ones', whose
+        |phi| sum to new_abs); None where the screen does not apply."""
+        x_raw = l1 / den
+        power = (x_raw ** self.pf if x_raw <= self.cap else math.inf) if self.pf else 0.0
+        if count < 2:  # a value of 0 on both paths (see ``WeightedRibe``)
+            return 0.0, 0.0, power
+        c, s = self.weights[n] if self.weights else 1.0, total / den
+        if not (moderate and _moderate(c) and (not total or _moderate(s))):
+            return None
+        phi_s = s * math.log(abs(s)) if total else 0.0
+        terms.append(-phi_s)
+        # T bounds sum |x ln|x / g|| over raw_n by sum |phi(x)| + X |ln g|;
+        # Theta and Xi count v_n's terms twice, once for the old coordinates
+        today = ribe_error_bound(stats[3] + new_abs + x_raw * abs(math.log(abs(s) if total else x_raw)), x_raw)
+        screen = ribe_error_bound(2 * stats[3] + new_abs + abs(phi_s), 2 * (stats[4] + x_raw))
+        return c * math.fsum(terms), abs(c) * (today + screen), power
 
     def move(self, g: FinSeq, delta: Fraction):
-        """(||raw||_1 exact, an estimate of the Ribe value R(raw), its
-        allowance) for raw = v + delta g, the numerators updated on g's
-        support over one lcm; the allowance is None where the screen does
-        not apply (a zero raw, or a coordinate that is not moderate)."""
-        v = self.v
-        den = math.lcm(v.den, delta.denominator * g.den)
-        m, k = den // v.den, delta.numerator * (den // (delta.denominator * g.den))
-        l1, total = self.l1 * m, self.total * m
-        terms, new_abs, moderate = [self.phi_sum], 0.0, self.moderate
-        for p, a in g.nums.items():
-            old = v.nums.get(p, 0) * m
-            new = old + k * a
-            l1 += abs(new) - abs(old)
-            total += k * a
-            if old:
-                terms.append(-self.phi[p])
-            if new and moderate:
-                x = new / den
-                moderate = _moderate(x)
-                if moderate:
+        """(raw's norm to the bit, an estimate of F(raw) / F.factor, its
+        allowance) for raw = v + delta g, recounting g's blocks over one lcm
+        (the other summands cancel exactly in the fsums); None for the exact
+        path: a block of two coordinates or more with a weight, coordinate or
+        sum not moderate, a block with no weight, or a mixed raw with under
+        two nonzero blocks or an ||raw_n||_1 above ``cap``."""
+        if self.parts is None:
+            return None
+        den = math.lcm(self.den, delta.denominator * g.den)
+        m, k = den // self.den, delta.numerator * (den // (delta.denominator * g.den))
+        parts, errs, powers, nonzero = [], [], [], len(self.stats)
+        for n, touched in (block_entries(g) if self.weights else {0: g.nums}).items():
+            if self.weights and n not in self.weights:
+                return None
+            vb, phi, stats = self.blocks.get(n, {}), self.phi.get(n), self.stats.get(n, _NO_BLOCK)
+            l1, total, terms, new_abs, count, moderate = stats[0] * m, stats[1] * m, [stats[2]], 0.0, len(vb), stats[5]
+            for i, a in touched.items():
+                old = vb.get(i, 0) * m
+                new = old + k * a
+                l1 += abs(new) - abs(old)
+                total += k * a
+                if old:
+                    terms.append(-phi[i])
+                    count -= 1
+                if new:
+                    x = new / den
                     t = x * math.log(abs(x))
                     terms.append(t)
                     new_abs += abs(t)
-        nv = Fraction(l1, den)
-        s = total / den
-        if not (l1 and moderate and (not total or _moderate(s))):
-            return nv, None, None
-        x_raw = l1 / den
-        phi_s = s * math.log(abs(s)) if total else 0.0
-        terms.append(-phi_s)
-        # T bounds sum |x ln|x / g|| over raw by sum |phi(x)| + X |ln g|;
-        # Theta and Xi count v's terms twice, once for the old coordinates
-        today = ribe_error_bound(self.phi_abs + new_abs + x_raw * abs(math.log(abs(s) if total else x_raw)), x_raw)
-        screen = ribe_error_bound(2 * self.phi_abs + new_abs + abs(phi_s), 2 * (self.x_abs + x_raw))
-        return nv, math.fsum(terms), today + screen
+                    count += 1
+                    moderate = moderate and _moderate(x)
+            block = self._block(n, count, stats, l1, total, den, terms, new_abs, moderate)
+            if block is None or block[2] == math.inf:
+                return None
+            if self.weights is None:  # Ribe's one block: the fsums below would give block[:2]
+                return Fraction(l1, den), *block[:2]
+            nonzero += (l1 != 0) - (n in self.stats)
+            parts += (-stats[6], block[0])
+            errs += (-stats[7], block[1])
+            powers += (-stats[8], block[2])
+        if nonzero < 2:  # the l_p norm of one block is its l1 norm: the exact path takes it
+            return None
+        return math.fsum(chain(self.powers, powers)) ** (1.0 / self.pf), math.fsum(chain(self.parts, parts)), math.fsum(chain(self.errs, errs))
 
 
 def _coordinate_ascent(state, F, fam, cert: SumCertificate):
@@ -777,61 +819,69 @@ def _coordinate_ascent(state, F, fam, cert: SumCertificate):
     move.  The value is kept alongside the certificate and updated exactly: a
     step of delta on one term adds delta times its generator, and the
     rescale multiplies the sum.  Moves that push a coefficient past 1 are
-    skipped (the largest other numerator is rescanned only when the moved
-    term holds it), and only an accepted move builds its certificate.
+    skipped (the two largest numerators give the largest other one, and are
+    found once per pass and accepted move), and only an accepted move builds
+    its certificate.
 
-    Almost every move is rejected, so on F = Scaled(Ribe) a move is first
-    screened in time proportional to its generator g (``_RibeScreen``): the
-    exact l1 numerator of raw = v_best + delta g gives the same norm, factor
-    and cap test, and the move is skipped when fl(fl(|S| + E) k) <= f_best,
-    with S the screen's estimate of R(raw), E its allowance and
+    Almost every move is rejected, so on F = Scaled(Ribe or WeightedRibe) a
+    move is first screened in time proportional to its generator g
+    (``_RibeScreen``).  Its norm of raw = v_best + delta g is
+    ``space.norm(raw)`` to the bit (an untouched block's a/den rounds as over
+    v_best's den; fsum ignores order), so factor and cap test agree, and the
+    move is skipped when fl(fl(|S| + E) k) <= f_best, with S the estimate of
+    sum_n c_n R_n(raw) (c = 1 for Ribe), E its allowance and
     k = fl(float(F.factor) float(factor)).  No move the exact path accepts
-    is skipped: with K = F.factor * factor, F at the rescaled raw is K R(raw)
-    (Ribe is homogeneous), so by ``_ribe_terms`` the exact path's f_val is at
-    most K (|S| + 6.03u Theta + 4.04u Xi + 7.04u T + 4.05u X), while the left
-    side is at least K (|S| + E)(1 - 5.01u), and E, the ``ribe_error_bound``
-    of (T, X) plus that of (Theta, Xi), exceeds the difference, which is under
-    u (11.1 Theta + 4.1 Xi + 7.1 T + 4.1 X).  A surviving move takes the
-    exact path: build, rescale, ``evaluate``.  The derivation assumes no
-    overflow or underflow, so the screen runs only while F.factor, k and
-    every coordinate of v_best and raw (and raw's sum, when nonzero) are
-    ``_moderate``: then every intermediate of either path lies between 2^-700
-    and 2^600.  An accepted move rebuilds the screen's sums; a rejected one
-    leaves them unchanged.  Other functionals take the exact path."""
+    is skipped.  With K = F.factor * factor and T_n, X_n, Theta_n, Xi_n of
+    ``_ribe_terms`` for block n of raw (blocks of one coordinate have value
+    0 on both paths), the exact f_val is at most K (|sum c_n R_n| + sum |c_n|
+    (10.1u T_n + 4.1u X_n)) by homogeneity.  Block n's estimate is within
+    6.03u Theta_n + 4.04u Xi_n of R_n, and the product by float(c_n) and
+    the fsum add 3.03u Theta_n (nothing for Ribe: c = 1.0 and one summand is
+    left), so |S - sum c_n R_n| < sum |c_n| (9.07u Theta_n + 4.05u Xi_n).
+    The left side is at least K (|S| + E)(1 - 5.01u), hence at least f_val
+    when E exceeds sum |c_n| u (14.1 Theta_n + 4.1 Xi_n + 10.1 T_n + 4.1 X_n):
+    E is sum |c_n| times the ``ribe_error_bound`` of (T_n, X_n) plus that of
+    (Theta_n, Xi_n).  A surviving move takes the exact path: build, rescale,
+    ``evaluate``.  With no overflow or underflow assumed, the screen runs
+    only while F.factor, k and, per block of two coordinates or more, the
+    weight, the coordinates at v_best and raw and raw's nonzero sum are
+    ``_moderate``: then every intermediate lies between 2^-700 and 2^600.
+    An accepted move rebuilds the screen.  Other functionals, and moves the
+    screen declines, take the exact path, which raises where it did."""
     space = state.space
     best = cert
     v_best = certificate_value(fam, cert)
     f_best, a, d = F.value_and_norm(v_best)
     target, f_best = Fraction(a, d) if type(a) is int else a, abs(f_best)
-    # the screen takes F = Scaled(Ribe) with a moderate factor; 0.0 stands for any other F
-    scale = float(F.factor) if isinstance(F, Scaled) and isinstance(F.inner, Ribe) else 0.0
-    screen = _RibeScreen(v_best) if _moderate(scale) else None
+    # the screen takes F = Scaled(Ribe or WeightedRibe) with a moderate factor; 0.0 stands for any other F
+    inner = F.inner if isinstance(F, Scaled) else None
+    scale = float(F.factor) if isinstance(inner, (Ribe, WeightedRibe)) else 0.0
+    screen = _RibeScreen(v_best, inner) if _moderate(scale) else None
     step = Fraction(1, 64)
     for _ in range(3):
         improved = False
-        top = max((abs(n) for _, _, n in best.terms), default=0)
+        *_, runner, top = 0, 0, *sorted(abs(n) for _, _, n in best.terms)
         for idx in range(len(best.terms)):
             for delta in (step, -step):
                 i, j, n = best.terms[idx]
                 gen = fam.gen(i, j)
-                if screen is None:
+                screened = screen.move(gen, delta) if screen is not None else None
+                if screened is None:
                     raw = v_best + gen * delta
                     nv = space.norm(raw)
                 else:
-                    nv, estimate, allowance = screen.move(gen, delta)
+                    nv, estimate, allowance = screened
                 if not nv:
                     continue
                 factor = _exact_scale(target, nv)
                 # the moved coefficient n / den + delta (delta = +-1/64) over den * 64
                 den, moved = best.den * 64, n * 64 + best.den * delta.numerator
-                rest = top
-                if abs(n) == top:  # the moved term holds the largest numerator
-                    rest = max((abs(m) for k, (_, _, m) in enumerate(best.terms) if k != idx), default=0)
+                rest = runner if abs(n) == top else top  # the largest numerator of the other terms
                 if max(rest * 64, abs(moved)) * abs(factor.numerator) > den * factor.denominator:
                     continue
-                if screen is not None:
+                if screened is not None:
                     k = scale * float(factor)
-                    if allowance is not None and _moderate(k) and (abs(estimate) + allowance) * k <= f_best:
+                    if _moderate(k) and (abs(estimate) + allowance) * k <= f_best:
                         continue
                     raw = v_best + gen * delta
                 v_cand = raw * factor
@@ -840,10 +890,10 @@ def _coordinate_ascent(state, F, fam, cert: SumCertificate):
                     terms = [(a, b, m * 64) for a, b, m in best.terms]
                     terms[idx] = (i, j, moved)
                     best = scale_certificate(SumCertificate(tuple(terms), den), factor)
-                    top = max(abs(m) for _, _, m in best.terms)
+                    *_, runner, top = 0, 0, *sorted(abs(m) for _, _, m in best.terms)
                     v_best, f_best = v_cand, f_val
                     if screen is not None:
-                        screen = _RibeScreen(v_best)
+                        screen = _RibeScreen(v_best, inner)
                     improved = True
         if not improved:
             break

@@ -66,7 +66,9 @@ class Ribe:
     the coordinate sums S and T, so it is at most
     ln 2 (||x||_1 + ||y||_1 + |S| + |T|) <= 2 ln 2 (||x||_1 + ||y||_1), and
     2 ln 2 ~ 1.386 <= 4.  Tightening to 2 ln 2 would change every stored
-    state and margin."""
+    state and margin.  The supremum of the defect over ||x||_1 + ||y||_1 is
+    empirically asinh(1) = ln(1 + sqrt 2) ~ 0.8814, attained at
+    x = (-sqrt2/4, 1/2 - sqrt2/4), y = (1/2 - sqrt2/4, sqrt2/4)."""
 
     assumed_constant: float = 4.0
     space: ClassVar[SeqSpace] = SeqSpace()
@@ -249,10 +251,11 @@ def _ribe_terms(nums, den: int) -> float:
     such product per block and one fsum; with T_n, X_n per block it is
     within sum |c_n| (10.1u T_n + 4.1u X_n), times the factor when scaled.
 
-    The coordinate ascent's screen forms R as a sum of phi(x) = x ln|x|
-    terms (the same analysis with the exact gauge 1): one fsum P over the
-    current vector's terms, then one fsum of P, minus the terms at a
-    generator's old coordinates, plus those at its new ones, minus phi(S).
+    The coordinate ascent's screen forms R (per block, for the weighted
+    kind) as a sum of phi(x) = x ln|x| terms (the same analysis with the
+    exact gauge 1): one fsum P over the current vector's terms, then one
+    fsum of P, minus the terms at a generator's old coordinates, plus those
+    at its new ones, minus phi(S).
     With Theta and Xi the sums of |phi(x)| and |x| over all four groups,
     the two roundings of P and of the final sum give
 
@@ -279,9 +282,9 @@ def ribe_error_bound(terms: float, coords: float) -> float:
     summed |coordinate| (X, or Xi) of the docstring there.  Times a
     ``Scaled`` factor, and for a weighted value summed over the blocks with
     weights |c_n|, it bounds ``evaluate``'s error too.  The derived constants
-    stay under 11.1u; the rest covers computing ``terms`` and ``coords`` from
-    rounded terms, this product, and the rounded comparison a caller makes
-    with it."""
+    stay under 14.1u (``_coordinate_ascent``); the rest covers computing
+    ``terms`` and ``coords`` from rounded terms, this product, and the
+    rounded comparison a caller makes with it."""
     return (terms + coords) * 2.0 ** -49
 
 

@@ -86,7 +86,9 @@ def ball_radius(level: int) -> Fraction:
 
     The ratio 1/4 makes two level-(n+1) balls sum into the level-n ball when
     the additivity constant is normalized to 1 (triangle factor 2), and the
-    level-1 ball has radius 1.
+    level-1 ball has radius 1.  Each ball is balanced ([-1, 1] U_n in U_n,
+    Lemma 1) without a check: F(rx) = r F(x) makes |||r w||| = |r| |||w|||,
+    exactly in the maths and to a few ulps in floats (``quasilinear``).
     """
     if level < 1:
         raise ValueError("levels start at 1")

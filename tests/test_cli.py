@@ -75,8 +75,17 @@ GOLDEN_CHAIN_A8 = (
 # sha256 of the whole verify-report.json written by ``verify --trials 20
 # --seed 0`` on the same states, its "state" path replaced by "state.json"
 GOLDEN_REPORT = {
-    "a": "fb1f188126a2d4506651ad87d4b84c65c094f5a81394d552710aff61e298ee35",
-    "c": "e0f84c62299e3d4673d94950d64cbbff786f2daa87ea12b9c7e147562309df79",
+    "a": "cb2e75cd14285bf1b00f71a1b922b0798cd7ff67961eb26183388220d60e1007",
+    "c": "6415160e437bf95a1d9b975d3c3624147acb51dcb33fca597e807c611562deb4",
+}
+
+# sha256 of json.dumps(report, sort_keys=True) for the same reports, their
+# "state" replaced by "state.json" and their base_axioms entries left out:
+# every other entry as it was when the merge check still sampled random
+# certificate pairs
+GOLDEN_REPORT_OUTSIDE_BASE_AXIOMS = {
+    "a": "d5a8fab85dbd06bd690eb4581791dd3ce4877365a9317e24edc26b1ac55dd2d8",
+    "c": "079ba068eb05bc72a8924d31747e8f7aa7b2e8b93a1964f376888badd303ce01",
 }
 
 # sha256 of oracle-report.json for each stateless oracle run: (arguments, digest)
@@ -640,6 +649,19 @@ class TestVerify:
         text = text.replace('"state": %s,' % json.dumps(state), '"state": "state.json",', 1)
         assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORT[case]
 
+    @pytest.mark.parametrize("case", sorted(GOLDEN_REPORT_OUTSIDE_BASE_AXIOMS))
+    def test_golden_report_outside_base_axioms(self, tmp_path, case):
+        out = tmp_path / case
+        assert run_cli(["construct", "--case", case, "--depth", "6", "--seed", "0", "--out", str(out)]) == 0
+        assert run_cli(["verify", "--state", str(out / "state.json"), "--trials", "20", "--seed", "0", "--out", str(out)]) == 0
+        report = json.loads((out / "verify-report.json").read_text())
+        merge = [e for e in report["entries"] if e["source"] == "base_axioms" and e["name"] != "ball_radius_additivity"]
+        assert [(e["name"], e["level"], e["passed"]) for e in merge] == [("merge_closure_at_budget", n, True) for n in range(1, 7)]
+        report["state"] = "state.json"
+        report["entries"] = [e for e in report["entries"] if e["source"] != "base_axioms"]
+        digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+        assert digest == GOLDEN_REPORT_OUTSIDE_BASE_AXIOMS[case]
+
     @pytest.mark.parametrize("name", sorted(TAMPERED))
     def test_tampered_field_exits_three(self, tmp_path, capsys, name):
         p = write_tampered(tmp_path, name)
@@ -833,6 +855,14 @@ class TestOracle:
 
     def test_quasi_constant_nan_trials_is_usage(self, tmp_path):
         assert run_cli(["oracle", "quasi-constant", "--trials", "nan", "--out", str(tmp_path)]) == 64
+
+    def test_quasi_constant_zero_trials_runs_nothing(self, tmp_path, capsys):
+        # as ``oracle chain --budget 0``: no pair is drawn, and the report says so
+        for trials in ("0", "0.9"):
+            assert run_cli(["oracle", "quasi-constant", "--trials", trials, "--out", str(tmp_path)]) == 0
+            rep = json.loads((tmp_path / "oracle-report.json").read_text())
+            assert (rep["trials"], rep["best_value"], rep["witness"], rep["notes"]) == (0, None, None, "no-op: zero trials")
+        assert capsys.readouterr().out == "quasi_constant: no-op: zero trials (violation None, heuristic)\n" * 2
 
     def test_chain_zero_budget(self, tmp_path):
         out = tmp_path / "run"

@@ -2,7 +2,9 @@ import itertools
 import math
 import random
 from collections import Counter
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from types import SimpleNamespace
 
 import hypothesis.strategies as st
 import pytest
@@ -1245,6 +1247,33 @@ def screened_moves(draw):
     return v, g, delta
 
 
+@st.composite
+def weighted_moves(draw):
+    """(v, g, delta, F) for a ``WeightedRibe`` screen: v on blocks 2-5 and g
+    on some of blocks 2-6, each block's numerators from ``ribe_numerators``
+    at random coordinates; weights of either sign on blocks 1-6 and p in
+    {3/2, 2, 3}.  In a third of the draws v's block 4 gets a coordinate that
+    leaves that block of v + delta g a sum within 2 / D of 0."""
+    def vector(blocks, den):
+        rows = {}
+        for n in blocks:
+            nums = draw(ribe_numerators())[:n]
+            row = rows[n] = [Fraction(0)] * n
+            for i, a in zip(draw(st.permutations(range(n))), nums):
+                row[i] = Fraction(a, den)
+        return MixedSeq(rows)
+
+    v = vector((2, 3, 4, 5), draw(st.integers(1, 10 ** 9)))
+    g = vector(draw(st.lists(st.sampled_from((2, 3, 4, 5, 6)), min_size=1, max_size=3, unique=True)), draw(st.integers(1, 10 ** 6)))
+    delta = draw(st.sampled_from([Fraction(1, 64), Fraction(-1, 64)]))
+    if draw(st.integers(0, 2)) == 0:
+        D = 64 * v.den * g.den
+        rest = sum((v + g * delta)[p] for p in range(7, 11))  # block 4
+        v = v + MixedSeq({4: [Fraction(draw(st.integers(-2, 2)), D) - rest, 0, 0, 0]})
+    weights = {n: draw(positive_ratios) * draw(st.sampled_from((1, -1))) for n in range(1, 7)}
+    return v, g, delta, tl.WeightedRibe(weights, draw(st.sampled_from([Fraction(3, 2), Fraction(2), Fraction(3)])))
+
+
 class TestAscentScreen:
     """``_RibeScreen`` against 50-digit decimals, and the screened ascent
     against the unscreened one."""
@@ -1254,10 +1283,11 @@ class TestAscentScreen:
     def test_bounds_against_decimals(self, move, a, c):
         v, g, delta = move
         raw = v + g * delta
-        nv, estimate, allowance = _RibeScreen(v).move(g, delta)
+        screened = _RibeScreen(v, tl.Ribe()).move(g, delta)
+        nv, estimate, allowance = screened
         assert nv == raw.norm()
-        if not raw:
-            assert allowance is None
+        if len(raw) < 2:  # the value is 0 on both paths
+            assert (estimate, allowance) == (0.0, 0.0) and tl.evaluate(tl.Ribe(), raw) == 0
             return
         # the screen's sum: v's terms, the old and the new terms at g's
         # support, and phi(S), each phi(x) = x ln|x|
@@ -1269,19 +1299,66 @@ class TestAscentScreen:
         R, T, X = decimal_ribe([x for _, x in raw.items()])
         assert within(estimate, R, 6.03 * U * float(theta) + 4.04 * U * float(xi), theta, xi)
         assert within(_ribe_terms(raw.nums.values(), raw.den), R, 5.02 * U * float(T) + 4.04 * U * float(X), T, X)
+        # the allowance covers what ``_coordinate_ascent``'s proof needs
+        assert Decimal(allowance) >= Decimal(U) * (Decimal("11.1") * theta + Decimal("4.1") * xi + Decimal("7.1") * T + Decimal("4.1") * X)
         # the skip test's left side is never below the exact path's value
         k = float(a) * float(c)
         assert (abs(estimate) + allowance) * k >= abs(tl.evaluate(tl.Scaled(tl.Ribe(), a), raw * c))
 
+    @given(weighted_moves(), positive_ratios, positive_ratios)
+    @settings(max_examples=300, deadline=None)
+    def test_weighted_bounds_against_decimals(self, move, a, c):
+        v, g, delta, F = move
+        raw = v + g * delta
+        screened = _RibeScreen(v, F).move(g, delta)
+        blocks, v_blocks, g_blocks = block_entries(raw), block_entries(v), block_entries(g)
+        if len(blocks) < 2:  # the l_p norm of one block is its l1 norm: the exact path takes it
+            assert screened is None
+            return
+        nv, estimate, allowance = screened
+        assert nv == F.space.norm(raw)  # the same float
+        # per block of two coordinates or more: c_n R_n and its bound
+        # sum |c_n| (9.07u Theta_n + 4.05u Xi_n); the screen's groups are
+        # those of ``test_bounds_against_decimals`` within the block
+        with localcontext() as ctx:
+            ctx.prec = 50
+            exact = bound = need = total_terms = total_coords = Decimal(0)
+            for n, blk in blocks.items():
+                if len(blk) < 2:
+                    continue
+                vb, gb = v_blocks.get(n, {}), g_blocks.get(n, {})
+                xs = [Fraction(a, raw.den) for a in blk.values()]
+                old = [Fraction(vb[i], v.den) for i in gb if i in vb]
+                new = [Fraction(blk[i], raw.den) for i in gb if i in blk]
+                S = sum(xs)
+                groups = [decimal_terms(ys, Fraction(1)) for ys in ([Fraction(a, v.den) for a in vb.values()], old, new, [S] if S else [])]
+                theta, xi = sum(t for _, t, _ in groups), sum(x for _, _, x in groups)
+                weight = Decimal(F.weights[n].numerator) / Decimal(F.weights[n].denominator)
+                R, T, X = decimal_ribe(xs)
+                exact += weight * R
+                bound += abs(weight) * (Decimal(9.07 * U) * theta + Decimal(4.05 * U) * xi)
+                need += abs(weight) * Decimal(U) * (Decimal("14.1") * theta + Decimal("4.1") * xi + Decimal("10.1") * T + Decimal("4.1") * X)
+                total_terms += abs(weight) * theta
+                total_coords += abs(weight) * xi
+        assert within(estimate, exact, bound, total_terms, total_coords)
+        assert Decimal(allowance) >= need  # what ``_coordinate_ascent``'s proof needs
+        # the skip test's left side is never below the exact path's value
+        k = float(a) * float(c)
+        assert (abs(estimate) + allowance) * k >= abs(tl.evaluate(tl.Scaled(F, a), raw * c))
+
     def test_immoderate_coordinates_leave_the_move_unscreened(self):
-        # below 2^-128 the rounding analysis no longer holds; the exact norm
-        # is still returned for the exact path
+        # below 2^-128 the rounding analysis no longer holds, for a
+        # coordinate, and for a weight of a block of two coordinates
         for v, g in (
             (FinSeq({1: Fraction(1, 2 ** 200), 2: 1}), FinSeq({2: 1, 3: -1})),
             (FinSeq({2: 1}), FinSeq({3: Fraction(1, 2 ** 140)})),
         ):
-            nv, _, allowance = _RibeScreen(v).move(g, Fraction(1, 64))
-            assert nv == (v + g * Fraction(1, 64)).norm() and allowance is None
+            assert _RibeScreen(v, tl.Ribe()).move(g, Fraction(1, 64)) is None
+        F = tl.WeightedRibe({1: 1, 2: Fraction(1, 2 ** 200)}, 2)
+        v, g = MixedSeq({1: [1], 2: [1, 0]}), MixedSeq({2: [0, 1]})
+        assert _RibeScreen(v, F).move(g, Fraction(1, 64)) is None
+        # a one-coordinate block adds no value on either path, so its weight goes unread
+        assert _RibeScreen(v, F).move(MixedSeq({1: [1]}), Fraction(1, 64)) is not None
 
     # per depth a start that accepts moves (3, 6 and 5 of them) and one that
     # accepts none
@@ -1292,6 +1369,30 @@ class TestAscentScreen:
             fam, cert = fuzzer_certificate(state, seed)
             got = _coordinate_ascent(state, ribe_normalized, fam, cert)
             assert got == unscreened_coordinate_ascent(state, ribe_normalized, fam, cert), seed
+
+    # the case-c states of ``construct --depth 6, 8, 9``: per depth the start
+    # ``chain_fuzzer(trials=20)`` hands the ascent, a seeded start that
+    # accepts moves and one that accepts none
+    @pytest.mark.parametrize("depth, seeds", [(6, (4, 0)), (8, (4, 0)), (9, (45, 0))])
+    def test_weighted_same_result_as_unscreened(self, depth, seeds, monkeypatch):
+        xs, ds, weights = tl.make_case_c_inputs(depth, 3)
+        F = tl.normalize_constant(tl.WeightedRibe(weights, 2))
+        state = tl.run_construction(F, xs, ds, depth)
+        starts = []
+        monkeypatch.setattr(oracles, "_coordinate_ascent", lambda state, F, fam, cert: starts.append((fam, cert)) or (cert, 0.0))
+        oracles.chain_fuzzer(state, F, trials=20, seed=0)
+        assert len(starts) == 1
+        starts += [fuzzer_certificate(state, seed) for seed in seeds]
+        moves = Counter()
+        real = _RibeScreen.move
+        monkeypatch.setattr(_RibeScreen, "move", lambda *args: moves.update([real(*args) is None]) or real(*args))
+        accepted = []
+        for fam, cert in starts:
+            got = _coordinate_ascent(state, F, fam, cert)
+            assert got == unscreened_coordinate_ascent(state, F, fam, cert), cert
+            accepted.append(got[0] != cert)
+        assert accepted[1:] == [True, False]
+        assert moves[False] >= 100 and moves[True] <= moves[False] // 50
 
     def test_exact_path_only_for_accepted_moves(self, ascent_states, ribe_normalized, monkeypatch):
         # the ascent of verify --trials 100 on a8: evaluate runs once for the
@@ -1321,10 +1422,23 @@ class TestAscentScreen:
         assert counts["evaluate"] <= 1 + counts["accepted"] + 3
 
     def test_other_functionals_take_the_exact_path(self, monkeypatch):
-        # WeightedRibe and UserLinear never build a screen
+        # UserLinear, the one kind besides Ribe and WeightedRibe, never builds a screen
         monkeypatch.setattr(oracles, "_RibeScreen", None)
-        xs, ds, weights = tl.make_case_c_inputs(3, 2)
-        F = tl.normalize_constant(tl.WeightedRibe(weights, 2))
-        state = tl.run_construction(F, xs, ds, 3)
-        fam, cert = fuzzer_certificate(state, 1)
-        assert _coordinate_ascent(state, F, fam, cert) == unscreened_coordinate_ascent(state, F, fam, cert)
+        F = tl.Scaled(tl.UserLinear(SEQ_BASIS, [1, Fraction(-1, 3), Fraction(5, 2)]), Fraction(1, 2))
+        fam = tl.SumFamily({1: SEQ_BASIS[:2], 2: SEQ_BASIS[2:]})
+        state = SimpleNamespace(space=SeqSpace())
+        cert = tl.SumCertificate.of([(1, 0, Fraction(1, 2)), (1, 1, Fraction(-1, 4)), (2, 0, Fraction(1, 3))])
+        got = _coordinate_ascent(state, F, fam, cert)
+        assert got == unscreened_coordinate_ascent(state, F, fam, cert) and got[0] != cert
+
+    def test_unweighted_block_raises_as_on_the_exact_path(self):
+        # v holds no coordinate of block 4, which has no weight; a move on the
+        # second term puts one there, and the exact path raises
+        F = tl.Scaled(tl.WeightedRibe({2: 1, 3: Fraction(1, 2)}, 2), Fraction(1, 2))
+        u = MixedSeq({4: [1, 0, 0, -1]})
+        fam = tl.SumFamily({1: [MixedSeq({2: [1, Fraction(-1, 3)], 3: [1, 2, 0]}), u, -u]})
+        state = SimpleNamespace(space=F.space)
+        cert = tl.SumCertificate.of([(1, 0, Fraction(1, 2)), (1, 1, Fraction(1, 2)), (1, 2, Fraction(1, 2))])
+        for ascent in (_coordinate_ascent, unscreened_coordinate_ascent):
+            with pytest.raises(ValueError, match="missing weight for nonzero block 4"):
+                ascent(state, F, fam, cert)

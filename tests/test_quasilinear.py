@@ -178,6 +178,15 @@ class TestQuasiDefect:
         with pytest.raises(ValueError):
             tl.quasi_defect(tl.Ribe(), FinSeq(), FinSeq())
 
+    def test_extremal_pair_attains_asinh_one(self):
+        # the pair the ``Ribe`` docstring names, ||x||_1 + ||y||_1 = 1: its
+        # normalized defect is the measured supremum asinh(1) = ln(1 + sqrt 2)
+        r = Fraction(math.sqrt(2) / 4)
+        x = FinSeq({1: -r, 2: Fraction(1, 2) - r})
+        y = FinSeq({1: Fraction(1, 2) - r, 2: r})
+        assert x.norm() + y.norm() == 1
+        assert tl.quasi_defect(tl.Ribe(), x, y) == pytest.approx(math.asinh(1), rel=0, abs=1e-15)
+
     @given(mean_zero_finseqs(), mean_zero_finseqs())
     @settings(max_examples=80, deadline=None)
     def test_disjoint_mean_zero_property(self, x, y):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -285,6 +286,59 @@ class TestBaseAxioms:
     def test_bad_radii_detected(self, fam):
         report = tl.base_axioms_check([Fraction(1), Fraction(1, 2)], fam, 2)
         assert not report.passed
+
+    def test_one_exact_merge_entry_per_level(self, fam):
+        report = tl.base_axioms_check([tl.ball_radius(n) for n in range(1, 5)], fam, 4)
+        merge = [c for c in report.checks if c.name != "ball_radius_additivity"]
+        assert [(c.name, c.level, c.passed) for c in merge] == [("merge_closure_at_budget", n, True) for n in (1, 2, 3)]
+        assert merge[0].detail == "2 b_2(i) <= b_1(i) on every block i > 1"
+
+    @pytest.mark.parametrize("family", ["a8", "one_per_block"])
+    def test_lowered_budget_is_named(self, family):
+        # a budget rule that lowers b_n(i) by 1 breaks F_(n+1) + F_(n+1) in F_n
+        # at block i and nowhere else, for every level n and block i > n
+        if family == "a8":
+            xs, ds = tl.make_case_a_inputs(8, 3)
+            fam = tl.fn_family(tl.run_construction(tl.normalize_constant(tl.Ribe()), xs, ds, 8))
+        else:
+            fam = SumFamily({i: [FinSeq({i: 1})] for i in range(1, 9)})
+        depth = 9  # as ``verify`` checks a depth-8 state
+        radii = [tl.ball_radius(n) for n in range(1, depth + 1)]
+        for n in range(1, depth):
+            for i in range(n + 1, 9):
+
+                def lowered(level, n=n, i=i):
+                    return lambda j: level_counts(level)(j) - (level == n and j == i)
+
+                merge = [c for c in tl.base_axioms_check(radii, fam, depth, counts_fn=lowered).checks if c.name == "merge_closure_at_budget"]
+                assert [c.level for c in merge if not c.passed] == [n]
+                assert merge[n - 1].detail == "block %d uses %d terms, budget %d" % (i, 2 ** (i - n), 2 ** (i - n) - 1)
+
+    @given(
+        st.lists(st.integers(0, 2), min_size=3, max_size=3),
+        st.lists(st.lists(st.integers(-1, 2), min_size=3, max_size=3), min_size=3, max_size=3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_merge_check_against_brute_force(self, sizes, table):
+        # blocks 1-3 with 0-2 generators and budget b_n(i) = table[n - 1][i - 1]:
+        # the check passes at level n iff every concatenation of two valid
+        # level-(n+1) certificates is valid at level n, and names the least
+        # block at which one is not
+        fam = SumFamily({i: [FinSeq({3 * i + j: 1}) for j in range(k)] for i, k in enumerate(sizes, 1)})
+
+        def counts(level):
+            return lambda i: table[level - 1][i - 1] if level <= 3 and 1 <= i <= 3 else 0
+
+        refs = [(i, j) for i in fam.blocks for j in range(len(fam.generators[i]))]
+        report = tl.base_axioms_check([Fraction(1)], fam, 3, counts_fn=counts)
+        for check in report.checks:
+            n = check.level
+            certs = [SumCertificate.of((i, j, 1) for i, j in c) for size in range(5) for c in itertools.combinations_with_replacement(refs, size)]
+            valid = [c for c in certs if tl.certificate_valid(fam, c, n + 1, counts(n + 1))]
+            blocks = {int(p.split()[1]) for c1 in valid for c2 in valid for p in certificate_problems(fam, c1.joined(c2), n, counts(n))}
+            assert check.passed == (not blocks)
+            if blocks:
+                assert check.detail.startswith("block %d uses" % min(blocks))
 
 
 class TestHull:
