@@ -38,7 +38,6 @@ from .sumsets import (
     SumCertificate,
     SumFamily,
     certificate_problems,
-    certificate_value,
     scale_certificate,
 )
 from .twisted import TwistedVec
@@ -392,9 +391,84 @@ class ChainTranscript:
         return {**vars(self), "steps": [s.to_json() for s in self.steps]}
 
 
-def verify_chain(state: ConstructionState, F: QuasiFunctional, cert: SumCertificate) -> ChainTranscript:
+class LadderSums:
+    """A level-1 certificate's ladder inputs, summed once: per level i = 1..top
+    (the highest level with a nonzero merged coefficient) the generator sum
+    and the e-part r_i e_i (r_i the coefficient sum) as numerators by
+    position over D, den times the lcm of the used generators' and the
+    e-vectors' denominators, the coefficient-mass numerator over ``den`` and
+    the generators used; ``value`` is the certificate's value over D.
+    ``scaled(f)`` gives the sums of ``scale_certificate(cert, f)`` without
+    summing again, and ``certificate()`` builds that certificate on demand."""
+
+    __slots__ = ("cert", "factor", "levels", "value", "den", "D")
+
+    def __init__(self, cert, factor, levels, value, den, D):
+        # cert is the certificate summed, before factor; a level is a tuple
+        # (generator sum, e-part, mass numerator, generators used)
+        self.cert, self.factor, self.levels, self.value, self.den, self.D = cert, factor, levels, value, den, D
+
+    @classmethod
+    def of(cls, state: ConstructionState, cert: SumCertificate) -> "LadderSums":
+        """The sums of a valid level-1 certificate; an invalid one raises."""
+        problems = certificate_problems(fn_family(state), cert, 1)
+        if problems:
+            raise ValueError("certificate invalid at level 1: %s" % problems[0])
+        merged: dict[int, dict[int, int]] = {}
+        for i, j, n in cert.terms:
+            lv = merged.setdefault(i, {})
+            lv[j] = lv.get(j, 0) + n
+        merged = {i: {j: n for j, n in d.items() if n} for i, d in merged.items()}
+        top = max((i for i, d in merged.items() if d), default=0)
+        G = state.G
+        es = [state.e_vector(i) for i in range(1, top + 1)]
+        lcm = math.lcm(*(G[i][j].den for i, d in merged.items() for j in d), *(e.den for e in es))
+        levels = []
+        value: dict[int, int] = {}
+        for i, e in enumerate(es, 1):
+            nums = merged.get(i, {})
+            vec: dict[int, int] = {}
+            get = vec.get
+            for j, n in nums.items():
+                g = G[i][j]
+                f = n * (lcm // g.den)
+                for p, a in g.nums.items():
+                    vec[p] = get(p, 0) + f * a
+            f = sum(nums.values()) * (lcm // e.den)
+            levels.append((vec, {p: f * a for p, a in e.nums.items()} if f else {}, sum(map(abs, nums.values())), len(nums)))
+            both = {p: value[p] + vec[p] for p in value.keys() & vec.keys()}
+            value.update(vec)
+            value.update(both)
+        return cls(cert, F1, levels, value, cert.den, cert.den * lcm)
+
+    def scaled(self, f) -> "LadderSums":
+        """The sums of ``scale_certificate(cert, f)`` for 0 < |f| <= 1, which
+        keeps a valid certificate valid: numerators times f's numerator,
+        ``den`` and D times its denominator."""
+        f = as_fraction(f)
+        if not 0 < abs(f) <= 1:
+            raise ValueError("ladder sums scale by 0 < |f| <= 1, got %s" % f)
+        p, q = f.numerator, f.denominator
+        levels = [
+            ({k: a * p for k, a in vec.items()}, {k: a * p for k, a in e_part.items()}, mass * abs(p), used)
+            for vec, e_part, mass, used in self.levels
+        ]
+        value = {k: a * p for k, a in self.value.items()}
+        return LadderSums(self.cert, self.factor * f, levels, value, self.den * q, self.D * q)
+
+    def certificate(self) -> SumCertificate:
+        """The certificate these are the sums of."""
+        return self.cert if self.factor == 1 else scale_certificate(self.cert, self.factor)
+
+    def vector(self, space):
+        """The value as a reduced vector of the space: ``certificate_value``'s."""
+        return space.vector._raw({p: a for p, a in self.value.items() if a}, self.D)._reduced()
+
+
+def verify_chain(state: ConstructionState, F: QuasiFunctional, cert: SumCertificate | LadderSums) -> ChainTranscript:
     """Replay the descending-induction ladder on a level-1 certificate whose
-    value has norm below 1, down to the final |F(x)| < 9 check.
+    value has norm below 1, down to the final |F(x)| < 9 check.  The replay
+    runs on the certificate's ``LadderSums``, which a caller may pass instead.
 
     Per level, from the top down: the head (everything below the level plus
     the level's e-part) stays within the running bound plus the level budget;
@@ -407,57 +481,36 @@ def verify_chain(state: ConstructionState, F: QuasiFunctional, cert: SumCertific
     Every comparison is exact (see ``_step``).  An l1 norm is an exact
     rational; a mixed-space norm is the float l_p value, compared exactly as
     that float, so its steps read ``exact: false``.  Each norm is
-    ``space.norm_of`` on numerators by position over one denominator D, the
-    certificate's times the lcm of the used generators' and e-vectors': the
-    ratio (numerator, D) of an l1 norm, or the l_p float, which reads a block
-    as a / D, correctly rounded whatever D is, and sums with the order-free
-    ``math.fsum``.  The bounds are numerators over the lcm C of the budgets'
-    denominators.  The evaluated vectors are numerators over D, read as n / D
-    too (see ``_ribe_terms``), so no bit moves; the one Fraction is
+    ``space.norm_of`` on numerators by position over the sums' denominator
+    D: the ratio (numerator, D) of an l1 norm, or the l_p float, which reads
+    a block as a / D, correctly rounded whatever D is, and sums with the
+    order-free ``math.fsum``.  The bounds are numerators over the lcm C of
+    the budgets' denominators.  The evaluated vectors are numerators over D,
+    read as n / D too (see ``_ribe_terms``), so no bit depends on D: sums
+    scaled by f replay as the scaled certificate does.  The one Fraction is
     ``value_norm``.
     """
-    fam = fn_family(state)
-    problems = certificate_problems(fam, cert, 1)
-    if problems:
-        raise ValueError("certificate invalid at level 1: %s" % problems[0])
-    space = state.space
-    merged: dict[int, dict[int, int]] = {}
-    for i, j, n in cert.terms:
-        lv = merged.setdefault(i, {})
-        lv[j] = lv.get(j, 0) + n
-    merged = {i: {j: n for j, n in d.items() if n} for i, d in merged.items()}
-    top = max((i for i, d in merged.items() if d), default=0)
+    sums = cert if isinstance(cert, LadderSums) else LadderSums.of(state, cert)
+    space, D, levels = state.space, sums.D, sums.levels
+    top = len(levels)
 
-    # one bottom-up pass over numerators by position over D: per level the
-    # prefix's norm, the head's and the stretched part's, the level's
-    # coefficient mass, generators used and e-part; the prefix after the top
-    # level is the certificate's value
-    den, G = cert.den, state.G
-    es = [state.e_vector(i) for i in range(1, top + 1)]
-    lcm = math.lcm(*(G[i][j].den for i, d in merged.items() for j in d), *(e.den for e in es))
-    D = den * lcm
+    # one bottom-up pass: per level the norms of the prefix below it, of the
+    # head and of the stretched part; the prefix after the top level is the
+    # certificate's value
     prefix: dict[int, int] = {}
     rows = []
-    for i, e in enumerate(es, 1):
-        nums = merged.get(i, {})
-        vec: dict[int, int] = {}
-        get = vec.get
-        for j, n in nums.items():
-            g = G[i][j]
-            f = n * (lcm // g.den)
-            for p, a in g.nums.items():
-                vec[p] = get(p, 0) + f * a
-        f = sum(nums.values()) * (lcm // e.den)
-        e_part = {p: f * a for p, a in e.nums.items()} if f else {}
+    for i, (vec, e_part, mass, used) in enumerate(levels, 1):
         head, tail = dict(prefix), dict(vec)  # prefix + e-part, vec - e-part
         for p, a in e_part.items():
             head[p] = head.get(p, 0) + a
             tail[p] = tail.get(p, 0) - a
         norms = [_norm(*space.norm_of(v, D)) for v in (prefix, head, tail)]
-        rows.append((*norms, (sum(map(abs, nums.values())), den), len(nums), e_part))
-        sums = {p: prefix[p] + vec[p] for p in prefix.keys() & vec.keys()}
-        prefix.update(vec)
-        prefix.update(sums)
+        rows.append((*norms, (mass, sums.den), used, e_part))
+        if i < top:
+            both = {p: prefix[p] + vec[p] for p in prefix.keys() & vec.keys()}
+            prefix.update(vec)
+            prefix.update(both)
+    prefix = sums.value
     nx = _norm(*space.norm_of(prefix, D))
     value_norm = Fraction(*nx) if type(nx) is tuple else nx
     if not value_norm < 1:
@@ -543,10 +596,11 @@ def final_bound_check(
     sum) with sequence part of norm at most 1: the certified part has norm at
     most 2, its functional value stays under 18 (by replaying the ladder on
     its half), the twisted gap stays under 22 and the quasi-norm under 23.
-    Violated premises are reported, not raised.  Each of u's part, x and z
-    is evaluated once: its value and norm come from one ``value_and_norm``,
-    as ``quasi_norm`` takes them (the state's space is F's, see
-    ``state_shape_problem``)."""
+    Violated premises are reported, not raised.  A valid z certificate is
+    summed once: z and the half replay's sums come from its ``LadderSums``.
+    Each of u's part, x and z is evaluated once: its value and norm come
+    from one ``value_and_norm``, as ``quasi_norm`` takes them (the state's
+    space is F's, see ``state_shape_problem``)."""
     space = state.space
     fam = fn_family(state)
     premises: list[ChainStep] = []
@@ -556,7 +610,8 @@ def final_bound_check(
     premises.append(
         _step("z_certified", None, 0 if not problems else 1, 1, note=problems[0] if problems else "level-1 certificate")
     )
-    z = certificate_value(fam, z_cert) if not problems else space.zero()
+    sums = None if problems else LadderSums.of(state, z_cert)
+    z = sums.vector(space) if sums else space.zero()
     x = u.x + z
     f_u, a, d = F.value_and_norm(u.x)
     premises.append(_step("u_in_unit_ball", None, abs(float(u.r) - f_u) + a / d, 1.0 + STRICT_MARGIN, strict=False))
@@ -572,7 +627,7 @@ def final_bound_check(
     checks.append(_step("z_norm", None, nz, 2, strict=False))
     chain = None
     if premises_ok and half.passed:
-        chain = verify_chain(state, F, scale_certificate(z_cert, Fraction(1, 2)))
+        chain = verify_chain(state, F, sums.scaled(Fraction(1, 2)))
         checks.append(
             _step("half_chain", None, 0 if chain.passed else 1, 1, note="ladder on z/2: min margin %g" % chain.min_margin)
         )

@@ -22,6 +22,7 @@ from itertools import chain, combinations
 from .construction import (
     MAX_DEPTH,
     ConstructionState,
+    LadderSums,
     final_bound_check,
     fn_family,
     verify_chain,
@@ -38,6 +39,7 @@ from .seqspace import (
 )
 from .sumsets import (
     SumCertificate,
+    below,
     certificate_value,
     random_certificate,
     scale_certificate,
@@ -502,11 +504,12 @@ def seq_sampler(rng: random.Random) -> FinSeq:
     """Bounded random sparse rational vector (dyadic denominators up to 2^6,
     drawn as numerators over 64)."""
     nums = {}
-    for _ in range(rng.randint(1, 5)):
-        idx = rng.randint(1, 12)
-        num = rng.randint(-64, 64)
+    bits = rng.getrandbits
+    for _ in range(1 + below(bits, 5)):
+        idx = 1 + below(bits, 12)
+        num = below(bits, 129) - 64
         if num:
-            nums[idx] = nums.get(idx, 0) + (num << (6 - rng.randint(0, 6)))
+            nums[idx] = nums.get(idx, 0) + (num << (6 - below(bits, 7)))
     return FinSeq._raw({i: n for i, n in nums.items() if n}, 64)._reduced()
 
 
@@ -517,10 +520,11 @@ def mixed_sampler_over(block_pool):
 
     def sample(rng: random.Random) -> MixedSeq:
         nums = {}
-        for _ in range(rng.randint(1, 3)):
-            n = rng.choice(block_pool)
+        bits = rng.getrandbits
+        for _ in range(1 + below(bits, 3)):
+            n = block_pool[below(bits, len(block_pool))]
             for p in range(n * (n - 1) // 2 + 1, n * (n + 1) // 2 + 1):
-                nums[p] = nums.get(p, 0) + rng.randint(-16, 16)
+                nums[p] = nums.get(p, 0) + below(bits, 33) - 16
         return MixedSeq._raw({p: a for p, a in nums.items() if a}, 16)._reduced()
 
     return sample
@@ -536,7 +540,8 @@ def span_sampler(basis):
     vector = type(basis[0]) if basis else FinSeq
 
     def sample(rng: random.Random):
-        return vector.combination([(b, rng.randint(-32, 32) << (5 - rng.randint(0, 5))) for b in basis], 32)
+        bits = rng.getrandbits
+        return vector.combination([(b, (below(bits, 65) - 32) << (5 - below(bits, 6))) for b in basis], 32)
 
     return sample
 
@@ -643,7 +648,9 @@ def chain_fuzzer(state: ConstructionState, F: QuasiFunctional, trials: int = 200
     delta alternating between 1e-3 and 1e-6, replayed through the full
     inequality ladder; every tenth trial also exercises the final bound on a
     random admissible decomposition.  Ends with a short coordinate-ascent
-    push on the worst certificate found."""
+    push on the worst certificate found.  Each draw is summed once: its
+    ``LadderSums`` give the value's norm and, rescaled, the replay, so a
+    rescaled certificate is built only for a witness and for the ascent."""
     deltas = (Fraction(1, 1000), Fraction(1, 10 ** 6))
     fam = fn_family(state)
     space = state.space
@@ -651,7 +658,7 @@ def chain_fuzzer(state: ConstructionState, F: QuasiFunctional, trials: int = 200
     min_margin = float("inf")
     min_witness = None
     max_f = 0.0
-    max_f_cert = None
+    max_f_sums = None
     chains = bounds = 0
     failures = 0
     for t in range(max(0, trials)):
@@ -659,24 +666,24 @@ def chain_fuzzer(state: ConstructionState, F: QuasiFunctional, trials: int = 200
         cert = random_certificate(fam, 1, rng)
         if not cert.terms:
             continue
-        value = certificate_value(fam, cert)
-        nv = space.norm(value)
+        sums = LadderSums.of(state, cert)
+        a, d = space.norm_of(sums.value, sums.D)
+        nv = Fraction(a, d) if type(a) is int else a  # space.norm of the value
         if not nv or nv <= target:
             continue
-        factor = _exact_scale(target, nv)
-        scaled = scale_certificate(cert, factor)
+        scaled = sums.scaled(_exact_scale(target, nv))
         tr = verify_chain(state, F, scaled)
         chains += 1
         if not tr.passed:
             failures += 1
         if tr.min_margin < min_margin:
             min_margin = tr.min_margin
-            min_witness = {"kind": "chain", "certificate": scaled.to_json()}
+            min_witness = {"kind": "chain", "certificate": scaled.certificate().to_json()}
         if abs(tr.f_value) > max_f:
             max_f = abs(tr.f_value)
-            max_f_cert = scaled
+            max_f_sums = scaled
         if t % 10 == 0:
-            decomp = _random_admissible_decomposition(state, F, cert, value, rng)
+            decomp = _random_admissible_decomposition(state, F, cert, sums.vector(space), rng)
             if decomp is not None:
                 u, z_cert = decomp
                 rep = final_bound_check(state, F, u, z_cert)
@@ -687,7 +694,8 @@ def chain_fuzzer(state: ConstructionState, F: QuasiFunctional, trials: int = 200
                 if worst < min_margin:
                     min_margin = worst
                     min_witness = {"kind": "final_bound", "u": u.to_json(), "certificate": z_cert.to_json()}
-    if max_f_cert is not None:
+    if max_f_sums is not None:
+        max_f_cert = max_f_sums.certificate()
         cert, f_best = _coordinate_ascent(state, F, fam, max_f_cert)
         if f_best > max_f:
             max_f = f_best

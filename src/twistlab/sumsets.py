@@ -145,22 +145,35 @@ def merge_certificates(fam: SumFamily, c1: SumCertificate, c2: SumCertificate, l
     return c1.joined(c2)
 
 
+def below(getrandbits, n: int) -> int:
+    """A draw from range(n), n >= 1, straight from a ``Random``'s
+    ``getrandbits``: CPython 3.11's ``_randbelow_with_getrandbits``, so
+    ``randrange(n)``'s stream without its argument checks; ``randint(a, b)``
+    is a + below(b - a + 1) and ``choice(seq)`` seq[below(len(seq))]."""
+    if n < 1:  # getrandbits(0) is 0, so the loop would not end
+        raise ValueError("empty range for below(%d)" % n)
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def random_certificate(fam: SumFamily, level: int, rng: random.Random) -> SumCertificate:
     """Random valid level-n certificate: per block a random number of draws
     within budget, each kept with probability 0.7, random generator
-    references, nonzero coefficients k/64; ``randint(a, b)`` would draw the
-    same stream, as it is ``randrange(a, b + 1)``."""
+    references, nonzero coefficients k/64."""
     terms = []
-    randrange, coin, counts = rng.randrange, rng.random, level_counts(level)
+    bits, coin, counts = rng.getrandbits, rng.random, level_counts(level)
     for i in fam.blocks:
         n_gens = len(fam.generators[i])
         if i < level or n_gens == 0:
             continue
-        for _ in range(randrange(counts(i) + 1)):
+        for _ in range(below(bits, counts(i) + 1)):
             if coin() > 0.7:
                 continue
-            num = randrange(-64, 65) or 64
-            terms.append((i, randrange(n_gens), num))
+            num = below(bits, 129) - 64 or 64
+            terms.append((i, below(bits, n_gens), num))
     return SumCertificate(tuple(terms), 64)
 
 

@@ -13,8 +13,11 @@ import twistlab as tl
 from twistlab import FinSeq, MixedSeq, SumCertificate, TwistedVec, oracles
 from twistlab.construction import (
     STRICT_MARGIN,
+    BoundReport,
     ChainStep,
     ChainTranscript,
+    LadderSums,
+    _norm,
     _step,
     fn_family,
     functional_of_state,
@@ -38,7 +41,7 @@ CROSS_12 = [
     {11: "1/2", 14: "7", 15: "5/8"},
     {12: "8", 13: "5", 15: "-4"},
 ]
-from twistlab.quasilinear import ribe_error_bound
+from twistlab.quasilinear import functional_from_json, ribe_error_bound
 from twistlab.seqspace import MixedSpace, block_entries
 from twistlab.sumsets import certificate_problems, certificate_value, random_certificate, scale_certificate
 
@@ -586,7 +589,9 @@ def below_one(state, cert, target=Fraction(999, 1000)):
 
 class TestReplayAgainstReference:
     def check(self, state, F, cert):
-        assert tl.verify_chain(state, F, cert).to_json() == reference_verify_chain(state, F, cert).to_json()
+        # the fuzzer and the final bound replay sums: the reference takes their certificate
+        plain = cert.certificate() if isinstance(cert, LadderSums) else cert
+        assert tl.verify_chain(state, F, cert).to_json() == reference_verify_chain(state, F, plain).to_json()
 
     @pytest.mark.parametrize("case, depth", [("a", 6), ("a", 8), ("a", 10), ("c", 6), ("c", 8)])
     def test_fuzzer_ascent_and_final_bound_certificates(self, monkeypatch, case, depth):
@@ -594,11 +599,12 @@ class TestReplayAgainstReference:
         # ascent's (through oracles), the final bound's halves (through
         # construction), each against the reference
         F, state = case_state(case, depth)
-        seen = {"oracles": 0, "construction": 0}
+        seen = {"oracles": 0, "construction": 0, "sums": 0}
 
         def checked(module):
             def replay(state, F, cert):
                 seen[module] += 1
+                seen["sums"] += isinstance(cert, LadderSums)
                 self.check(state, F, cert)
                 return verify_chain(state, F, cert)
 
@@ -609,7 +615,7 @@ class TestReplayAgainstReference:
         monkeypatch.setattr("twistlab.construction.verify_chain", checked("construction"))
         rep = tl.chain_fuzzer(state, F, trials=21, seed=0)
         assert rep.best_violation < 0
-        assert seen["oracles"] >= 2 and seen["construction"] >= 1
+        assert seen["oracles"] >= 2 and seen["construction"] >= 1 and seen["sums"] >= 2
 
     def test_empty_and_one_level_certificates(self, state4, ribe_normalized):
         self.check(state4, ribe_normalized, SumCertificate(()))
@@ -668,6 +674,175 @@ class TestReplayAgainstReference:
         # beside e's, which cancels
         for n in range(1, 6):
             self.check(state, F, below_one(state, SumCertificate.of([(n, 1, 1)])))
+
+
+def custom_state4():
+    """The functional and the state of the CI's ``construct --case custom
+    --depth 4``: y_i on {3i+1, 3i+2, 3i+4} for 40 i, the first three unit
+    vectors, Ribe with assumed constant 4 normalized."""
+    F = tl.normalize_constant(functional_from_json({"kind": "ribe", "assumed_constant": 4.0}))
+    xs = [FinSeq({3 * i + 1: 1, 3 * i + 2: -1, 3 * i + 4: Fraction(1, 2)}) for i in range(40)]
+    return F, tl.run_construction(F, xs, [FinSeq.unit(j) for j in (1, 2, 3)], 4)
+
+
+def parent_final_bound_check(state, F, u, z_cert):
+    """``final_bound_check`` as it ran before ``LadderSums``: z is
+    ``certificate_value``'s, the half replay takes ``scale_certificate``'s
+    certificate."""
+    space = state.space
+    fam = fn_family(state)
+    premises, checks = [], []
+    problems = certificate_problems(fam, z_cert, 1)
+    premises.append(
+        _step("z_certified", None, 0 if not problems else 1, 1, note=problems[0] if problems else "level-1 certificate")
+    )
+    z = certificate_value(fam, z_cert) if not problems else space.zero()
+    x = u.x + z
+    f_u, a, d = F.value_and_norm(u.x)
+    premises.append(_step("u_in_unit_ball", None, abs(float(u.r) - f_u) + a / d, 1.0 + STRICT_MARGIN, strict=False))
+    f_x, a, d = F.value_and_norm(x)
+    premises.append(_step("x_norm", None, _norm(a, d), 1, strict=False))
+    twisted_norm = abs(float(u.r) - f_x) + a / d
+    f_z, a, d = F.value_and_norm(z)
+    nz = _norm(a, d)
+    half = _step("half_z_in_chain_range", None, nz, 2, note="needed to replay the ladder on z/2")
+    premises.append(half)
+    premises_ok = all(p.passed for p in premises)
+    checks.append(_step("z_norm", None, nz, 2, strict=False))
+    chain = None
+    if premises_ok and half.passed:
+        chain = tl.verify_chain(state, F, scale_certificate(z_cert, Fraction(1, 2)))
+        checks.append(
+            _step("half_chain", None, 0 if chain.passed else 1, 1, note="ladder on z/2: min margin %g" % chain.min_margin)
+        )
+    checks.append(_step("f_z", None, abs(f_z), 18.0))
+    checks.append(_step("twisted_gap", None, abs(float(u.r) - f_x), 22.0))
+    checks.append(_step("twisted_norm", None, twisted_norm, 23.0))
+    return BoundReport(
+        premises=premises,
+        checks=checks,
+        chain=chain,
+        premises_ok=premises_ok,
+        passed=premises_ok and all(c.passed for c in checks) and (chain is None or chain.passed),
+    )
+
+
+@pytest.fixture(scope="module")
+def sums_states(state6):
+    """(F, state) of a6, a8, c6, c8 and the custom depth-4 construction."""
+    F = tl.normalize_constant(tl.Ribe())
+    return {"a6": (F, state6), "a8": case_state("a", 8), "c6": case_state("c", 6), "c8": case_state("c", 8), "custom4": custom_state4()}
+
+
+class TestLadderSums:
+    @pytest.mark.parametrize("name", ["a6", "a8", "c6", "c8", "custom4"])
+    def test_scaled_sums_replay_as_the_scaled_certificate(self, sums_states, name):
+        # seeded draws and the fuzzer's rescale of each, alternating deltas
+        # 1e-3 and 1e-6, and a factor above 1 - delta when the norm is below
+        F, state = sums_states[name]
+        fam, space = fn_family(state), state.space
+        rng = random.Random(11)
+        replayed = 0
+        for t in range(40):
+            cert = random_certificate(fam, 1, rng)
+            sums = LadderSums.of(state, cert)
+            value = certificate_value(fam, cert)
+            assert sums.vector(space) == value and sums.vector(space).den == value.den
+            if not value:
+                continue
+            nv = space.norm(value)
+            a, d = space.norm_of(sums.value, sums.D)
+            assert (Fraction(a, d) if type(a) is int else a) == nv  # space.norm of the value, to the bit
+            factor = oracles._exact_scale(1 - (Fraction(1, 1000), Fraction(1, 10 ** 6))[t % 2], nv)
+            factor = min(factor, Fraction(rng.randint(1, 999), 1000) / Fraction(nv))
+            scaled = sums.scaled(factor)
+            assert scaled.certificate() == scale_certificate(cert, factor)
+            got = replay_outcome(tl.verify_chain, state, F, scaled)
+            assert got == replay_outcome(tl.verify_chain, state, F, scale_certificate(cert, factor))
+            replayed += got.startswith("{")
+        assert replayed >= 20
+
+    def test_sums_of_a_scaled_certificate(self, sums_states):
+        # sums scaled twice, and by a negative factor, are the sums of the
+        # certificate scaled by the product
+        F, state = sums_states["a6"]
+        cert = below_one(state, SumCertificate.of([(1, 0, 1), (3, 2, Fraction(-1, 2)), (5, 7, Fraction(1, 3))]))
+        for f, g in ((Fraction(1, 2), Fraction(-2, 3)), (Fraction(-1), Fraction(7, 9))):
+            sums = LadderSums.of(state, cert).scaled(f).scaled(g)
+            plain = scale_certificate(cert, f * g)
+            assert sums.certificate() == plain
+            assert tl.verify_chain(state, F, sums).to_json() == tl.verify_chain(state, F, plain).to_json()
+
+    @pytest.mark.parametrize("f", [0, 2, Fraction(-3, 2)])
+    def test_scale_outside_the_unit_interval_raises(self, sums_states, f):
+        _, state = sums_states["a6"]
+        with pytest.raises(ValueError, match="0 < |f| <= 1"):
+            LadderSums.of(state, SumCertificate.of([(2, 1, Fraction(1, 4))])).scaled(f)
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            [(1, 0, Fraction(3, 2))],  # coefficient above 1
+            [(0, 0, Fraction(1, 2))],  # block below level 1
+            [(2, 99, Fraction(1, 2))],  # dangling reference
+            [(1, 0, Fraction(1, 8)), (1, 1, Fraction(1, 8))],  # over level 1's budget of one term
+            [(7, 0, Fraction(1, 2))],  # a block past the depth
+        ],
+    )
+    def test_invalid_certificate_raises_the_same_message(self, sums_states, terms):
+        F, state = sums_states["a6"]
+        cert = SumCertificate.of(terms)
+        with pytest.raises(ValueError) as expected:
+            reference_verify_chain(state, F, cert)
+        assert str(expected.value).startswith("certificate invalid at level 1: ")
+        for replay in (lambda: tl.verify_chain(state, F, cert), lambda: LadderSums.of(state, cert)):
+            with pytest.raises(ValueError) as got:
+                replay()
+            assert str(got.value) == str(expected.value)
+
+    def test_value_norm_of_one_raises_the_same_message(self, sums_states):
+        F, state = sums_states["a6"]
+        cert = SumCertificate.of([(3, 0, 1), (4, 1, 1)])
+        expected = replay_outcome(reference_verify_chain, state, F, cert)
+        assert expected.startswith("chain replay needs value norm < 1")
+        assert replay_outcome(tl.verify_chain, state, F, LadderSums.of(state, cert)) == expected
+
+
+class TestFinalBoundOnSums:
+    @pytest.mark.parametrize("name", ["a6", "a8", "c6", "c8", "custom4"])
+    def test_matches_the_parent_on_fuzzer_decompositions(self, sums_states, name):
+        F, state = sums_states[name]
+        fam = fn_family(state)
+        rng = random.Random(3)
+        compared = 0
+        while compared < 6:
+            cert = random_certificate(fam, 1, rng)
+            z = certificate_value(fam, cert)
+            decomp = oracles._random_admissible_decomposition(state, F, cert, z, rng) if z else None
+            if decomp is not None:
+                u, z_cert = decomp
+                got = tl.final_bound_check(state, F, u, z_cert)
+                assert asdict(got) == asdict(parent_final_bound_check(state, F, u, z_cert))
+                assert got.chain is not None
+                compared += 1
+
+    @pytest.mark.parametrize(
+        "terms, failing",
+        [
+            ([(1, 0, Fraction(3, 2))], "z_certified"),  # coefficient above 1: z is 0
+            ([(0, 0, Fraction(1, 2))], "z_certified"),  # block below level 1
+            ([(3, 0, 1), (4, 1, 1), (4, 3, -1)], "half_z_in_chain_range"),  # ||z|| above 2: no half replay
+        ],
+    )
+    def test_matches_the_parent_when_premises_fail(self, sums_states, terms, failing):
+        F, state = sums_states["a6"]
+        y = FinSeq({40: Fraction(1, 10)})
+        u = TwistedVec(tl.evaluate(F, y), y)
+        cert = SumCertificate.of(terms)
+        got = tl.final_bound_check(state, F, u, cert)
+        assert not got.premises_ok and got.chain is None
+        assert failing in [p.name for p in got.premises if not p.passed]
+        assert asdict(got) == asdict(parent_final_bound_check(state, F, u, cert))
 
 
 class TestReportsAsDicts:

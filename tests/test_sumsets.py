@@ -11,6 +11,7 @@ import twistlab as tl
 from twistlab import FinSeq, MixedSeq, SumCertificate, SumFamily
 from twistlab.seqspace import frac_str
 from twistlab.sumsets import (
+    below,
     certificate_problems,
     family_zero,
     level_counts,
@@ -199,9 +200,10 @@ class TestIntegerForm:
 
 class TestRandomCertificateStream:
     def test_same_draws_as_randint(self, state6):
-        # ``random_certificate`` draws through ``randrange``; ``randint(a, b)``
-        # is ``randrange(a, b + 1)``, so the certificates and the generator's
-        # state match the randint draws, here on a depth-6 family
+        # ``random_certificate`` draws through ``below``, which repeats
+        # ``randrange``'s draw; ``randint(a, b)`` is ``randrange(a, b + 1)``,
+        # so the certificates and the generator's state match the randint
+        # draws, here on a depth-6 family
         fam = SumFamily({n: state6.G[n] for n in range(1, 7)})
         for seed in range(200):
             rng, ref = random.Random(seed), random.Random(seed)
@@ -219,6 +221,30 @@ class TestRandomCertificateStream:
                         terms.append((i, ref.randrange(n_gens), num))
                 assert random_certificate(fam, level, rng) == SumCertificate(tuple(terms), 64)
             assert rng.random() == ref.random()
+
+
+class TestBelow:
+    SIZES = [*range(1, 301), *(2 ** k + d for k in range(2, 41) for d in (-1, 0, 1))]
+
+    def test_same_stream_as_randrange_randint_and_choice(self):
+        # five draws per size from one generator, its state compared after
+        for seed in range(51):
+            rng = random.Random(seed)
+            refs = [random.Random(seed) for _ in range(3)]
+            bits = rng.getrandbits
+            for n in self.SIZES:
+                for _ in range(5):
+                    got = below(bits, n)
+                    assert got == refs[0].randrange(n)
+                    assert got - 7 == refs[1].randint(-7, n - 8)
+                    assert got == refs[2].choice(range(n))
+            state = rng.getstate()
+            assert all(ref.getstate() == state for ref in refs)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_empty_range_raises(self, n):
+        with pytest.raises(ValueError, match="empty range"):
+            below(random.Random(0).getrandbits, n)
 
 
 class TestMerge:
