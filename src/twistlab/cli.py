@@ -54,7 +54,7 @@ from .quasilinear import (
     ribe_eval,
     weighted_ribe_eval,
 )
-from .seqspace import FinSeq, MixedSeq, james_norm, vector_from_json
+from .seqspace import FinSeq, MixedSeq, SeqSpace, james_norm, vector_from_json
 from .sumsets import SumCertificate, base_axioms_check
 from .twisted import TwistedVec, ball_radius, quasi_norm
 
@@ -164,14 +164,14 @@ def _load_json_arg(value: str):
     return json.loads(p.read_text() if is_file else value)
 
 
-def _vectors_arg(value: str) -> list:
-    """A JSON list of vectors (inline or a path), all of one shape: l1
-    entries or block rows.  A mixed family would be read in the space of
-    its first vector."""
+def _vectors_arg(value: str, space=None) -> list:
+    """A JSON list of vectors (inline or a path), read in ``space`` when
+    given; without one they must share a shape, l1 entries or block rows,
+    or the family would be read in the space of its first vector."""
     vs = _load_json_arg(value)
     if not isinstance(vs, list):
         raise ValueError("expected a JSON list of vectors")
-    vs = [vector_from_json(v) for v in vs]
+    vs = [vector_from_json(v, space) for v in vs]
     if len({type(v) for v in vs if v}) > 1:
         raise ValueError("the vectors mix the l1 and the block JSON shapes")
     return vs
@@ -214,12 +214,12 @@ def cmd_construct(args) -> int:
             return _usage_fail("--case custom needs --functional, --xs and --ds")
         try:
             F = normalize_constant(functional_from_json(_load_json_arg(args.functional)))
-            xs = _vectors_arg(args.xs)
-            ds = _vectors_arg(args.ds)
+            xs = _vectors_arg(args.xs, F.space)
+            ds = _vectors_arg(args.ds, F.space)
             if args.split_map:
                 # a "defect_bound" key, written by older versions, is ignored
                 sm = _load_json_arg(args.split_map)
-                split_map = UserLinear([vector_from_json(v) for v in sm["basis"]], [Fraction(v) for v in sm["values"]])
+                split_map = UserLinear([vector_from_json(v, F.space) for v in sm["basis"]], [Fraction(v) for v in sm["values"]])
         except INPUT_ERRORS as exc:
             return _usage_fail("cannot parse custom inputs: %s" % exc)
     try:
@@ -328,12 +328,12 @@ def cmd_eval(args) -> int:
         return _usage_fail("--r must be a finite number")
     try:
         if args.what == "ribe":
-            value = ribe_eval(FinSeq.from_json(_load_json_arg(args.x)))
+            value = ribe_eval(vector_from_json(_load_json_arg(args.x), SeqSpace()))
         elif args.what == "james-norm":
-            value = james_norm(FinSeq.from_json(_load_json_arg(args.x)))
+            value = james_norm(vector_from_json(_load_json_arg(args.x), SeqSpace()))
         elif args.what == "quasi-norm":
             F = functional_from_json(_load_json_arg(args.functional)) if args.functional else Ribe()
-            value = quasi_norm(F, TwistedVec(float(args.r), vector_from_json(_load_json_arg(args.x))))
+            value = quasi_norm(F, TwistedVec(float(args.r), vector_from_json(_load_json_arg(args.x), F.space)))
         elif args.what == "weighted-ribe":
             weights = {int(n): Fraction(c) for n, c in _load_json_arg(args.weights).items()}
             value = weighted_ribe_eval(vector_from_json(_load_json_arg(args.x)), weights)

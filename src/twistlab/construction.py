@@ -33,6 +33,7 @@ from .seqspace import (
     disjoint_supports,
     frac_str,
     space_from_json,
+    vector_from_json,
 )
 from .sumsets import (
     SumCertificate,
@@ -132,6 +133,8 @@ def basis_constant(ys: list, space=None) -> Fraction:
     """
     if not ys:
         raise ValueError("empty family")
+    if space is None and any(isinstance(y, MixedSeq) for y in ys):
+        raise ValueError("mixed vectors need an explicit space")
     space = space or SeqSpace()
     if isinstance(space, SeqSpace) and all(ys) and disjoint_supports(*ys):  # 1 / min ||y||, on numerators over G
         G = math.lcm(*(y.den for y in ys))
@@ -749,7 +752,7 @@ def state_from_json(obj: dict) -> ConstructionState:
     space = space_from_json(obj["space"])
 
     def vec(v):
-        v = space.vector(v)
+        v = vector_from_json(v, space)
         if max(v.den, max(map(abs, v.nums.values()), default=0)).bit_length() > VECTOR_BITS:
             raise ValueError("a vector holds a coordinate wider than %d bits" % VECTOR_BITS)
         return v

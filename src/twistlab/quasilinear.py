@@ -40,6 +40,7 @@ from .seqspace import (
     in_hyperplane_H,
     lp_of_blocks,
     space_from_json,
+    vector_from_json,
 )
 
 F0 = Fraction(0)
@@ -485,7 +486,7 @@ def functional_from_json(obj: dict) -> QuasiFunctional:
     if kind == "user_linear":
         space = space_from_json(obj.get("space", {"kind": "seq"}))
         return UserLinear(
-            basis=[space.vector(b) for b in obj["basis"]],
+            basis=[vector_from_json(b, space) for b in obj["basis"]],
             values=[Fraction(v) for v in obj["values"]],
             assumed_constant=_assumed_constant(obj, 0.0),
             space=space,

@@ -189,12 +189,6 @@ class FinSeq:
     def to_json(self) -> dict[str, str]:
         return {str(i): ratio_str(n, self.den) for i, n in sorted(self.nums.items())}
 
-    @classmethod
-    def from_json(cls, obj):
-        """The constructor reads the JSON shape as it is (string keys, "num/den"
-        values); anything but a JSON object is refused, not read as zero."""
-        return cls(_json_object(obj))
-
 
 def in_hyperplane_H(x: FinSeq) -> bool:
     """True iff the coordinate sum vanishes exactly."""
@@ -349,21 +343,17 @@ def lp_of_blocks(norms: list[int], den: int, p) -> float:
     return math.fsum((a / den) ** pf for a in norms) ** (1.0 / pf)
 
 
-def _json_object(obj) -> dict:
-    """obj if it is a JSON object: null, a number or a list of pairs is no vector."""
+def vector_from_json(obj, space=None):
+    """The one reader of vector JSON, which must be an object (null, a number
+    or a list of pairs is no vector): read in ``space`` when it is known, else
+    by value shape (strings vs lists), ``{}`` being the zero FinSeq."""
     if not isinstance(obj, dict):
         raise TypeError("a vector is a JSON object, got %s" % type(obj).__name__)
-    return obj
-
-
-def vector_from_json(obj):
-    """Dispatch FinSeq vs MixedSeq JSON by value shape (strings vs lists).
-    The empty object is the zero FinSeq, which adds to vectors of either
-    type; a caller that knows the space loads through ``space.vector``."""
-    if not _json_object(obj):
+    if space is not None:
+        return space.vector(obj)
+    if not obj:
         return FinSeq()
-    sample = next(iter(obj.values()))
-    return FinSeq(obj) if isinstance(sample, str) else MixedSeq(obj)
+    return FinSeq(obj) if isinstance(next(iter(obj.values())), str) else MixedSeq(obj)
 
 
 # --- space adapters: the handful of norms/positions the level construction

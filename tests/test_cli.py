@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import hashlib
 import io
 import json
@@ -8,6 +9,7 @@ import random
 import subprocess
 import sys
 import traceback
+from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
@@ -364,6 +366,53 @@ MALFORMED["quasi_constant_user_linear_space_kind_unknown"] = [
     "--trials",
     "1",
 ]
+# a state's vectors are JSON objects read in the state's space: null, 0, []
+# and a list of pairs (the entries of the vector, or of the zero vector) once
+# loaded as vectors and passed verify, in G["0"] and in a kernel vector and a
+# d_generators entry that no level uses.  A list of pairs in a case-c state
+# was refused already, so only case a takes it
+STATE_VECTOR_PLACES = {"G0": ("G", "0", 0), "xs_unused": ("xs", -1), "d_generators_unused": ("d_generators", -1)}
+NOT_OBJECTS = {
+    "null": lambda v: None,
+    "zero": lambda v: 0,
+    "empty_list": lambda v: [],
+    "pairs": lambda v: [[int(k), x] for k, x in v.items()] or [[1, "0/1"]],
+}
+
+
+def vector_replaced(place, value):
+    """A tamper that puts ``value(vector)`` in place of the state vector at ``place``."""
+
+    def tamper(s):
+        *keys, last = STATE_VECTOR_PLACES[place]
+        for key in keys:
+            s = s[key]
+        s[last] = value(s[last])
+
+    return tamper
+
+
+MALFORMED.update(
+    {
+        "verify_state_%s_%s_%s" % (case, place, name): ["verify", "--state", (case, vector_replaced(place, value))]
+        for case in ("a", "c")
+        for place in STATE_VECTOR_PLACES
+        for name, value in NOT_OBJECTS.items()
+        if case == "a" or name != "pairs"
+    }
+)
+# a user_linear basis is read in the descriptor's space, pairs once passed as l1
+MALFORMED["quasi_constant_user_linear_basis_pairs"] = [
+    "oracle",
+    "quasi-constant",
+    "--functional",
+    '{"kind": "user_linear", "basis": [[[1, "1/1"], [2, "-1/1"]], [[2, "1/2"]]], "values": ["1/1", "-1/3"], "assumed_constant": 1.0}',
+    "--trials",
+    "1",
+]
+# eval quasi-norm reads --x in the functional's space, not by its shape
+MALFORMED["eval_quasi_norm_x_l1_under_weighted"] = ["eval", "quasi-norm", "--functional", WEIGHTED, "--x", '{"1": "1/2", "2": "1/3"}']
+MALFORMED["eval_quasi_norm_x_blocks_under_ribe"] = ["eval", "quasi-norm", "--x", '{"2": ["1/2", "1/3"]}']
 
 
 def run_cli(args):
@@ -372,6 +421,13 @@ def run_cli(args):
         return main(args)
     except SystemExit as exc:
         return exc.code
+
+
+def custom_args(F, xs, ds):
+    """``construct --case custom`` arguments for a functional and its kernel
+    and d vectors, as inline JSON."""
+    inline = lambda vs: json.dumps([v.to_json() for v in vs])  # noqa: E731
+    return ["--case", "custom", "--functional", json.dumps(F.to_json()), "--xs", inline(xs), "--ds", inline(ds)]
 
 
 def write_tampered(tmp_path, name):
@@ -533,6 +589,28 @@ class TestConstruct:
             ]
         )
         assert code == 2
+
+    def test_custom_inputs_are_read_in_the_functionals_space(self, tmp_path, capsys):
+        # l1-shaped kernel vectors under a weighted functional were once read
+        # as l1, and the state written from them failed its own verify
+        args = custom_args(tl.WeightedRibe(tl.make_case_c_inputs(2)[2], 2), *tl.make_case_a_inputs(2))
+        assert run_cli(["construct", "--depth", "2", "--out", str(tmp_path), *args]) == 64
+        assert capsys.readouterr().err == "error: cannot parse custom inputs: block 1 must be a list of exactly 1 coordinates\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("case", ["a", "c", "custom_l1", "custom_mixed"])
+    def test_written_state_verifies(self, tmp_path, case):
+        # the loader reads back every state the writer writes; the custom
+        # cases feed the case inputs as JSON, the mixed one in block rows
+        args = ["--case", case]
+        if case == "custom_l1":
+            args = custom_args(tl.Ribe(), *tl.make_case_a_inputs(3))
+        elif case == "custom_mixed":
+            xs, ds, weights = tl.make_case_c_inputs(3)
+            args = custom_args(tl.WeightedRibe(weights, 2), xs, ds)
+        out = tmp_path / "run"
+        assert run_cli(["construct", "--depth", "3", "--out", str(out), *args]) == 0
+        assert run_cli(["verify", "--state", str(out / "state.json"), "--trials", "5", "--out", str(out)]) == 0
 
     def test_custom_needs_inputs(self, tmp_path):
         assert run_cli(["construct", "--case", "custom", "--depth", "2", "--out", str(tmp_path)]) == 64
@@ -761,6 +839,55 @@ class TestVerify:
         p = tmp_path / "state.json"
         p.write_text(text)
         assert run_cli(["verify", "--state", str(p), "--out", str(tmp_path)]) == 64
+
+
+class TestChainWitnessKinds:
+    """The chain fuzzer's thinnest-margin witness when it is not a random
+    draw: the ascent's certificate, or a final-bound decomposition.  Each is
+    replayed as ``perfbench/checks.py`` replays a stored witness."""
+
+    def verify(self, tmp_path, trials, seed):
+        """(state, functional, chain_fuzzer entry, report) of ``verify`` on the a2 state."""
+        out = tmp_path / "run"
+        assert run_cli(["construct", "--case", "a", "--depth", "2", "--out", str(out)]) == 0
+        assert run_cli(["verify", "--state", str(out / "state.json"), "--trials", str(trials), "--seed", str(seed)]) == 0
+        report = json.loads((out / "verify-report.json").read_text())
+        state, F = cli._load_state(out / "state.json")
+        (entry,) = [e for e in report["entries"] if e["source"] == "chain_fuzzer"]
+        return state, F, entry, report
+
+    def test_chain_ascent(self, tmp_path):
+        # a recorded seed: on the a2 state, 5 trials from seed 9 leave the
+        # thinnest margin to the ascent's certificate
+        state, F, entry, report = self.verify(tmp_path, 5, 9)
+        witness = entry["witness"]
+        assert sorted(witness) == ["certificate", "kind"] and witness["kind"] == "chain_ascent"
+        margin = report["min_chain_margin"]
+        assert margin == -entry["best_violation"]
+        transcript = tl.verify_chain(state, F, tl.SumCertificate.from_json(witness["certificate"]))
+        assert transcript.min_margin == margin
+        assert json.loads((tmp_path / "run" / "transcript.json").read_text()) == json.loads(cli._dump_json(transcript.to_json()))
+
+    def test_final_bound(self, tmp_path, monkeypatch):
+        # the fuzzer's ladder replays read 10 wider than they are, so a
+        # final-bound check holds the thinnest margin; verify writes no
+        # transcript for it, as it writes one for chain witnesses only
+        replay = tl.verify_chain
+
+        def widened(state, F, cert):
+            transcript = replay(state, F, cert)
+            transcript.min_margin += 10
+            return transcript
+
+        monkeypatch.setattr("twistlab.oracles.verify_chain", widened)
+        state, F, entry, report = self.verify(tmp_path, 21, 0)
+        witness = entry["witness"]
+        assert sorted(witness) == ["certificate", "kind", "u"] and witness["kind"] == "final_bound"
+        assert sorted(witness["u"]) == ["r", "x"] and isinstance(witness["u"]["r"], float)
+        assert not (tmp_path / "run" / "transcript.json").exists()
+        u, cert = tl.TwistedVec.from_json(witness["u"]), tl.SumCertificate.from_json(witness["certificate"])
+        rep = tl.final_bound_check(state, F, u, cert)
+        assert rep.passed and min(c.margin for c in rep.checks) == report["min_chain_margin"] == -entry["best_violation"]
 
 
 class TestEval:
@@ -1018,6 +1145,57 @@ def run_captured(args):
     return code, out.getvalue(), err.getvalue()
 
 
+def named(vectors, indices):
+    """The entries of a state tree's vector list that 1-based indices name,
+    or None when one is past its end."""
+    return [vectors[i - 1] for i in indices] if all(i <= len(vectors) for i in indices) else None
+
+
+# the top-level fields in which a mutant that verify passes may differ from
+# the base state without parsing to it: (why verify need not certify that
+# change, the test that the change is of that kind on (base tree, mutant
+# tree)).  The 250 seeded mutants per case hit meta, G, xs, d_generators, c
+# and functional; x_cursor and e_idx are first hit past 250
+UNCERTIFIED = {
+    "meta": ("the run's flags and seed: provenance that no check reads", lambda b, t: True),
+    "x_cursor": ("the next kernel vector a further level would draw: only the construction reads it", lambda b, t: True),
+    "e_idx": ("entries past the depth: level n reads e_idx[n - 1] only", lambda b, t: t["e_idx"][: b["depth"]] == b["e_idx"]),
+    "G": (
+        "G[0] only: the zero family below level 1, which no level or certificate reads",
+        lambda b, t: {n: g for n, g in b["G"].items() if n != "0"} == {n: g for n, g in t["G"].items() if n != "0"},
+    ),
+    "xs": (
+        "kernel vectors that no level's ell names: the checks read a level's kernel through ell only",
+        lambda b, t: named(t["xs"], [i for n in b["ell"] for i in b["ell"][n]]) == named(b["xs"], [i for n in b["ell"] for i in b["ell"][n]]),
+    ),
+    "d_generators": (
+        "an entry that no e_idx names: no level's e-vector, and still checked to keep |F| and the norm below 1",
+        lambda b, t: named(t["d_generators"], b["e_idx"]) == named(b["d_generators"], b["e_idx"]),
+    ),
+    "c": (
+        "a lowered c_n: every bound verify replays is taken from the stored, smaller budget, so it proves the stronger claim",
+        lambda b, t: b["c"].keys() == t["c"].keys() and all(Fraction(t["c"][n]) <= Fraction(b["c"][n]) for n in b["c"]),
+    ),
+    "functional": (
+        "an added key, or a weight or factor that keeps the assumed constant within _normalized's 1e-9 of 1"
+        " (test_normalization_tolerance_lets_through says why that is safe)",
+        lambda b, t: abs(functional_from_json(t["functional"]).assumed_constant - 1) <= 1e-9,
+    ),
+}
+
+
+def uncertified_change(base, tree):
+    """None if a state tree that verify passed parses to the base tree's
+    state or differs from it only in ``UNCERTIFIED`` changes; else the
+    fields that differ otherwise."""
+    parsed, want = state_from_json(tree), state_from_json(base)
+    if dataclasses.replace(parsed, space=want.space) == want and parsed.space.to_json() == want.space.to_json():
+        return None
+    changed = sorted(k for k in base.keys() | tree.keys() if base.get(k) != tree.get(k))
+    other = [k for k in changed if not (k in UNCERTIFIED and UNCERTIFIED[k][1](base, tree))]
+    return other or None
+
+
 class TestTamperFuzzer:
     MUTANTS = 250  # per case: about 10 s for both cases on a 2-core Xeon
 
@@ -1040,6 +1218,9 @@ class TestTamperFuzzer:
                 assert "Traceback" not in stdout + stderr, context
                 if code == 64:
                     assert [line.startswith("error: ") for line in stderr.splitlines()] == [True], context
+                if code == 0 and cmd[0] == "verify":
+                    # verify passed it: it is the base state, or differs in a reviewed class
+                    assert uncertified_change(json.loads(base), tree) is None, context
                 codes.add(code)
         assert codes == {0, 3, 64}
 

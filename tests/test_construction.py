@@ -125,6 +125,15 @@ class TestIngredients:
         assert tl.basis_constant(ys) == 2
         assert tl.basis_constant([FinSeq.unit(5)]) == 1
 
+    def test_basis_constant_block_vectors_need_a_space(self):
+        # without a space two disjoint block units once took the l1 closed
+        # form 1, while their basis constant under MixedSpace(2) is larger
+        ys = [MixedSeq.unit(1, 1), MixedSeq.unit(2, 1)]
+        assert tl.basis_constant(ys, MixedSpace(2)) == Fraction(815601, 524288)
+        for family in (ys, [FinSeq.unit(1), ys[1]]):
+            with pytest.raises(ValueError, match="mixed vectors need an explicit space"):
+                tl.basis_constant(family)
+
     def test_basis_constant_certifies(self):
         # overlapping family: returned M must dominate mass/norm on samples
         ys = [FinSeq({1: 1, 2: 1}), FinSeq({1: 1, 2: -1})]

@@ -31,7 +31,7 @@ from twistlab.oracles import (
     span_sampler,
 )
 from twistlab.quasilinear import _ribe_terms
-from twistlab.seqspace import MixedSpace, SeqSpace, block_entries, disjoint_supports
+from twistlab.seqspace import MixedSpace, SeqSpace, block_entries, disjoint_supports, vector_from_json
 from twistlab.sumsets import random_certificate
 
 from .test_exact_lp import orthant_lps, overlapping_family as cross_family
@@ -941,8 +941,8 @@ class TestQuasiConstant:
 
     def test_witness_replayable(self):
         rep = tl.quasi_constant_adversary(tl.Ribe(), trials=500, seed=4)
-        x = FinSeq.from_json(rep.witness["x"])
-        y = FinSeq.from_json(rep.witness["y"])
+        x = vector_from_json(rep.witness["x"], SeqSpace())
+        y = vector_from_json(rep.witness["y"], SeqSpace())
         assert tl.quasi_defect(tl.Ribe(), x, y) == pytest.approx(rep.best_value, abs=1e-12)
 
 
