@@ -54,7 +54,7 @@ from .quasilinear import (
     ribe_eval,
     weighted_ribe_eval,
 )
-from .seqspace import FinSeq, MixedSeq, SeqSpace, james_norm, vector_from_json
+from .seqspace import FinSeq, MixedSeq, MixedSpace, SeqSpace, james_norm, vector_from_json
 from .sumsets import SumCertificate, base_axioms_check
 from .twisted import TwistedVec, ball_radius, quasi_norm
 
@@ -336,7 +336,7 @@ def cmd_eval(args) -> int:
             value = quasi_norm(F, TwistedVec(float(args.r), vector_from_json(_load_json_arg(args.x), F.space)))
         elif args.what == "weighted-ribe":
             weights = {int(n): Fraction(c) for n, c in _load_json_arg(args.weights).items()}
-            value = weighted_ribe_eval(vector_from_json(_load_json_arg(args.x)), weights)
+            value = weighted_ribe_eval(vector_from_json(_load_json_arg(args.x), MixedSpace(2)), weights)  # block rows; p takes no part
         else:  # nonsplit
             vec, value = nonsplit_witness(args.n, Fraction(args.cn))
     except INPUT_ERRORS as exc:

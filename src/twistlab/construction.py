@@ -749,6 +749,9 @@ def state_from_json(obj: dict) -> ConstructionState:
         bad = [v for v in values if type(v) is not int]
         if bad:  # a null is bad too
             raise ValueError("%s must hold integers, got %r" % (key, bad[0]))
+    x_cursor, meta = obj.get("x_cursor", 0), obj.get("meta", {})
+    if type(x_cursor) is not int or type(meta) is not dict:
+        raise ValueError("x_cursor must be an integer and meta an object, got %s and %s" % (type(x_cursor).__name__, type(meta).__name__))
     space = space_from_json(obj["space"])
 
     def vec(v):
@@ -770,8 +773,8 @@ def state_from_json(obj: dict) -> ConstructionState:
         M={int(n): Fraction(v) for n, v in obj["M"].items()},
         G={int(n): [vec(g) for g in gens] for n, gens in obj["G"].items()},
         xs=[vec(x) for x in obj["xs"]],
-        x_cursor=obj.get("x_cursor", 0),
-        meta=obj.get("meta", {}),
+        x_cursor=x_cursor,
+        meta=meta,
     )
 
 

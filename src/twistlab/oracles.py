@@ -648,9 +648,9 @@ def chain_fuzzer(state: ConstructionState, F: QuasiFunctional, trials: int = 200
     delta alternating between 1e-3 and 1e-6, replayed through the full
     inequality ladder; every tenth trial also exercises the final bound on a
     random admissible decomposition.  Ends with a short coordinate-ascent
-    push on the worst certificate found.  Each draw is summed once: its
-    ``LadderSums`` give the value's norm and, rescaled, the replay, so a
-    rescaled certificate is built only for a witness and for the ascent."""
+    push on the worst draw, replayed if it moved.  Each draw is summed once:
+    its ``LadderSums`` give the value's norm and, rescaled, the replay, so
+    a rescaled certificate is built only for a witness and for the ascent."""
     deltas = (Fraction(1, 1000), Fraction(1, 10 ** 6))
     fam = fn_family(state)
     space = state.space
@@ -659,8 +659,16 @@ def chain_fuzzer(state: ConstructionState, F: QuasiFunctional, trials: int = 200
     min_witness = None
     max_f = 0.0
     max_f_sums = None
-    chains = bounds = 0
-    failures = 0
+    chains = bounds = failures = 0
+
+    def record(passed, margin, witness):
+        """Count a failed check once; keep the first least margin, building its witness."""
+        nonlocal failures, min_margin, min_witness
+        failures += not passed
+        if margin < min_margin:
+            min_margin = margin
+            min_witness = witness()
+
     for t in range(max(0, trials)):
         target = 1 - deltas[t % len(deltas)]
         cert = random_certificate(fam, 1, rng)
@@ -674,11 +682,7 @@ def chain_fuzzer(state: ConstructionState, F: QuasiFunctional, trials: int = 200
         scaled = sums.scaled(_exact_scale(target, nv))
         tr = verify_chain(state, F, scaled)
         chains += 1
-        if not tr.passed:
-            failures += 1
-        if tr.min_margin < min_margin:
-            min_margin = tr.min_margin
-            min_witness = {"kind": "chain", "certificate": scaled.certificate().to_json()}
+        record(tr.passed, tr.min_margin, lambda: {"kind": "chain", "certificate": scaled.certificate().to_json()})
         if abs(tr.f_value) > max_f:
             max_f = abs(tr.f_value)
             max_f_sums = scaled
@@ -688,24 +692,14 @@ def chain_fuzzer(state: ConstructionState, F: QuasiFunctional, trials: int = 200
                 u, z_cert = decomp
                 rep = final_bound_check(state, F, u, z_cert)
                 bounds += 1
-                if not rep.passed:
-                    failures += 1
                 worst = min((c.margin for c in rep.checks), default=float("inf"))
-                if worst < min_margin:
-                    min_margin = worst
-                    min_witness = {"kind": "final_bound", "u": u.to_json(), "certificate": z_cert.to_json()}
+                record(rep.passed, worst, lambda: {"kind": "final_bound", "u": u.to_json(), "certificate": z_cert.to_json()})
     if max_f_sums is not None:
-        max_f_cert = max_f_sums.certificate()
-        cert, f_best = _coordinate_ascent(state, F, fam, max_f_cert)
+        cert, f_best = _coordinate_ascent(state, F, fam, max_f_sums.certificate())
         if f_best > max_f:
             max_f = f_best
-            max_f_cert = cert
-        tr = verify_chain(state, F, max_f_cert)
-        if not tr.passed:
-            failures += 1
-        if tr.min_margin < min_margin:
-            min_margin = tr.min_margin
-            min_witness = {"kind": "chain_ascent", "certificate": max_f_cert.to_json()}
+            tr = verify_chain(state, F, cert)
+            record(tr.passed, tr.min_margin, lambda: {"kind": "chain_ascent", "certificate": cert.to_json()})
     if chains == 0 and bounds == 0:
         return OracleReport("chain", None, None, None, None, 0, seed, "heuristic", "no-op: zero budget")
     return OracleReport(

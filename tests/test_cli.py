@@ -6,6 +6,7 @@ import io
 import json
 import math
 import random
+import re
 import subprocess
 import sys
 import traceback
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 
 import twistlab as tl
-from twistlab import cli
+from twistlab import cli, oracles
 from twistlab.cli import MAX_YS_SUPPORT, main
 from twistlab.construction import state_from_json, state_to_json
 from twistlab.quasilinear import NONSPLIT_CAP, functional_from_json
@@ -413,6 +414,24 @@ MALFORMED["quasi_constant_user_linear_basis_pairs"] = [
 # eval quasi-norm reads --x in the functional's space, not by its shape
 MALFORMED["eval_quasi_norm_x_l1_under_weighted"] = ["eval", "quasi-norm", "--functional", WEIGHTED, "--x", '{"1": "1/2", "2": "1/3"}']
 MALFORMED["eval_quasi_norm_x_blocks_under_ribe"] = ["eval", "quasi-norm", "--x", '{"2": ["1/2", "1/3"]}']
+# eval weighted-ribe reads --x as block rows: l1 positions were once taken as blocks
+MALFORMED["eval_weighted_ribe_x_l1"] = ["eval", "weighted-ribe", "--x", '{"2": "1/2", "3": "1/3"}', "--weights", '{"2": "1/2", "3": "1/2"}']
+# x_cursor is a JSON int and meta a JSON object: each of these once passed verify
+MALFORMED.update(
+    {
+        "%s_state_%s_%s_%s" % (cmd[-1], case, key, name): [*cmd, "--state", (case, lambda s, key=key, value=value: s.update({key: value}))]
+        for cmd in (["verify"], ["oracle", "lemma5"], ["oracle", "chain"])
+        for case in ("a", "c")
+        for key, name, value in (
+            ("x_cursor", "text", "x"),
+            ("x_cursor", "bool", True),
+            ("x_cursor", "float", 1.5),
+            ("x_cursor", "null", None),
+            ("meta", "list", [1]),
+            ("meta", "text", "m"),
+        )
+    }
+)
 
 
 def run_cli(args):
@@ -768,6 +787,19 @@ class TestVerify:
         assert lines[2].startswith("VIOLATION chain: min margin -") and lines[2].endswith(" below tolerance 1e-09")
         assert len(lines) == 3
 
+    def test_each_replay_counts_one_failure(self, tmp_path):
+        # level 2's budget lowered: each of the 4 replays fails once, and the
+        # ascent, which leaves its start, replays nothing more
+        out = tmp_path / "run"
+        assert run_cli(["construct", "--case", "a", "--depth", "2", "--out", str(out)]) == 0
+        state = json.loads((out / "state.json").read_text())
+        state["c"]["2"] = "1/1000000"
+        p = tmp_path / "state.json"
+        p.write_text(json.dumps(state))
+        code, stdout, stderr = run_captured(["verify", "--state", str(p), "--trials", "5", "--seed", "1", "--out", str(tmp_path / "out")])
+        assert (code, stderr) == (3, "")
+        assert "VIOLATION chain: 4 ladder replays, 0 bound checks, 4 failures, min margin -" in stdout
+
     @pytest.mark.parametrize("cmd", [["verify", "--trials", "0"], ["oracle", "chain", "--budget", "3"]], ids=["verify", "chain"])
     def test_user_linear_outside_span_exits_three(self, tmp_path, capsys, cmd):
         p = write_tampered(tmp_path, "user_linear_outside_span")
@@ -890,6 +922,42 @@ class TestChainWitnessKinds:
         assert rep.passed and min(c.margin for c in rep.checks) == report["min_chain_margin"] == -entry["best_violation"]
 
 
+class TestChainFuzzerCounts:
+    @pytest.mark.parametrize("tampered", [False, True], ids=["passing", "tampered"])
+    @pytest.mark.parametrize("case, depth", [("a", 2), ("a", 4), ("c", 4)])
+    def test_replays_and_failures_match_the_report(self, tmp_path, monkeypatch, case, depth, tampered):
+        # every verify_chain call under chain_fuzzer is a reported ladder
+        # replay, or the ascent's one replay when it moved past the draws'
+        # largest |F|; a failure is one replay or bound check that failed
+        out = tmp_path / "run"
+        assert run_cli(["construct", "--case", case, "--depth", str(depth), "--seed", "1", "--out", str(out)]) == 0
+        if tampered:  # level 2's budget lowered to 1e-6
+            state = json.loads((out / "state.json").read_text())
+            state["c"]["2"] = "1/1000000"
+            (out / "state.json").write_text(json.dumps(state))
+        state, F = cli._load_state(out / "state.json")
+        replays, ascents = [], []
+        replay, ascent = oracles.verify_chain, oracles._coordinate_ascent
+        monkeypatch.setattr(oracles, "verify_chain", lambda *args: replays.append(replay(*args)) or replays[-1])
+        monkeypatch.setattr(oracles, "_coordinate_ascent", lambda *args: ascents.append((len(replays), ascent(*args))) or ascents[-1][1])
+        moved = set()
+        for seed in range(6):
+            replays.clear()
+            ascents.clear()
+            rep = oracles.chain_fuzzer(state, F, trials=12, seed=seed)
+            chains, bounds, failures = map(int, re.match(r"(\d+) ladder replays, (\d+) bound checks, (\d+) failures", rep.notes).groups())
+            [(before, (cert, f_best))] = ascents
+            assert before == chains
+            moved_now = f_best > max(abs(tr.f_value) for tr in replays[:chains])
+            assert len(replays) == chains + moved_now, seed
+            assert 0 < failures <= chains + bounds + moved_now if tampered else failures == 0, seed
+            if moved_now:
+                assert replays[-1] == replay(state, F, cert)
+            moved.add(moved_now)
+        if case == "a":  # seeds on both sides of the ascent's branch
+            assert moved == {False, True}
+
+
 class TestEval:
     def test_ribe(self, capsys):
         assert run_cli(["eval", "ribe", "--x", '{"1": "1/2", "2": "1/2"}']) == 0
@@ -919,6 +987,8 @@ class TestEval:
         )
         assert code == 0
         assert float(capsys.readouterr().out) == pytest.approx(-math.log(2) / 2, abs=1e-12)
+        assert run_cli(["eval", "weighted-ribe", "--x", '{"2": ["1/2", "1/3"]}', "--weights", '{"2": "1/2", "3": "1/2"}']) == 0
+        assert capsys.readouterr().out == "-0.280421527920524\n"
 
     @pytest.mark.parametrize("what", ["ribe", "james-norm", "quasi-norm"])
     def test_empty_object_is_the_zero_vector(self, capsys, what):
