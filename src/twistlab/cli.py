@@ -25,6 +25,7 @@ from .construction import (
     MAX_DEPTH,
     MAX_DEPTH_C,
     ConstructionError,
+    check_width,
     fn_family,
     functional_of_state,
     levels_csv_rows,
@@ -214,7 +215,8 @@ def cmd_construct(args) -> int:
             return _usage_fail("--case custom needs --functional, --xs and --ds")
         try:
             F = normalize_constant(functional_from_json(_load_json_arg(args.functional)))
-            xs = _vectors_arg(args.xs, F.space)
+            # stored as given, so each must pass state_from_json's width check
+            xs = [check_width(v) for v in _vectors_arg(args.xs, F.space)]
             ds = _vectors_arg(args.ds, F.space)
             if args.split_map:
                 # a "defect_bound" key, written by older versions, is ignored
@@ -224,6 +226,9 @@ def cmd_construct(args) -> int:
             return _usage_fail("cannot parse custom inputs: %s" % exc)
     try:
         state = run_construction(F, xs, ds, args.depth, split_map=split_map, meta=meta)
+        if args.case == "custom":  # and so must the normalized generators and G
+            for v in (*state.d_generators, *(g for gens in state.G.values() for g in gens)):
+                check_width(v)
     except (ConstructionError, ValueError) as exc:
         sys.stderr.write("construction failed: %s\n" % exc)
         return EXIT_CONSTRUCTION

@@ -64,6 +64,13 @@ MAX_DEPTH_C = 10
 VECTOR_BITS = 256
 
 
+def check_width(v):
+    """v, refused when its denominator or a numerator passes ``VECTOR_BITS``."""
+    if max(v.den, max(map(abs, v.nums.values()), default=0)).bit_length() > VECTOR_BITS:
+        raise ValueError("a vector holds a coordinate wider than %d bits" % VECTOR_BITS)
+    return v
+
+
 class ConstructionError(RuntimeError):
     """Raised when a level cannot be built or fails its certification."""
 
@@ -136,9 +143,8 @@ def basis_constant(ys: list, space=None) -> Fraction:
     if space is None and any(isinstance(y, MixedSeq) for y in ys):
         raise ValueError("mixed vectors need an explicit space")
     space = space or SeqSpace()
-    if isinstance(space, SeqSpace) and all(ys) and disjoint_supports(*ys):  # 1 / min ||y||, on numerators over G
-        G = math.lcm(*(y.den for y in ys))
-        return Fraction(G, min(sum(map(abs, y.nums.values())) * (G // y.den) for y in ys))
+    if isinstance(space, SeqSpace) and all(ys) and disjoint_supports(*ys):
+        return _disjoint_basis_constant(ys)
     from .oracles import min_crosspolytope_norm
 
     res = min_crosspolytope_norm(ys, space=space)
@@ -150,6 +156,13 @@ def basis_constant(ys: list, space=None) -> Fraction:
     scaled = 1.1 / val
     den = 1 << 20
     return Fraction(math.ceil(scaled * den), den)
+
+
+def _disjoint_basis_constant(ys: list) -> Fraction:
+    """``basis_constant`` of nonzero, pairwise disjoint l1 vectors: the exact
+    1 / min ||y||, on numerators over G."""
+    G = math.lcm(*(y.den for y in ys))
+    return Fraction(G, min(sum(map(abs, y.nums.values())) * (G // y.den) for y in ys))
 
 
 def choose_m(M, k: int, eta) -> int:
@@ -216,8 +229,19 @@ def build_level(
     """Append level n: tail index, kernel vectors to the right of it, the
     multiplier, and the generator set e_n + z (size 2^n + 1, the last z
     balancing the sum to zero).  With ``verify`` the mass condition is
-    certified by the adversary oracle on the same stretched vectors z, built
-    once; ``verify`` recovers them from the stored G instead (``level_z``)."""
+    certified by the level-mass search alone (``oracles._least_pattern``, no
+    witness) on the same stretched vectors z, built once, with the verdict
+    ``lemma5_adversary`` reports; the CLI's ``verify`` recovers z from the
+    stored G instead (``level_z``) and detects their shape anew.
+
+    The shape is known when the kernel vectors x_1..x_k are nonzero and
+    pairwise disjoint, as the l1 closed-form basis constant tests anyway:
+    z_j = m x_j (m != 0) holds exactly the positions of x_j, and the last
+    vector -m (x_1 + ... + x_k), with no cancellation between disjoint
+    terms, holds all of them.  So every position has exactly the owners
+    {j, k}, the family sums to 0, and since k = 2^n >= 2, k is the only
+    common owner: ``oracles._analyze_negsum`` would return ("negsum", k).
+    Other kernel vectors (custom overlapping chains) are analyzed."""
     for i in range(1, n):
         if i not in state.G:
             raise ConstructionError("levels must be built in order; %d missing" % i)
@@ -237,7 +261,9 @@ def build_level(
             chosen.append(cursor + 1)
         cursor += 1
     xs_n = [state.xs[i - 1] for i in chosen]
-    M_n = basis_constant(xs_n, state.space)
+    disjoint = all(xs_n) and disjoint_supports(*xs_n)
+    l1 = isinstance(state.space, SeqSpace)
+    M_n = _disjoint_basis_constant(xs_n) if disjoint and l1 else basis_constant(xs_n, state.space)
     m_n = int(m_override) if m_override else choose_m(M_n, k, c_n)
     zs = level_stretched(state.space, xs_n, m_n)
     state.G[n] = [e_n + z for z in zs]
@@ -247,12 +273,13 @@ def build_level(
     state.M[n] = M_n
     state.x_cursor = cursor
     if verify:
-        from .oracles import lemma5_adversary
+        from .oracles import _analyze_negsum, _least_pattern, _mass_verdict
 
-        report = lemma5_adversary(zs, k, c_n, space=state.space)
-        if report.best_violation is None or report.best_violation >= 0:
+        shape = ("negsum", k) if disjoint else _analyze_negsum(zs)
+        violation, mass = _mass_verdict(_least_pattern(zs, k, state.space, shape), c_n)
+        if violation >= 0:
             msg = "level %d mass certification failed: best mass %s against budget %s"
-            raise ConstructionError(msg % (n, report.best_value, float(c_n)))
+            raise ConstructionError(msg % (n, mass, float(c_n)))
 
 
 def _normalized(F: QuasiFunctional) -> bool:
@@ -755,10 +782,7 @@ def state_from_json(obj: dict) -> ConstructionState:
     space = space_from_json(obj["space"])
 
     def vec(v):
-        v = vector_from_json(v, space)
-        if max(v.den, max(map(abs, v.nums.values()), default=0)).bit_length() > VECTOR_BITS:
-            raise ValueError("a vector holds a coordinate wider than %d bits" % VECTOR_BITS)
-        return v
+        return check_width(vector_from_json(v, space))
 
     return ConstructionState(
         depth=obj["depth"],

@@ -323,30 +323,30 @@ def _analyze_negsum(zs):
     return ("negsum", min(common)) if common else ("generic", None)
 
 
-def lemma5_adversary(zs: list, k: int, eta, *, space=None, seed: int = 0) -> OracleReport:
-    """Maximize the coefficient mass sum |r_j| subject to the combined vector
-    staying inside norm cap (attacked at cap minus an interior margin) with
-    at most k nonzero coefficients.  Monotone in the support pattern, so only
-    maximal patterns are searched, all of them, each named by the vectors it
-    omits; each reduces to a cross-polytope minimum via mass = cap / min, and
-    the least minimum wins (the first in ``itertools.combinations`` order on
-    a tie).  A pattern whose combination can vanish ends the search with
-    infinite mass, ``exact`` in either space.  Past ``PATTERN_CAP`` patterns
-    the family is ``refused`` unsearched, with violation inf and no witness:
-    a failure to every caller.  Generic patterns take
-    ``min_crosspolytope_norm``, so the search is ``exact`` or ``bounded``.
+MASS_BUDGET = NORM_CAP - INTERIOR  # a level's mass is this over its least pattern minimum
+
+
+def _least_pattern(zs: list, k: int, space, shape):
+    """The level-mass search over the maximal support patterns of k of the
+    N vectors zs (1 <= k <= N), each named by the vectors it omits, on the
+    shape ``_analyze_negsum`` gives for zs.  None past ``PATTERN_CAP``
+    patterns; else (winner, (num, den), count, methods): the least
+    cross-polytope minimum num / den (ints when exact, else a float over 1;
+    the first in ``itertools.combinations`` order wins a tie, and a zero
+    ends the search), the winner's (omitted set, minimizer indices or None
+    for every kept vector, coefficients), the patterns searched and their
+    methods, ``exact`` or ``bounded``.
 
     Disjoint l1 families are minimized by the kept vector of least norm.  On
     the construction's own shape (a disjoint family plus the vector d
-    balancing it to zero, see ``_analyze_negsum``) a pattern without d is
-    such a family; a pattern keeping d has a closed form.  Write
-    a_1 >= ... >= a_K for the l1 gauges of the other kept vectors, A for the
-    summed gauge of the omitted ones and T(m) = a_(m+1) + ... + a_K.  The
-    objective is piecewise linear in the weight on d, so its minimum sits at
-    a breakpoint: all mass on the single cheapest vector (value a_K), or
-    weight 1/(m+1) on d and on the m largest kept vectors, which leaves the
-    omitted vectors and the K - m smallest, at cost f(m) = (A + T(m))/(m+1).
-    Since
+    balancing it to zero) a pattern without d is such a family; a pattern
+    keeping d has a closed form.  Write a_1 >= ... >= a_K for the l1 gauges
+    of the other kept vectors, A for the summed gauge of the omitted ones
+    and T(m) = a_(m+1) + ... + a_K.  The objective is piecewise linear in
+    the weight on d, so its minimum sits at a breakpoint: all mass on the
+    single cheapest vector (value a_K), or weight 1/(m+1) on d and on the m
+    largest kept vectors, which leaves the omitted vectors and the K - m
+    smallest, at cost f(m) = (A + T(m))/(m+1).  Since
 
         (m+1)(m+2) (f(m) - f(m+1)) = A + T(m) + (m+1) a_(m+1),
 
@@ -360,23 +360,10 @@ def lemma5_adversary(zs: list, k: int, eta, *, space=None, seed: int = 0) -> Ora
     winner list the kept vectors.  Mixed families bound the pattern minimum
     through the same closed form (see the ``bounded`` branch).
     """
-    eta = as_fraction(eta)
-    space = space or (SeqSpace() if zs and not isinstance(zs[0], MixedSeq) else None)
-    if space is None:
-        raise ValueError("mixed vectors need an explicit space")
     N = len(zs)
-    k = min(k, N)
-    budget = NORM_CAP - INTERIOR
-    fbudget = float(budget)
-    if k == 0 or N == 0:
-        return OracleReport(
-            "level_mass", float(-eta), 0.0, float(eta), {"pattern": [], "coefficients": []}, 0, seed, "exact", "no nonzeros allowed"
-        )
-    n_patterns = math.comb(N, k)
-    if n_patterns > PATTERN_CAP:
-        notes = "refused: %d support patterns exceed the cap of %d" % (n_patterns, PATTERN_CAP)
-        return OracleReport("level_mass", float("inf"), None, float(eta), None, 0, seed, "refused", notes)
-    shape_kind, d = _analyze_negsum(zs)
+    if math.comb(N, k) > PATTERN_CAP:
+        return None
+    shape_kind, d = shape
     exact_space = isinstance(space, SeqSpace)
     # gauges: the exact l1 norms, also the coordinate-l1 relaxation of the
     # mixed norm, as numerators over one denominator G; `order` lists the
@@ -437,24 +424,55 @@ def lemma5_adversary(zs: list, k: int, eta, *, space=None, seed: int = 0) -> Ora
                 break
 
     omitted, indices, coefficients, num, den = best
+    return (omitted, indices, coefficients), (num, den), count, methods
+
+
+def _mass_verdict(found, eta: Fraction) -> tuple:
+    """(best_violation, best_value) of a ``_least_pattern`` result: the mass
+    is ``MASS_BUDGET`` over the least minimum, infinite on a zero minimum,
+    and None on a refused search, an infinite violation."""
+    if found is None:
+        return float("inf"), None
+    num, den = found[1]
+    if num == 0:
+        return float("inf"), float("inf")
+    best_mass = float(MASS_BUDGET) / num if isinstance(num, float) else MASS_BUDGET / Fraction(num, den)
+    violation = float(best_mass - eta) if isinstance(best_mass, Fraction) else float(best_mass) - float(eta)
+    return violation, float(best_mass)
+
+
+def lemma5_adversary(zs: list, k: int, eta, *, space=None, seed: int = 0) -> OracleReport:
+    """Maximize the coefficient mass sum |r_j| subject to the combined vector
+    staying inside norm cap (attacked at cap minus an interior margin) with
+    at most k nonzero coefficients.  Monotone in the support pattern, so
+    ``_least_pattern`` searches every maximal pattern on the shape
+    ``_analyze_negsum`` detects, and mass = cap / least minimum: infinite,
+    ``exact`` in either space, when a kept combination can vanish.  A
+    ``refused`` search fails every caller (violation inf, no witness).  The
+    witness is the winner's coefficients scaled to the budget surface."""
+    eta = as_fraction(eta)
+    space = space or (SeqSpace() if zs and not isinstance(zs[0], MixedSeq) else None)
+    if space is None:
+        raise ValueError("mixed vectors need an explicit space")
+    N = len(zs)
+    k = min(k, N)
+    if k == 0 or N == 0:
+        return OracleReport(
+            "level_mass", float(-eta), 0.0, float(eta), {"pattern": [], "coefficients": []}, 0, seed, "exact", "no nonzeros allowed"
+        )
+    found = _least_pattern(zs, k, space, _analyze_negsum(zs))
+    verdict = (*_mass_verdict(found, eta), float(eta))
+    if found is None:
+        notes = "refused: %d support patterns exceed the cap of %d" % (math.comb(N, k), PATTERN_CAP)
+        return OracleReport("level_mass", *verdict, None, 0, seed, "refused", notes)
+    (omitted, indices, coefficients), (num, den), count, methods = found
     pattern = [j for j in range(N) if j not in omitted]
     best_alpha = [F0] * N
     for j, a in zip(pattern if indices is None else indices, coefficients):
         best_alpha[j] = a
-    if num == 0:
-        # dependent sub-family: unbounded mass
-        return OracleReport(
-            "level_mass",
-            float("inf"),
-            float("inf"),
-            float(eta),
-            {"pattern": pattern, "coefficients": [str(a) for a in best_alpha]},
-            count,
-            seed,
-            "exact",
-            "combined vector vanished: coefficient mass is unbounded",
-        )
-    best_mass = fbudget / num if isinstance(num, float) else budget / Fraction(num, den)
+    if num == 0:  # dependent sub-family: unbounded mass
+        witness = {"pattern": pattern, "coefficients": [str(a) for a in best_alpha]}
+        return OracleReport("level_mass", *verdict, witness, count, seed, "exact", "combined vector vanished: coefficient mass is unbounded")
     # witness scaled to the budget surface by its true combined norm, so it
     # is always feasible; on exact patterns its mass equals the reported one
     alpha_exact = [a if isinstance(a, Fraction) else Fraction(a) for a in best_alpha]
@@ -462,9 +480,9 @@ def lemma5_adversary(zs: list, k: int, eta, *, space=None, seed: int = 0) -> Ora
     nums = [a.numerator * (lcm // a.denominator) for a in alpha_exact]
     wnorm = space.norm(space.vector.combination(((z, n) for z, n in zip(zs, nums) if n), lcm))
     if isinstance(wnorm, Fraction):
-        wscale = budget / wnorm if wnorm else F1
+        wscale = MASS_BUDGET / wnorm if wnorm else F1
     else:
-        wscale = Fraction(fbudget / wnorm) * (1 - Fraction(1, 2 ** 30)) if wnorm else F1
+        wscale = Fraction(float(MASS_BUDGET) / wnorm) * (1 - Fraction(1, 2 ** 30)) if wnorm else F1
     # the coefficients are n * scale, each distinct one formatted once
     scale = wscale / lcm
     text = {n: "%s" % (n * scale) for n in set(nums)}
@@ -473,17 +491,8 @@ def lemma5_adversary(zs: list, k: int, eta, *, space=None, seed: int = 0) -> Ora
         "coefficients": [text[n] for n in nums],
         "mass": float(scale * sum(map(abs, nums))),
     }
-    return OracleReport(
-        target="level_mass",
-        best_violation=float(best_mass - eta) if isinstance(best_mass, Fraction) else float(best_mass) - float(eta),
-        best_value=float(best_mass),
-        bound=float(eta),
-        witness=witness,
-        trials=count,
-        seed=seed,
-        method="exact" if methods <= {"exact"} else "bounded",
-        notes="patterns exhaustive, budget %s" % float(budget),
-    )
+    method = "exact" if methods <= {"exact"} else "bounded"
+    return OracleReport("level_mass", *verdict, witness, count, seed, method, "patterns exhaustive, budget %s" % float(MASS_BUDGET))
 
 
 def replay_lemma5(zs: list, witness: dict, space=None) -> tuple[float, float]:

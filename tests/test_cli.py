@@ -617,6 +617,27 @@ class TestConstruct:
         assert capsys.readouterr().err == "error: cannot parse custom inputs: block 1 must be a list of exactly 1 coordinates\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "xs,ds,code,message",
+        [
+            # an input kernel vector past the width a state may hold
+            ([{"5": "1e600", "6": "-1"}, {"7": "1", "8": "-1"}], [{"1": "1"}, {"2": "1"}], 64, "error: cannot parse custom inputs"),
+            # a generator that normalize_generators widens past it
+            (
+                [{"5": "1", "6": "-1"}, {"7": "1", "8": "-1"}],
+                [{"1": "%d/%d" % (2 ** 250 + 1, 2 ** 249 + 3), "2": "1/%d" % (2 ** 250 + 1)}, {"3": "1"}],
+                2,
+                "construction failed",
+            ),
+        ],
+    )
+    def test_custom_state_too_wide_to_verify_is_not_written(self, tmp_path, capsys, xs, ds, code, message):
+        # such states were written with exit 0, and their verify exited 64
+        args = ["--functional", json.dumps({"kind": "ribe", "assumed_constant": 4.0}), "--xs", json.dumps(xs), "--ds", json.dumps(ds)]
+        assert run_cli(["construct", "--case", "custom", "--depth", "1", "--out", str(tmp_path), *args]) == code
+        assert capsys.readouterr().err == message + ": a vector holds a coordinate wider than 256 bits\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("case", ["a", "c", "custom_l1", "custom_mixed"])
     def test_written_state_verifies(self, tmp_path, case):
         # the loader reads back every state the writer writes; the custom

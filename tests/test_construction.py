@@ -42,7 +42,7 @@ CROSS_12 = [
     {12: "8", 13: "5", 15: "-4"},
 ]
 from twistlab.quasilinear import functional_from_json, ribe_error_bound
-from twistlab.seqspace import MixedSpace, block_entries
+from twistlab.seqspace import MixedSpace, block_entries, disjoint_supports
 from twistlab.sumsets import certificate_problems, certificate_value, random_certificate, scale_certificate
 
 U = 2.0 ** -53
@@ -264,19 +264,19 @@ class TestRunConstruction:
 
     @pytest.mark.parametrize("case", ["a", "c", "custom"])
     def test_mass_search_gets_the_stored_stretched_vectors(self, monkeypatch, case):
-        """``build_level`` hands ``lemma5_adversary`` the stretched vectors it
+        """``build_level`` hands ``_least_pattern`` the stretched vectors it
         builds G from, and they equal the ones ``verify`` recovers from G.
         The custom kernel vectors share positions, and level 3's e_n is over
         2 while the z built there are over 1, so the recovered z carry a
         denominator the built ones do not."""
         families = []
-        search = oracles.lemma5_adversary
+        search = oracles._least_pattern
 
         def record(zs, *args, **kwargs):
             families.append(list(zs))
             return search(zs, *args, **kwargs)
 
-        monkeypatch.setattr(oracles, "lemma5_adversary", record)
+        monkeypatch.setattr(oracles, "_least_pattern", record)
         if case == "custom":
             F = tl.normalize_constant(tl.Ribe())
             xs = [FinSeq({3 * i + 1: 1, 3 * i + 2: -1, 3 * i + 4: Fraction(1, 2)}) for i in range(20)]
@@ -286,6 +286,117 @@ class TestRunConstruction:
         else:
             _, state = case_state(case, 4)
         assert families == [state.level_z(n) for n in range(1, state.depth + 1)]
+
+
+def searched_levels(build):
+    """Run ``build()`` with ``oracles._least_pattern`` recorded; returns the
+    (zs, k, space, shape) of every search ``build_level`` ran, the families
+    ``build_level`` handed ``_analyze_negsum``, and the ``ConstructionError``
+    text the build raised (None when it passed).  ``lemma5_adversary``, the
+    search with a witness, must not run at all."""
+    searches, detected = [], []
+    search, analyze = oracles._least_pattern, oracles._analyze_negsum
+
+    def record_search(zs, k, space, shape):
+        searches.append((list(zs), k, space, shape))
+        return search(zs, k, space, shape)
+
+    def record_analyze(zs):
+        detected.append(list(zs))
+        return analyze(zs)
+
+    def no_witness(*args, **kwargs):
+        raise AssertionError("build_level built a witness")
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(oracles, "_least_pattern", record_search)
+        m.setattr(oracles, "_analyze_negsum", record_analyze)
+        m.setattr(oracles, "lemma5_adversary", no_witness)
+        try:
+            build()
+            error = None
+        except tl.ConstructionError as exc:
+            error = str(exc)
+    return searches, detected, error
+
+
+def assert_verdicts_match_the_report(searches, error):
+    """Level n's verdict and error text are those ``lemma5_adversary``
+    reports on the family ``build_level`` searched: every level before the
+    last passes, and the last fails exactly when the build raised."""
+    for n, (zs, k, space, _) in enumerate(searches, 1):
+        c_n = tl.default_cn(n)
+        rep = oracles.lemma5_adversary(zs, k, c_n, space=space)
+        if n == len(searches) and error is not None:
+            assert rep.best_violation >= 0
+            assert error == "level %d mass certification failed: best mass %s against budget %s" % (n, rep.best_value, float(c_n))
+        else:
+            assert rep.best_violation < 0, n
+
+
+def l1_custom_inputs(draw, overlapping):
+    """Kernel vectors past the generators' positions 1 and 2, each filling
+    the start of its window: windows of width 2 two positions apart
+    (disjoint), or of width 3 one position apart (overlapping); small
+    rational entries, none zero."""
+    width, step = (3, 1) if overlapping else (2, 2)
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+    xs = []
+    for i in range(14):
+        base = 3 + step * i
+        xs.append(FinSeq({base + j: draw(entry) for j in range(draw(st.integers(1, width)))}))
+    return xs, [FinSeq.unit(1), FinSeq.unit(2)]
+
+
+class TestLevelMassSearch:
+    """``build_level`` runs the level-mass search alone, on the shape it
+    built when its kernel vectors are nonzero and pairwise disjoint."""
+
+    @pytest.mark.parametrize("case,depth", [("a", d) for d in range(1, 11)] + [("c", d) for d in range(1, 8)])
+    def test_passed_shape_is_the_detected_one(self, case, depth):
+        searches, detected, error = searched_levels(lambda: case_state(case, depth))
+        assert error is None and detected == []
+        assert len(searches) == depth
+        for n, (zs, k, _, shape) in enumerate(searches, 1):
+            assert k == 2 ** n and shape == ("negsum", k) == oracles._analyze_negsum(zs)
+
+    def test_overlapping_chain_takes_detection(self):
+        searches, detected, error = searched_levels(custom_state4)
+        assert error is None and len(searches) == 4
+        assert detected == [zs for zs, *_ in searches]
+        for zs, _, _, shape in searches:
+            assert shape == oracles._analyze_negsum(zs) != ("negsum", len(zs) - 1)
+
+    @pytest.mark.parametrize("case", ["a", "c"])
+    @pytest.mark.parametrize("m_override", [None, {2: 1}, {3: 2}])
+    def test_verdicts_match_the_report(self, case, m_override):
+        if case == "a":
+            F = tl.normalize_constant(tl.Ribe())
+            xs, ds = tl.make_case_a_inputs(4, 3)
+        else:
+            xs, ds, weights = tl.make_case_c_inputs(4, 3)
+            F = tl.normalize_constant(tl.WeightedRibe(weights, 2))
+        searches, _, error = searched_levels(lambda: tl.run_construction(F, xs, ds, 4, m_override=m_override))
+        assert (error is None) == (m_override is None)
+        assert len(searches) == (4 if m_override is None else min(m_override))
+        assert_verdicts_match_the_report(searches, error)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data(), st.booleans(), st.integers(1, 3), st.one_of(st.none(), st.integers(1, 40)))
+    def test_verdicts_match_the_report_on_custom_l1(self, data, overlapping, depth, m):
+        if overlapping:
+            depth = min(depth, 2)  # generic patterns take orthant LPs
+        xs, ds = l1_custom_inputs(data.draw, overlapping)
+        F = tl.normalize_constant(tl.Ribe())
+        # a multiplier this small makes the deepest level fail
+        override = {depth: m} if m else None
+        searches, detected, error = searched_levels(lambda: tl.run_construction(F, xs, ds, depth, m_override=override))
+        assert error is None or error.startswith("level %d mass" % len(searches))
+        assert_verdicts_match_the_report(searches, error)
+        for zs, _, _, shape in searches:
+            assert shape == oracles._analyze_negsum(zs)
+        # the kernel vectors are the family less its balancing last vector
+        assert detected == [zs for zs, *_ in searches if not disjoint_supports(*zs[:-1])]
 
 
 class TestMixedConstruction:
